@@ -125,7 +125,6 @@ def load_checkpoint(path) -> Checkpoint:
         off += n
     if off != len(body):
         raise CheckpointError(f"{path}: {len(body) - off} trailing bytes after arrays")
-    vocab = Vocabulary(header["vocab"], max_size=max(len(header["vocab"]), 8))
     return Checkpoint(kind=header["kind"], preset=header["preset"], dims=header["dims"],
-                      vocab=vocab, params=params, config=header.get("config", {}),
-                      provenance=header.get("provenance", []))
+                      vocab=Vocabulary(header["vocab"]), params=params,
+                      config=header.get("config", {}), provenance=header.get("provenance", []))

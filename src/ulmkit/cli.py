@@ -16,7 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import evalbench, textpipe, train
+from . import evalbench, train
+from . import tensor as T
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .model import PRESETS
 from .textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_corpus_lines,
@@ -52,7 +53,11 @@ def _require_file(path: str, what: str) -> str:
 
 
 class Resolver:
-    """Flag > config-file > default, with the resolved snapshot recorded."""
+    """Flag > config-file > default, with the resolved snapshot recorded.
+
+    The snapshot holds every option that resolved to a value, except the
+    output path, so that runs differing only in where they write record the
+    same config."""
 
     def __init__(self, args):
         self.args = args
@@ -69,12 +74,22 @@ class Resolver:
             value = raw if kind is str else (kind(raw) if kind is not bool else raw == "true")
         else:
             value = default
-        self.snapshot[key] = value
+        if value is not None and key != "out":
+            self.snapshot[key] = value
         return value
 
 
 def _numericalize_texts(texts, vocab: Vocabulary) -> list[list[int]]:
     return [numericalize(preprocess(t), vocab) for t in texts]
+
+
+def _vocab_and_streams(res: Resolver, texts) -> tuple[Vocabulary, list[list[int]]]:
+    """Tokenize texts, build the ``max_vocab``-capped vocabulary over them,
+    and numericalize them with it."""
+    token_lists = [preprocess(t) for t in texts]
+    vocab = build_vocab((t for toks in token_lists for t in toks),
+                        max_size=res.get("max_vocab", 60000, int))
+    return vocab, [numericalize(toks, vocab) for toks in token_lists]
 
 
 def _phase_overrides(res: Resolver, defaults) -> dict:
@@ -87,15 +102,6 @@ def _phase_overrides(res: Resolver, defaults) -> dict:
     return out
 
 
-def _write_log(path: str, metrics, snapshot: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for key, value in sorted(snapshot.items()):
-            f.write(f"# {key}={value}\n")
-        f.write(train.METRICS_HEADER + "\n")
-        for m in metrics:
-            f.write(m.as_line() + "\n")
-
-
 def cmd_pretrain(args) -> int:
     res = Resolver(args)
     corpus_path = _require_file(res.get("corpus", args.corpus), "corpus")
@@ -104,13 +110,9 @@ def cmd_pretrain(args) -> int:
         raise UsageError(f"unknown preset {preset!r}")
     cfg = replace(train.pretrain_defaults(), preset=preset,
                   **_phase_overrides(res, train.pretrain_defaults()))
-    max_vocab = res.get("max_vocab", 60000, int)
     valid_frac = res.get("valid_fraction", 0.1, float)
 
-    texts = load_corpus_lines(corpus_path)
-    token_lists = [preprocess(t) for t in texts]
-    vocab = build_vocab((t for toks in token_lists for t in toks), max_size=max_vocab)
-    streams = [numericalize(toks, vocab) for toks in token_lists]
+    vocab, streams = _vocab_and_streams(res, load_corpus_lines(corpus_path))
     train_streams, valid_streams = split_corpus(streams, (1.0 - valid_frac, valid_frac), cfg.seed)
     model, metrics = train.pretrain_lm(
         NumericalizedCorpus(train_streams, None, "train"),
@@ -118,7 +120,7 @@ def cmd_pretrain(args) -> int:
         len(vocab), cfg)
     out = res.get("out", args.out) or "lm.ckpt"
     save_checkpoint(out, model, vocab, config=res.snapshot, provenance=["pretrain"])
-    _write_log(out + ".log", metrics, res.snapshot)
+    train.write_metrics_log(out + ".log", metrics, res.snapshot)
     print(f"wrote {out} and {out}.log")
     return 0
 
@@ -157,10 +159,7 @@ def cmd_finetune_lm(args) -> int:
         texts = [t for t, _ in load_labeled_csv(data_path)]
     else:
         texts = load_corpus_lines(data_path)
-    token_lists = [preprocess(t) for t in texts]
-    target_vocab = build_vocab((t for toks in token_lists for t in toks),
-                               max_size=res.get("max_vocab", 60000, int))
-    streams = [numericalize(toks, target_vocab) for toks in token_lists]
+    target_vocab, streams = _vocab_and_streams(res, texts)
     train_s, valid_s = split_corpus(streams, (0.9, 0.1), cfg.seed)
     model, metrics = train.finetune_lm(
         ckpt.build_model(), ckpt.vocab, target_vocab,
@@ -169,7 +168,7 @@ def cmd_finetune_lm(args) -> int:
     out = res.get("out", args.out) or "lm-finetuned.ckpt"
     save_checkpoint(out, model, target_vocab, config=res.snapshot,
                     provenance=ckpt.provenance + ["finetune-lm"])
-    _write_log(out + ".log", metrics, res.snapshot)
+    train.write_metrics_log(out + ".log", metrics, res.snapshot)
     print(f"wrote {out} and {out}.log")
     return 0
 
@@ -188,7 +187,7 @@ def cmd_finetune_clf(args) -> int:
     out = res.get("out", args.out) or "clf.ckpt"
     save_checkpoint(out, clf, ckpt.vocab, config=res.snapshot,
                     provenance=ckpt.provenance + ["finetune-clf"])
-    _write_log(out + ".log", metrics, res.snapshot)
+    train.write_metrics_log(out + ".log", metrics, res.snapshot)
     print(f"wrote {out} and {out}.log")
     return 0
 
@@ -210,8 +209,7 @@ def cmd_predict(args) -> int:
         raise UsageError("missing --text")
     ids = np.array([numericalize(preprocess(text), vocab)])
     logits = clf.eval().forward(ids, np.array([ids.shape[1]]))
-    probs = np.exp(logits.data[0] - logits.data[0].max())
-    probs /= probs.sum()
+    probs = T.softmax(logits.data[0])
     label = int(probs.argmax())
     print(f"label={label} probability={probs[label]:.4f}")
     return 0
@@ -231,14 +229,8 @@ def cmd_degrade(args) -> int:
     else:
         train_records, test_records = split_corpus(records, (0.8, 0.2), seed)
 
-    texts = [t for t, _ in train_records]
-    token_lists = [preprocess(t) for t in texts]
-    target_vocab = build_vocab((t for toks in token_lists for t in toks),
-                               max_size=res.get("max_vocab", 60000, int))
-
-    def to_corpus(recs, tag):
-        streams = _numericalize_texts([t for t, _ in recs], target_vocab)
-        return NumericalizedCorpus(streams, [l for _, l in recs], tag)
+    target_vocab, train_streams = _vocab_and_streams(res, [t for t, _ in train_records])
+    test_streams = _numericalize_texts([t for t, _ in test_records], target_vocab)
 
     lm_cfg = replace(train.lm_finetune_defaults(), preset=ckpt.preset, seed=seed,
                      epochs=res.get("lm_epochs", 2, int),
@@ -250,12 +242,12 @@ def cmd_degrade(args) -> int:
                       batch_size=res.get("batch_size", 16, int))
     report = evalbench.run_degradation_suite(
         ckpt.build_model(), ckpt.vocab, target_vocab,
-        to_corpus(train_records, "train"), None, to_corpus(test_records, "test"),
+        NumericalizedCorpus(train_streams, [l for _, l in train_records], "train"), None,
+        NumericalizedCorpus(test_streams, [l for _, l in test_records], "test"),
         lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
     out = res.get("out", args.out) or "degradation.csv"
     with open(out, "w", encoding="utf-8") as f:
-        for key, value in sorted(res.snapshot.items()):
-            f.write(f"# {key}={value}\n")
+        f.write(train.config_header(res.snapshot))
         f.write(f"# test_checksum={report.test_checksum}\n")
         f.write(report.to_csv())
     print(report.to_table(), end="")

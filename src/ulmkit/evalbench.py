@@ -10,13 +10,14 @@ scores against identical data.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
 from .model import TextClassifier
 from .textpipe import NumericalizedCorpus
+from .train import classifier_metrics, finetune_classifier, finetune_lm, make_clf_batches
 
 
 @dataclass
@@ -85,8 +86,6 @@ def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus, batch_size: int =
         raise ValueError("evaluate: empty test set")
     if corpus.labels is None:
         raise ValueError("evaluate: corpus has no labels")
-    from .train import classifier_metrics
-
     loss, acc = classifier_metrics(clf, corpus, batch_size, max_len)
     return EvalResult(accuracy=acc, mean_loss=loss, n=len(corpus.streams))
 
@@ -147,10 +146,6 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     and scores on the shared test set. Degradation is computed from mean
     accuracy against the largest fraction's mean accuracy.
     """
-    from dataclasses import replace
-
-    from .train import finetune_classifier, finetune_lm
-
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     fractions = sorted(set(fractions), reverse=True)
@@ -189,12 +184,10 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
 def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
                        max_len: int = 400) -> list[tuple[int, float, float]]:
     """(predicted label, loss, predicted probability) per example, in order."""
-    from .train import make_clf_batches
-
     clf.eval()
     out = []
     for ids, lengths, labels in make_clf_batches(corpus, 64, max_len):
-        probs = T.softmax(T.Tensor(clf.forward(ids, lengths).data), axis=1).data
+        probs = T.softmax(clf.forward(ids, lengths).data, axis=1)
         for row, label in zip(probs, labels):
             pred = int(row.argmax())
             out.append((pred, float(-np.log(max(row[label], 1e-300))), float(row[pred])))
@@ -222,16 +215,3 @@ def top_losses(clf: TextClassifier, corpus: NumericalizedCorpus, k: int,
         )
         for i in ranked
     ]
-
-
-def vocab_label_association(corpus: NumericalizedCorpus, token_id: int) -> tuple[int, int]:
-    """How many sequences contain the token, split by label (not-hate, hate).
-
-    Absent tokens yield (0, 0)."""
-    if corpus.labels is None:
-        raise ValueError("vocab_label_association: corpus has no labels")
-    counts = [0, 0]
-    for stream, label in zip(corpus.streams, corpus.labels):
-        if token_id in stream:
-            counts[label] += 1
-    return counts[0], counts[1]

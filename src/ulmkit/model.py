@@ -116,7 +116,40 @@ def apply_weight_drop(layer: LstmLayer, p: float, rng: Rng, training: bool = Tru
     return T.mul(layer.W_hh, Tensor(mask))
 
 
-class AwdLstmLM:
+class Module:
+    """What the language model and the classifier share: state dicts over
+    ``named_parameters()`` and freezing by ``layer_groups()``, both of which
+    each subclass defines (groups ordered bottom to top)."""
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {name: p.data.copy() for name, p in self.named_parameters()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        for name, p in self.named_parameters():
+            if name not in state:
+                raise KeyError(f"checkpoint missing parameter {name}")
+            if state[name].shape != p.data.shape:
+                raise ValueError(
+                    f"parameter {name}: checkpoint shape {state[name].shape} != model shape {p.data.shape}"
+                )
+            p.data = state[name].astype(p.data.dtype)  # astype copies
+
+    def freeze_to(self, group_index: int) -> None:
+        """Freeze groups below group_index; freeze_to(0) unfreezes everything."""
+        groups = self.layer_groups()
+        if not 0 <= group_index < len(groups):
+            raise IndexError(f"group index {group_index} out of range for {len(groups)} groups")
+        for gi, group in enumerate(groups):
+            for p in group:
+                p.requires_grad = gi >= group_index
+                if not p.requires_grad:
+                    p.grad = None
+
+    def trainable_groups(self) -> list[list[Tensor]]:
+        return [g for g in self.layer_groups() if g[0].requires_grad]
+
+
+class AwdLstmLM(Module):
     """Embedding + stacked LSTM + tied decoder with per-site dropout.
 
     The final LSTM layer outputs ``emb_dim`` so the decoder can share the
@@ -169,19 +202,6 @@ class AwdLstmLM:
         groups.append([self.embedding, self.decoder_bias])
         return groups
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters():
-            if name not in state:
-                raise KeyError(f"checkpoint missing parameter {name}")
-            if state[name].shape != p.data.shape:
-                raise ValueError(
-                    f"parameter {name}: checkpoint shape {state[name].shape} != model shape {p.data.shape}"
-                )
-            p.data = state[name].astype(p.data.dtype).copy()
-
     def init_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
         state = []
         for layer in self.layers:
@@ -203,7 +223,7 @@ class AwdLstmLM:
         d = self.dropouts
         rng = self._drop_rng
         emb_w = embedding_dropout(self.embedding, d.scaled("p_emb"), rng, self.training)
-        x = embedding_lookup_3d(emb_w, ids)
+        x = T.embedding_lookup(emb_w, ids)
         x = variational_dropout(x, d.scaled("p_input"), rng, self.training)
         new_state = []
         raw = x
@@ -228,10 +248,6 @@ class AwdLstmLM:
         return T.reshape(logits, (b, s, self.vocab_size)), new_state, raw, dropped
 
 
-def embedding_lookup_3d(weight: Tensor, ids: np.ndarray) -> Tensor:
-    return T.embedding_lookup(weight, ids)
-
-
 def concat_pool(hidden: Tensor, lengths) -> Tensor:
     """Classifier head input: [last valid hidden, max pool, mean pool]."""
     return T.concat(
@@ -240,7 +256,7 @@ def concat_pool(hidden: Tensor, lengths) -> Tensor:
     )
 
 
-class TextClassifier:
+class TextClassifier(Module):
     """LM encoder + concat-pool head with layer groups for unfreezing.
 
     Groups, bottom to top: [embedding + first LSTM layer], each remaining
@@ -286,40 +302,13 @@ class TextClassifier:
         groups.append(self.head_parameters())
         return groups
 
-    def freeze_to(self, group_index: int) -> None:
-        """Freeze groups below group_index; freeze_to(0) unfreezes everything."""
-        groups = self.layer_groups()
-        if not 0 <= group_index < len(groups):
-            raise IndexError(f"group index {group_index} out of range for {len(groups)} groups")
-        for gi, group in enumerate(groups):
-            for p in group:
-                p.requires_grad = gi >= group_index
-                if not p.requires_grad:
-                    p.grad = None
-
-    def trainable_groups(self) -> list[list[Tensor]]:
-        return [g for g in self.layer_groups() if g[0].requires_grad]
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters():
-            if name not in state:
-                raise KeyError(f"checkpoint missing parameter {name}")
-            if state[name].shape != p.data.shape:
-                raise ValueError(
-                    f"parameter {name}: checkpoint shape {state[name].shape} != model shape {p.data.shape}"
-                )
-            p.data = state[name].astype(p.data.dtype).copy()
-
     def forward(self, ids: np.ndarray, lengths) -> Tensor:
         ids = np.asarray(ids)
         lengths = np.asarray(lengths)
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
-            raise ValueError(f"classify: expected non-empty (batch, steps) ids, got {ids.shape}")
+            raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
         if (lengths < 1).any():
-            raise ValueError("classify: zero-length sequence")
+            raise ValueError("classifier: zero-length sequence")
         self.encoder.training = self.training
         raw, dropped, _ = self.encoder.encode(ids)
         pooled = concat_pool(dropped, lengths)
@@ -329,10 +318,6 @@ class TextClassifier:
             if p > 0:
                 hid = T.mul(hid, Tensor(self._drop_rng.keep_mask(hid.shape, p)))
         return T.add(T.matmul(hid, self.W2), self.b2)
-
-    def classify(self, ids: np.ndarray, lengths) -> Tensor:
-        """Logits (batch, n_classes); argmax is the predicted label."""
-        return self.forward(ids, lengths)
 
 
 def build_lm(vocab_size: int, preset: str = "tiny", dropout_multiplier: float = 1.0,

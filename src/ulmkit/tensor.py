@@ -4,8 +4,6 @@ Single CPU backend on top of numpy arrays. Each op records its parents and
 a local backward closure; ``backward()`` walks the implicit DAG once in
 reverse topological order. Gradients accumulate (explicit ``zero_grad``),
 which truncated BPTT relies on.
-
-Float width is configurable (32 or 64); gradient checks require 64.
 """
 
 from __future__ import annotations
@@ -19,20 +17,6 @@ _DEFAULT_DTYPE = np.float64
 
 class ShapeError(ValueError):
     """Shape-incompatible operands, reported with op name and shapes."""
-
-
-def set_default_dtype(width: int) -> None:
-    global _DEFAULT_DTYPE
-    if width == 32:
-        _DEFAULT_DTYPE = np.float32
-    elif width == 64:
-        _DEFAULT_DTYPE = np.float64
-    else:
-        raise ValueError(f"float width must be 32 or 64, got {width}")
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class Tensor:
@@ -57,9 +41,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data)
@@ -202,34 +183,11 @@ def relu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def _softmax_data(z: np.ndarray, axis: int) -> np.ndarray:
+def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Probabilities from finished logits: a plain array, no graph node."""
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    s = _softmax_data(x.data, axis)
-
-    def bwd(g):
-        if x.requires_grad:
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            x.accumulate(s * (g - dot))
-
-    return _make(s, (x,), bwd)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out_data = z - lse
-    s = np.exp(out_data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g - s * g.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (x,), bwd)
 
 
 def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -441,11 +399,8 @@ def backward(loss: Tensor) -> None:
 class Rng:
     """Deterministic PCG64 stream: same seed and call sequence, same values."""
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.counter = 0
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, tag: str) -> "Rng":
@@ -454,25 +409,17 @@ class Rng:
         return Rng(mixed)
 
     def uniform(self, shape, low=0.0, high=1.0) -> np.ndarray:
-        self.counter += 1
         return self._gen.uniform(low, high, size=shape).astype(_DEFAULT_DTYPE)
-
-    def normal(self, shape, std=1.0) -> np.ndarray:
-        self.counter += 1
-        return (self._gen.standard_normal(size=shape) * std).astype(_DEFAULT_DTYPE)
 
     def keep_mask(self, shape, p_drop: float) -> np.ndarray:
         """Bernoulli keep mask scaled by 1/(1-p_drop); expectation-preserving."""
-        self.counter += 1
         if p_drop <= 0.0:
             return np.ones(shape, dtype=_DEFAULT_DTYPE)
         keep = self._gen.random(size=shape) >= p_drop
         return keep.astype(_DEFAULT_DTYPE) / (1.0 - p_drop)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.counter += 1
         return self._gen.permutation(n)
 
     def choice(self, n: int, k: int) -> np.ndarray:
-        self.counter += 1
         return self._gen.choice(n, size=k, replace=False)

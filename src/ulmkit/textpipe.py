@@ -95,8 +95,6 @@ class Vocabulary:
     """Frequency-ranked token<->id map with reserved specials at the bottom."""
 
     id_to_token: list[str]
-    max_size: int = 60000
-    min_freq: int = 1
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -104,20 +102,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for token in self.id_to_token:
-                f.write(token + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
-        return cls(tokens, max_size=max(len(tokens), len(SPECIALS) + 1))
 
 
 def build_vocab(tokens, max_size: int = 60000, min_freq: int = 1) -> Vocabulary:
@@ -134,16 +118,12 @@ def build_vocab(tokens, max_size: int = 60000, min_freq: int = 1) -> Vocabulary:
     counts = Counter(t for t in tokens if t not in SPECIALS)
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])
     kept = [t for t, c in ranked if c >= min_freq][: max_size - len(SPECIALS)]
-    return Vocabulary(list(SPECIALS) + kept, max_size=max_size, min_freq=min_freq)
+    return Vocabulary(list(SPECIALS) + kept)
 
 
 def numericalize(tokens: list[str], vocab: Vocabulary) -> list[int]:
     """Map tokens to ids; unknown surface forms map to the unknown id."""
     return [vocab.token_to_id.get(t, UNK_ID) for t in tokens]
-
-
-def denumericalize(ids: list[int], vocab: Vocabulary) -> list[str]:
-    return [vocab.id_to_token[i] for i in ids]
 
 
 @dataclass

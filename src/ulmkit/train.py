@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,18 +113,6 @@ def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: flo
         state[p.name] = (m, v, t)
 
 
-def sgd_step(params, state: dict, lr: float, momentum: float, weight_decay: float) -> None:
-    """Momentum SGD with decoupled weight decay."""
-    for p in params:
-        g = _check_grad(p)
-        v = state.get(p.name, np.zeros_like(p.data))
-        v = momentum * v + g
-        if weight_decay:
-            p.data *= 1.0 - lr * weight_decay
-        p.data -= lr * v
-        state[p.name] = v
-
-
 def clip_gradients(params, max_norm: float) -> float:
     total = 0.0
     for p in params:
@@ -137,14 +125,6 @@ def clip_gradients(params, max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= scale
     return norm
-
-
-def set_trainable(groups: list[list[Tensor]], first_trainable: int) -> None:
-    for i, group in enumerate(groups):
-        for p in group:
-            p.requires_grad = i >= first_trainable
-            if not p.requires_grad:
-                p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +363,10 @@ def finetune_lm(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabul
     train_data = batchify(train_corpus.streams, cfg.batch_size)
     valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
     metrics: list[EpochMetrics] = []
-    groups = model.layer_groups()
-    set_trainable(groups, len(groups) - 1)
+    model.freeze_to(len(model.layer_groups()) - 1)
     _run_lm_stage(model, train_data, valid_data, cfg, stage=1,
                   epochs=cfg.stage1_epochs, lr=cfg.stage1_lr, metrics=metrics)
-    set_trainable(groups, 0)
+    model.freeze_to(0)
     _run_lm_stage(model, train_data, valid_data, cfg, stage=2, epochs=cfg.epochs,
                   lr=cfg.lr, metrics=metrics)
     return model, metrics
@@ -492,8 +471,15 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     return clf, metrics
 
 
-def write_metrics_log(path, metrics: list[EpochMetrics]) -> None:
+def config_header(snapshot: dict) -> str:
+    """The resolved config as ``# key=value`` lines, sorted by key; it heads
+    every metrics log and degradation report."""
+    return "".join(f"# {key}={value}\n" for key, value in sorted(snapshot.items()))
+
+
+def write_metrics_log(path, metrics: list[EpochMetrics], snapshot: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
+        f.write(config_header(snapshot))
         f.write(METRICS_HEADER + "\n")
         for m in metrics:
             f.write(m.as_line() + "\n")

@@ -15,7 +15,7 @@ from ulmkit.textpipe import SPECIALS, Vocabulary
 
 
 def small_vocab(extra=("aso", "pusa", "ibon", "isda", "daga")):
-    return Vocabulary(list(SPECIALS) + list(extra), max_size=60000)
+    return Vocabulary(list(SPECIALS) + list(extra))
 
 
 # -- checkpoint format --------------------------------------------------------
@@ -212,6 +212,19 @@ def test_cli_degrade_report(cli_artifacts, tmp_path, capsys):
     assert rows[0] == "fraction,n_train,repeats,mean_accuracy,mean_loss,degradation_pct"
     assert len(rows) == 4  # header + one row per fraction
     assert rows[1].startswith("1.0,") and rows[1].endswith(",0.0000")
+
+
+def test_cli_degrade_report_independent_of_out_path(cli_artifacts, tmp_path):
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    reports = [tmp_path / "a.csv", tmp_path / "sub-b.csv"]
+    for out in reports:
+        rc = main(["degrade", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+                   "--out", str(out), "--fractions", "1.0,0.5,0.25", "--repeats", "1",
+                   "--lm-epochs", "1", "--lm-lr", "4e-4", "--stage1-lr", "4e-3",
+                   "--clf-epochs", "1", "--batch-size", "4", "--seed", "0"])
+        assert rc == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    assert "None" not in reports[0].read_text()
 
 
 def test_cli_missing_path_exits_2(capsys):

@@ -111,7 +111,7 @@ def suite_inputs():
     lm = build_lm(20, "tiny", dropout_multiplier=0.1, seed=0)
     from ulmkit.textpipe import Vocabulary
 
-    vocab = Vocabulary([f"t{i}" for i in range(20)], max_size=60000)
+    vocab = Vocabulary([f"t{i}" for i in range(20)])
     lm_cfg = train.lm_finetune_defaults(epochs=1, batch_size=2, bptt_len=10,
                                         dropout_multiplier=0.1, lr=4e-4, stage1_lr=4e-3)
     clf_cfg = train.clf_finetune_defaults(epochs=1, batch_size=8, dropout_multiplier=0.1)
@@ -179,16 +179,3 @@ def test_top_losses_validation():
         evalbench.top_losses(clf, corpus, k=5)
     with pytest.raises(ValueError):
         evalbench.top_losses(clf, NumericalizedCorpus([[2]]), k=1)
-
-
-def test_vocab_label_association():
-    corpus = NumericalizedCorpus(
-        [[2, 7, 9], [2, 7], [2, 8], [2, 7, 8], [2, 9]],
-        [1, 1, 0, 1, 0],
-    )
-    # token 7 appears in three hate sequences, none non-hate
-    assert evalbench.vocab_label_association(corpus, 7) == (0, 3)
-    assert evalbench.vocab_label_association(corpus, 8) == (1, 1)
-    assert evalbench.vocab_label_association(corpus, 99) == (0, 0)
-    with pytest.raises(ValueError):
-        evalbench.vocab_label_association(NumericalizedCorpus([[2]]), 2)

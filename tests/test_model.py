@@ -200,7 +200,7 @@ def test_concat_pool_brute_force():
 def test_classifier_forward_shapes_and_errors():
     clf = TextClassifier(tiny_lm(), seed=0).eval()
     ids = np.random.default_rng(5).integers(0, 13, size=(4, 7))
-    logits = clf.classify(ids, np.array([7, 3, 1, 5]))
+    logits = clf.forward(ids, np.array([7, 3, 1, 5]))
     assert logits.shape == (4, 2)
     with pytest.raises(ValueError):
         clf.forward(np.zeros((0, 3), dtype=int), np.array([]))

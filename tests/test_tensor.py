@@ -77,38 +77,19 @@ def test_elementwise_grads(op):
     check_grad(build, x)
 
 
-def test_softmax_log_softmax_grads():
-    rng = np.random.default_rng(3)
-    x = T.param(rng.normal(size=(3, 6)), "x")
-    w = rng.normal(size=(3, 6))
-
-    def build_s():
-        x.zero_grad()
-        return T.sum_(T.softmax(x, axis=1) * T.Tensor(w))
-
-    check_grad(build_s, x)
-
-    def build_ls():
-        x.zero_grad()
-        return T.sum_(T.log_softmax(x, axis=1) * T.Tensor(w))
-
-    check_grad(build_ls, x)
-
-
 def test_softmax_rows_sum_to_one():
-    x = T.Tensor(np.random.default_rng(4).normal(size=(7, 9)) * 30)
-    s = T.softmax(x, axis=1).data
+    x = np.random.default_rng(4).normal(size=(7, 9)) * 30
+    s = T.softmax(x, axis=1)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
     assert (s >= 0).all()
-    assert np.allclose(np.exp(T.log_softmax(x, axis=1).data), s, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_softmax_shift_invariance(seed):
     x = np.random.default_rng(seed).normal(size=(2, 5))
-    a = T.softmax(T.Tensor(x)).data
-    b = T.softmax(T.Tensor(x + 123.0)).data
+    a = T.softmax(x)
+    b = T.softmax(x + 123.0)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -117,7 +98,8 @@ def test_cross_entropy_matches_manual():
     logits = T.param(rng.normal(size=(4, 3)), "logits")
     targets = np.array([0, 2, 1, 2])
     loss = T.cross_entropy(logits, targets)
-    logp = T.log_softmax(T.Tensor(logits.data), axis=1).data
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     manual = -logp[np.arange(4), targets].mean()
     assert abs(loss.item() - manual) < 1e-12
 
@@ -242,14 +224,6 @@ def test_no_grad_tracking_when_not_required():
     assert out._backward is None
 
 
-def test_detach_breaks_graph():
-    x = T.param(np.array([1.5]), "x")
-    d = (x * x).detach()
-    assert not d.requires_grad
-    T.backward(T.sum_(x * x + d))
-    assert np.allclose(x.grad, [3.0])
-
-
 def test_shape_errors_report_op():
     with pytest.raises(T.ShapeError, match="matmul"):
         T.Tensor(np.zeros((2, 3))) @ T.Tensor(np.zeros((2, 3)))
@@ -257,24 +231,13 @@ def test_shape_errors_report_op():
         T.Tensor(np.zeros((2, 3))) + T.Tensor(np.zeros((4, 5)))
 
 
-def test_set_default_dtype():
-    T.set_default_dtype(32)
-    try:
-        assert T.Tensor([1.0]).data.dtype == np.float32
-    finally:
-        T.set_default_dtype(64)
-    assert T.Tensor([1.0]).data.dtype == np.float64
-    with pytest.raises(ValueError):
-        T.set_default_dtype(16)
-
-
 def test_rng_determinism_and_children():
     a, b = T.Rng(42), T.Rng(42)
     assert np.array_equal(a.uniform((4, 4)), b.uniform((4, 4)))
     assert np.array_equal(a.permutation(10), b.permutation(10))
-    c1 = T.Rng(42).child("dropout").normal((8,))
-    c2 = T.Rng(42).child("dropout").normal((8,))
-    d = T.Rng(42).child("init").normal((8,))
+    c1 = T.Rng(42).child("dropout").uniform((8,))
+    c2 = T.Rng(42).child("dropout").uniform((8,))
+    d = T.Rng(42).child("init").uniform((8,))
     assert np.array_equal(c1, c2)
     assert not np.array_equal(c1, d)
 

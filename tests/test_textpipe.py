@@ -102,16 +102,7 @@ def test_numericalize_unknown_maps_to_unk():
 @settings(max_examples=100, deadline=None)
 def test_numericalize_roundtrip_in_vocab(tokens):
     vocab = tp.build_vocab(["isa", "dalawa", "tatlo", "apat", "lima"])
-    assert tp.denumericalize(tp.numericalize(tokens, vocab), vocab) == tokens
-
-
-def test_vocab_save_load_roundtrip(tmp_path):
-    vocab = tp.build_vocab(["ganda", "ng", "araw", "ng", "ng"])
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    loaded = tp.Vocabulary.load(path)
-    assert loaded.id_to_token == vocab.id_to_token
-    assert loaded.token_to_id == vocab.token_to_id
+    assert [vocab.id_to_token[i] for i in tp.numericalize(tokens, vocab)] == tokens
 
 
 def test_corpus_rejects_bad_labels():

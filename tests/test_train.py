@@ -102,18 +102,6 @@ def test_nan_gradient_raises_named_error():
         train.adam_step([p], {}, lr=0.01, momentum=0.9, weight_decay=0.0)
 
 
-def test_sgd_step_momentum():
-    p = T.param(np.array([1.0]), "p")
-    state = {}
-    p.grad = np.array([0.5])
-    train.sgd_step([p], state, lr=0.1, momentum=0.9, weight_decay=0.0)
-    assert np.allclose(p.data, [1.0 - 0.1 * 0.5])
-    p.grad = np.array([0.5])
-    train.sgd_step([p], state, lr=0.1, momentum=0.9, weight_decay=0.0)
-    # velocity = 0.9 * 0.5 + 0.5
-    assert np.allclose(p.data, [1.0 - 0.05 - 0.1 * 0.95])
-
-
 def test_clip_gradients_global_norm():
     a = T.param(np.zeros(2), "a")
     b = T.param(np.zeros(2), "b")
@@ -180,10 +168,11 @@ def test_metrics_line_format():
 
 def test_write_metrics_log(tmp_path):
     path = tmp_path / "metrics.csv"
-    train.write_metrics_log(path, [train.EpochMetrics("pretrain", 1, 1, 1.0, None, None, 0.1)])
+    train.write_metrics_log(path, [train.EpochMetrics("pretrain", 1, 1, 1.0, None, None, 0.1)],
+                            {"seed": 0, "lr": 0.01})
     lines = path.read_text().splitlines()
-    assert lines[0] == train.METRICS_HEADER
-    assert len(lines) == 2
+    assert lines[:3] == ["# lr=0.01", "# seed=0", train.METRICS_HEADER]
+    assert len(lines) == 4
 
 
 # -- training drivers (small but real) -----------------------------------------
@@ -225,9 +214,9 @@ def test_pretrain_lm_rejects_empty_corpus():
 
 def make_vocabs():
     old = Vocabulary(["xxunk", "xxpad", "xxbos", "xxup", "xxmaj", "xxrep", "xxwrep",
-                      "aso", "pusa", "ibon"], max_size=60000)
+                      "aso", "pusa", "ibon"])
     new = Vocabulary(["xxunk", "xxpad", "xxbos", "xxup", "xxmaj", "xxrep", "xxwrep",
-                      "pusa", "daga"], max_size=60000)
+                      "pusa", "daga"])
     return old, new
 
 

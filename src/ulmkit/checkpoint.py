@@ -98,7 +98,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated before header (only {len(blob)} bytes)")
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic at offset 0, not a ulmkit checkpoint")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    body = memoryview(blob)[:-4]  # everything before the trailing CRC32, not copied
+    (crc,) = struct.unpack_from("<I", blob, len(body))
     if zlib.crc32(body) != crc:
         raise CheckpointError(f"{path}: checksum mismatch at offset {len(body)}")
     version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
@@ -108,10 +109,12 @@ def load_checkpoint(path) -> Checkpoint:
     if off + header_len > len(body):
         raise CheckpointError(f"{path}: truncated header section at offset {off}")
     try:
-        header = json.loads(body[off : off + header_len].decode("utf-8"))
+        header = json.loads(blob[off : off + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header section: {exc}") from exc
     off += header_len
+    # Each array is a read-only view of the file's bytes; load_state_dict
+    # copies it into a model.
     params: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         n = entry["nbytes"]
@@ -121,7 +124,7 @@ def load_checkpoint(path) -> Checkpoint:
             )
         count = int(np.prod(entry["shape"], dtype=int))
         arr = np.frombuffer(body, dtype=np.dtype(entry["dtype"]), count=count, offset=off)
-        params[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        params[entry["name"]] = arr.reshape(entry["shape"])
         off += n
     if off != len(body):
         raise CheckpointError(f"{path}: {len(body) - off} trailing bytes after arrays")

@@ -2,9 +2,9 @@
 
 Subcommands: pretrain, finetune-lm, finetune-clf, eval, predict, degrade,
 top-losses. Exit codes: 0 success, 1 runtime contract failure, 2 usage
-error. A flat key=value config file can preseed any flag; explicit flags
-win. Every artifact written (checkpoint, report, metrics log) embeds the
-resolved config and seed.
+error. A flat key=value config file can preseed any option of that
+subcommand; explicit flags win. Every artifact written (checkpoint, report,
+metrics log) embeds the resolved config and seed.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,49 @@ class UsageError(ValueError):
     """Bad invocation: wrong flags, missing files. Exits with code 2."""
 
 
-def read_config_file(path: str) -> dict[str, str]:
+class Option(NamedTuple):
+    """How an option is given: its flag and the type of its value."""
+
+    flag: str
+    type: type = str
+    choices: tuple[str, ...] | None = None
+
+
+# Every option a subcommand can take, by its config-file key. A subcommand
+# reads exactly the keys listed for it in COMMANDS.
+OPTIONS = {
+    "seed": Option("--seed", int),
+    "preset": Option("--preset", choices=tuple(sorted(PRESETS))),
+    "out": Option("--out"),
+    "epochs": Option("--epochs", int),
+    "lr": Option("--lr", float),
+    "batch_size": Option("--batch-size", int),
+    "bptt_len": Option("--bptt", int),
+    "dropout_multiplier": Option("--dropout-multiplier", float),
+    "weight_decay": Option("--weight-decay", float),
+    "max_vocab": Option("--max-vocab", int),
+    "corpus": Option("--corpus"),
+    "valid_fraction": Option("--valid-fraction", float),
+    "checkpoint": Option("--checkpoint"),
+    "data": Option("--data"),
+    "stage1_lr": Option("--stage1-lr", float),
+    "valid": Option("--valid"),
+    "text": Option("--text"),
+    "test": Option("--test"),
+    "fractions": Option("--fractions"),
+    "repeats": Option("--repeats", int),
+    "lm_epochs": Option("--lm-epochs", int),
+    "lm_lr": Option("--lm-lr", float),
+    "clf_epochs": Option("--clf-epochs", int),
+    "k": Option("-k", int),
+}
+# The PhaseConfig fields a training subcommand takes from its options.
+PHASE_KEYS = ("epochs", "lr", "batch_size", "bptt_len", "dropout_multiplier",
+              "weight_decay", "seed")
+
+
+def read_config_file(path: str, keys) -> dict[str, str]:
+    """The ``key=value`` lines of a config file; every key must be in ``keys``."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values: dict[str, str] = {}
@@ -40,7 +83,11 @@ def read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}: line {i}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise UsageError(f"{path}: line {i}: unknown key {key!r}; this subcommand "
+                                 f"takes {', '.join(sorted(keys))}")
+            values[key] = value.strip()
     return values
 
 
@@ -61,17 +108,16 @@ class Resolver:
 
     def __init__(self, args):
         self.args = args
-        self.file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+        self.keys = COMMANDS[args.command][2]
+        self.file_values = read_config_file(args.config, self.keys) if args.config else {}
         self.snapshot: dict[str, object] = {}
 
-    def get(self, key: str, default, cast=None):
-        flag = getattr(self.args, key.replace("-", "_"), None)
+    def get(self, key: str, default=None):
+        flag = getattr(self.args, key)
         if flag is not None:
             value = flag
         elif key in self.file_values:
-            raw = self.file_values[key]
-            kind = cast or (type(default) if default is not None else str)
-            value = raw if kind is str else (kind(raw) if kind is not bool else raw == "true")
+            value = OPTIONS[key].type(self.file_values[key])
         else:
             value = default
         if value is not None and key != "out":
@@ -88,29 +134,24 @@ def _vocab_and_streams(res: Resolver, texts) -> tuple[Vocabulary, list[list[int]
     and numericalize them with it."""
     token_lists = [preprocess(t) for t in texts]
     vocab = build_vocab((t for toks in token_lists for t in toks),
-                        max_size=res.get("max_vocab", 60000, int))
+                        max_size=res.get("max_vocab", 60000))
     return vocab, [numericalize(toks, vocab) for toks in token_lists]
 
 
 def _phase_overrides(res: Resolver, defaults) -> dict:
-    out = {}
-    for key, cast in (("epochs", int), ("lr", float), ("batch_size", int),
-                      ("bptt_len", int), ("dropout_multiplier", float),
-                      ("weight_decay", float), ("seed", int)):
-        value = res.get(key, getattr(defaults, key), cast)
-        out[key] = value
-    return out
+    """The PhaseConfig fields this subcommand takes, resolved over ``defaults``."""
+    return {key: res.get(key, getattr(defaults, key)) for key in PHASE_KEYS if key in res.keys}
 
 
 def cmd_pretrain(args) -> int:
     res = Resolver(args)
-    corpus_path = _require_file(res.get("corpus", args.corpus), "corpus")
+    corpus_path = _require_file(res.get("corpus"), "corpus")
     preset = res.get("preset", "tiny")
     if preset not in PRESETS:
         raise UsageError(f"unknown preset {preset!r}")
     cfg = replace(train.pretrain_defaults(), preset=preset,
                   **_phase_overrides(res, train.pretrain_defaults()))
-    valid_frac = res.get("valid_fraction", 0.1, float)
+    valid_frac = res.get("valid_fraction", 0.1)
 
     vocab, streams = _vocab_and_streams(res, load_corpus_lines(corpus_path))
     train_streams, valid_streams = split_corpus(streams, (1.0 - valid_frac, valid_frac), cfg.seed)
@@ -118,7 +159,7 @@ def cmd_pretrain(args) -> int:
         NumericalizedCorpus(train_streams, None, "train"),
         NumericalizedCorpus(valid_streams, None, "valid") if valid_streams else None,
         len(vocab), cfg)
-    out = res.get("out", args.out) or "lm.ckpt"
+    out = res.get("out") or "lm.ckpt"
     save_checkpoint(out, model, vocab, config=res.snapshot, provenance=["pretrain"])
     train.write_metrics_log(out + ".log", metrics, res.snapshot)
     print(f"wrote {out} and {out}.log")
@@ -150,11 +191,11 @@ def _labeled_corpus(path: str, vocab: Vocabulary, tag: str):
 
 def cmd_finetune_lm(args) -> int:
     res = Resolver(args)
-    ckpt = _load_lm(res.get("checkpoint", args.checkpoint), res.get("preset", None))
+    ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
     cfg = replace(train.lm_finetune_defaults(), preset=ckpt.preset,
-                  stage1_lr=res.get("stage1_lr", 4e-2, float),
+                  stage1_lr=res.get("stage1_lr", 4e-2),
                   **_phase_overrides(res, train.lm_finetune_defaults()))
-    data_path = _require_file(res.get("data", args.data), "dataset")
+    data_path = _require_file(res.get("data"), "dataset")
     if data_path.endswith(".csv"):
         texts = [t for t, _ in load_labeled_csv(data_path)]
     else:
@@ -165,7 +206,7 @@ def cmd_finetune_lm(args) -> int:
         ckpt.build_model(), ckpt.vocab, target_vocab,
         NumericalizedCorpus(train_s, None, "train"),
         NumericalizedCorpus(valid_s, None, "valid") if valid_s else None, cfg)
-    out = res.get("out", args.out) or "lm-finetuned.ckpt"
+    out = res.get("out") or "lm-finetuned.ckpt"
     save_checkpoint(out, model, target_vocab, config=res.snapshot,
                     provenance=ckpt.provenance + ["finetune-lm"])
     train.write_metrics_log(out + ".log", metrics, res.snapshot)
@@ -175,16 +216,16 @@ def cmd_finetune_lm(args) -> int:
 
 def cmd_finetune_clf(args) -> int:
     res = Resolver(args)
-    ckpt = _load_lm(res.get("checkpoint", args.checkpoint), res.get("preset", None))
+    ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
     cfg = replace(train.clf_finetune_defaults(), preset=ckpt.preset,
                   **_phase_overrides(res, train.clf_finetune_defaults()))
-    corpus, _ = _labeled_corpus(res.get("data", args.data), ckpt.vocab, "train")
+    corpus, _ = _labeled_corpus(res.get("data"), ckpt.vocab, "train")
     valid = None
-    valid_path = res.get("valid", getattr(args, "valid", None))
+    valid_path = res.get("valid")
     if valid_path:
         valid, _ = _labeled_corpus(valid_path, ckpt.vocab, "valid")
     clf, metrics = train.finetune_classifier(ckpt.build_model(), corpus, valid, cfg)
-    out = res.get("out", args.out) or "clf.ckpt"
+    out = res.get("out") or "clf.ckpt"
     save_checkpoint(out, clf, ckpt.vocab, config=res.snapshot,
                     provenance=ckpt.provenance + ["finetune-clf"])
     train.write_metrics_log(out + ".log", metrics, res.snapshot)
@@ -194,8 +235,8 @@ def cmd_finetune_clf(args) -> int:
 
 def cmd_eval(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_clf(res.get("checkpoint", args.checkpoint))
-    corpus, _ = _labeled_corpus(res.get("data", args.data), vocab, "test")
+    clf, vocab = _load_clf(res.get("checkpoint"))
+    corpus, _ = _labeled_corpus(res.get("data"), vocab, "test")
     result = evalbench.evaluate(clf, corpus)
     print(f"accuracy={result.accuracy:.4f}, loss={result.mean_loss:.6f}, n={result.n}")
     return 0
@@ -203,8 +244,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_clf(res.get("checkpoint", args.checkpoint))
-    text = res.get("text", args.text)
+    clf, vocab = _load_clf(res.get("checkpoint"))
+    text = res.get("text")
     if text is None:
         raise UsageError("missing --text")
     ids = np.array([numericalize(preprocess(text), vocab)])
@@ -217,12 +258,12 @@ def cmd_predict(args) -> int:
 
 def cmd_degrade(args) -> int:
     res = Resolver(args)
-    ckpt = _load_lm(res.get("checkpoint", args.checkpoint), res.get("preset", None))
-    seed = res.get("seed", 0, int)
+    ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
+    seed = res.get("seed", 0)
     fractions = [float(x) for x in res.get("fractions", "1.0,0.5,0.1").split(",")]
-    repeats = res.get("repeats", 5, int)
-    records = load_labeled_csv(_require_file(res.get("data", args.data), "dataset"))
-    test_path = res.get("test", getattr(args, "test", None))
+    repeats = res.get("repeats", 5)
+    records = load_labeled_csv(_require_file(res.get("data"), "dataset"))
+    test_path = res.get("test")
     if test_path:
         train_records = records
         test_records = load_labeled_csv(_require_file(test_path, "test dataset"))
@@ -233,19 +274,19 @@ def cmd_degrade(args) -> int:
     test_streams = _numericalize_texts([t for t, _ in test_records], target_vocab)
 
     lm_cfg = replace(train.lm_finetune_defaults(), preset=ckpt.preset, seed=seed,
-                     epochs=res.get("lm_epochs", 2, int),
-                     lr=res.get("lm_lr", 4e-3, float),
-                     stage1_lr=res.get("stage1_lr", 4e-2, float),
-                     batch_size=res.get("batch_size", 16, int))
+                     epochs=res.get("lm_epochs", 2),
+                     lr=res.get("lm_lr", 4e-3),
+                     stage1_lr=res.get("stage1_lr", 4e-2),
+                     batch_size=res.get("batch_size", 16))
     clf_cfg = replace(train.clf_finetune_defaults(), preset=ckpt.preset, seed=seed,
-                      epochs=res.get("clf_epochs", 2, int),
-                      batch_size=res.get("batch_size", 16, int))
+                      epochs=res.get("clf_epochs", 2),
+                      batch_size=res.get("batch_size", 16))
     report = evalbench.run_degradation_suite(
         ckpt.build_model(), ckpt.vocab, target_vocab,
         NumericalizedCorpus(train_streams, [l for _, l in train_records], "train"), None,
         NumericalizedCorpus(test_streams, [l for _, l in test_records], "test"),
         lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
-    out = res.get("out", args.out) or "degradation.csv"
+    out = res.get("out") or "degradation.csv"
     with open(out, "w", encoding="utf-8") as f:
         f.write(train.config_header(res.snapshot))
         f.write(f"# test_checksum={report.test_checksum}\n")
@@ -257,85 +298,49 @@ def cmd_degrade(args) -> int:
 
 def cmd_top_losses(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_clf(res.get("checkpoint", args.checkpoint))
-    corpus, texts = _labeled_corpus(res.get("data", args.data), vocab, "test")
-    k = res.get("k", 10, int)
+    clf, vocab = _load_clf(res.get("checkpoint"))
+    corpus, texts = _labeled_corpus(res.get("data"), vocab, "test")
+    k = res.get("k", 10)
     for ex in evalbench.top_losses(clf, corpus, min(k, len(corpus.streams)), texts):
         print(f"loss={ex.loss:.4f} target={ex.target} predicted={ex.predicted} "
               f"p={ex.probability:.4f} text={ex.text!r}")
     return 0
 
 
+_TRAINING = ("seed", "preset", "out", "epochs", "lr", "batch_size", "bptt_len",
+             "dropout_multiplier", "weight_decay")
+
+# Subcommand: (handler, help, the keys of the options it reads).
+COMMANDS = {
+    "pretrain": (cmd_pretrain, "pretrain a language model on plain text",
+                 (*_TRAINING, "max_vocab", "corpus", "valid_fraction")),
+    "finetune-lm": (cmd_finetune_lm, "fine-tune a pretrained LM on target text",
+                    (*_TRAINING, "max_vocab", "checkpoint", "data", "stage1_lr")),
+    "finetune-clf": (cmd_finetune_clf, "fine-tune a classifier from an LM",
+                     (*(k for k in _TRAINING if k != "bptt_len"), "checkpoint", "data",
+                      "valid")),
+    "eval": (cmd_eval, "score a classifier on a labeled CSV", ("checkpoint", "data")),
+    "predict": (cmd_predict, "classify one text", ("checkpoint", "text")),
+    "degrade": (cmd_degrade, "run the low-resource degradation suite",
+                ("seed", "preset", "out", "batch_size", "max_vocab", "checkpoint", "data",
+                 "test", "fractions", "repeats", "lm_epochs", "lm_lr", "stage1_lr",
+                 "clf_epochs")),
+    "top-losses": (cmd_top_losses, "rank examples by per-example loss",
+                   ("checkpoint", "data", "k")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ulmkit",
                                      description="AWD-LSTM transfer-learning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--out")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--bptt", type=int, dest="bptt_len")
-        p.add_argument("--dropout-multiplier", type=float, dest="dropout_multiplier")
-        p.add_argument("--weight-decay", type=float, dest="weight_decay")
-        p.add_argument("--max-vocab", type=int, dest="max_vocab")
-
-    p = sub.add_parser("pretrain", help="pretrain a language model on plain text")
-    common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--valid-fraction", type=float, dest="valid_fraction")
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("finetune-lm", help="fine-tune a pretrained LM on target text")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--stage1-lr", type=float, dest="stage1_lr")
-    p.set_defaults(func=cmd_finetune_lm)
-
-    p = sub.add_parser("finetune-clf", help="fine-tune a classifier from an LM")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--valid")
-    p.set_defaults(func=cmd_finetune_clf)
-
-    p = sub.add_parser("eval", help="score a classifier on a labeled CSV")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="classify one text")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--text")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("degrade", help="run the low-resource degradation suite")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--test")
-    p.add_argument("--fractions")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--lm-epochs", type=int, dest="lm_epochs")
-    p.add_argument("--lm-lr", type=float, dest="lm_lr")
-    p.add_argument("--stage1-lr", type=float, dest="stage1_lr")
-    p.add_argument("--clf-epochs", type=int, dest="clf_epochs")
-    p.set_defaults(func=cmd_degrade)
-
-    p = sub.add_parser("top-losses", help="rank examples by per-example loss")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("-k", type=int)
-    p.set_defaults(func=cmd_top_losses)
-
+    for name, (func, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key=value file of this subcommand's options")
+        for key in keys:
+            opt = OPTIONS[key]
+            p.add_argument(opt.flag, dest=key, type=opt.type, choices=opt.choices)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -17,7 +17,11 @@ import numpy as np
 from . import tensor as T
 from .model import TextClassifier
 from .textpipe import NumericalizedCorpus
-from .train import classifier_metrics, finetune_classifier, finetune_lm, make_clf_batches
+from .train import (MAX_LEN, classifier_metrics, finetune_classifier, finetune_lm,
+                    make_clf_batches)
+
+# Draws subsample_train makes before it gives up on a two-class subsample.
+SUBSAMPLE_TRIES = 100
 
 
 @dataclass
@@ -79,14 +83,14 @@ class DegradationSuiteError(RuntimeError):
         self.partial_report = partial
 
 
-def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus, batch_size: int = 64,
-             max_len: int = 400) -> EvalResult:
+def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus,
+             batch_size: int = 64) -> EvalResult:
     """Accuracy and mean cross-entropy on a labeled corpus, in eval mode."""
     if not corpus.streams:
         raise ValueError("evaluate: empty test set")
     if corpus.labels is None:
         raise ValueError("evaluate: corpus has no labels")
-    loss, acc = classifier_metrics(clf, corpus, batch_size, max_len)
+    loss, acc = classifier_metrics(clf, corpus, batch_size)
     return EvalResult(accuracy=acc, mean_loss=loss, n=len(corpus.streams))
 
 
@@ -97,8 +101,8 @@ def degradation_pct(metric_full: float, metric_reduced: float) -> float:
     return 100.0 * (metric_full - metric_reduced) / metric_full
 
 
-def subsample_train(corpus: NumericalizedCorpus, fraction: float, seed: int,
-                    max_tries: int = 100) -> NumericalizedCorpus:
+def subsample_train(corpus: NumericalizedCorpus, fraction: float,
+                    seed: int) -> NumericalizedCorpus:
     """Uniform subset without replacement of size round(fraction * n).
 
     When the corpus is labeled, resamples (with derived seeds) until both
@@ -112,7 +116,7 @@ def subsample_train(corpus: NumericalizedCorpus, fraction: float, seed: int,
         raise ValueError(f"fraction {fraction} of {n} examples leaves {k} < 2")
     if k == n:
         return corpus
-    for attempt in range(max_tries):
+    for attempt in range(SUBSAMPLE_TRIES):
         idx = np.sort(T.Rng(seed).child(f"subsample-{attempt}").choice(n, k))
         labels = None
         if corpus.labels is not None:
@@ -120,7 +124,7 @@ def subsample_train(corpus: NumericalizedCorpus, fraction: float, seed: int,
             if len(set(labels)) < 2:
                 continue
         return NumericalizedCorpus([corpus.streams[i] for i in idx], labels, corpus.split_tag)
-    raise RuntimeError(f"could not draw a two-class subsample after {max_tries} tries")
+    raise RuntimeError(f"could not draw a two-class subsample after {SUBSAMPLE_TRIES} tries")
 
 
 def corpus_checksum(corpus: NumericalizedCorpus) -> str:
@@ -163,7 +167,7 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
                 lm, _ = finetune_lm(pretrained, old_vocab, target_vocab, lm_text,
                                     None, replace(lm_cfg, seed=seed))
                 clf, _ = finetune_classifier(lm, sub, None, replace(clf_cfg, seed=seed))
-                result = evaluate(clf, test_corpus, clf_cfg.batch_size, clf_cfg.max_len)
+                result = evaluate(clf, test_corpus, clf_cfg.batch_size)
             except Exception as exc:  # noqa: BLE001 - abort with partial dump
                 raise DegradationSuiteError(
                     f"run failed at fraction={fraction} repeat={rep}: {exc}", report
@@ -181,12 +185,12 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     return report
 
 
-def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
-                       max_len: int = 400) -> list[tuple[int, float, float]]:
+def per_example_losses(clf: TextClassifier,
+                       corpus: NumericalizedCorpus) -> list[tuple[int, float, float]]:
     """(predicted label, loss, predicted probability) per example, in order."""
     clf.eval()
     out = []
-    for ids, lengths, labels in make_clf_batches(corpus, 64, max_len):
+    for ids, lengths, labels in make_clf_batches(corpus, 64, MAX_LEN):
         probs = T.softmax(clf.forward(ids, lengths).data, axis=1)
         for row, label in zip(probs, labels):
             pred = int(row.argmax())
@@ -195,7 +199,7 @@ def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
 
 
 def top_losses(clf: TextClassifier, corpus: NumericalizedCorpus, k: int,
-               texts: list[str] | None = None, max_len: int = 400) -> list[LossRankedExample]:
+               texts: list[str] | None = None) -> list[LossRankedExample]:
     """The k examples the model gets most confidently wrong, loss-descending."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -203,7 +207,7 @@ def top_losses(clf: TextClassifier, corpus: NumericalizedCorpus, k: int,
         raise ValueError(f"k={k} exceeds corpus size {len(corpus.streams)}")
     if corpus.labels is None:
         raise ValueError("top_losses: corpus has no labels")
-    stats = per_example_losses(clf, corpus, max_len)
+    stats = per_example_losses(clf, corpus)
     ranked = sorted(range(len(stats)), key=lambda i: -stats[i][1])[:k]
     return [
         LossRankedExample(

@@ -23,21 +23,19 @@ PRESETS = {
 }
 HEAD_HIDDEN = 50
 
+# Base dropout probability of each site, before DropoutConfig.multiplier.
+DROPOUT_RATES = {"p_emb": 0.02, "p_input": 0.25, "p_hidden": 0.15, "p_weight": 0.2,
+                 "p_output": 0.1, "p_head": 0.1}
+
 
 @dataclass
 class DropoutConfig:
-    """Base dropout probabilities; ``multiplier`` scales all five sites."""
+    """``multiplier`` scales every site's base rate in ``DROPOUT_RATES``."""
 
-    p_emb: float = 0.02
-    p_input: float = 0.25
-    p_hidden: float = 0.15
-    p_weight: float = 0.2
-    p_output: float = 0.1
-    p_head: float = 0.1
     multiplier: float = 1.0
 
     def scaled(self, site: str) -> float:
-        p = getattr(self, site) * self.multiplier
+        p = DROPOUT_RATES[site] * self.multiplier
         return min(max(p, 0.0), 1.0)
 
     def with_multiplier(self, m: float) -> "DropoutConfig":

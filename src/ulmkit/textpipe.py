@@ -104,7 +104,7 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
-def build_vocab(tokens, max_size: int = 60000, min_freq: int = 1) -> Vocabulary:
+def build_vocab(tokens, max_size: int = 60000) -> Vocabulary:
     """Build a capped vocabulary from a token stream.
 
     Corpus tokens are admitted in non-increasing frequency order; ties break
@@ -113,11 +113,9 @@ def build_vocab(tokens, max_size: int = 60000, min_freq: int = 1) -> Vocabulary:
     """
     if max_size <= len(SPECIALS):
         raise ValueError(f"max_size must exceed {len(SPECIALS)} reserved tokens, got {max_size}")
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     counts = Counter(t for t in tokens if t not in SPECIALS)
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])
-    kept = [t for t, c in ranked if c >= min_freq][: max_size - len(SPECIALS)]
+    kept = [t for t, _ in ranked[: max_size - len(SPECIALS)]]
     return Vocabulary(list(SPECIALS) + kept)
 
 

@@ -27,23 +27,29 @@ METRICS_HEADER = "phase,stage,epoch,train_loss,valid_loss,valid_accuracy,seconds
 # schedules
 
 
+# The ULMFiT recipe's fixed settings (Howard & Ruder 2018): the 1cycle shape
+# and momentum bounds, Adam's second-moment decay, the gradient-clip norm, the
+# discriminative-rate ladder factor, and the per-stage rate decay of gradual
+# unfreezing. MAX_LEN caps a classifier input's tokens.
+PCT_START = 0.25
+DIV_START = 25.0
+DIV_FINAL = 1e5
+MOM_HIGH = 0.8
+MOM_LOW = 0.7
+BETA2 = 0.99
+ADAM_EPS = 1e-8
+GRAD_CLIP = 0.25
+LR_FACTOR = 2.6
+STAGE_LR_DECAY = 2.0
+MAX_LEN = 400
+
+
 @dataclass
 class OneCycleConfig:
     lr_max: float
     total_steps: int
-    pct_start: float = 0.25
-    div_start: float = 25.0
-    div_final: float = 1e5
-    mom_high: float = 0.8
-    mom_low: float = 0.7
 
     def __post_init__(self):
-        if not 0.0 < self.pct_start < 1.0:
-            raise ValueError(f"pct_start must be in (0, 1), got {self.pct_start}")
-        if self.div_start <= 1.0 or self.div_final <= 1.0:
-            raise ValueError("div factors must exceed 1")
-        if self.mom_low >= self.mom_high:
-            raise ValueError("mom_low must be below mom_high")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
 
@@ -57,22 +63,22 @@ def _cos_interp(a: float, b: float, t: float) -> float:
 
 
 def one_cycle(step: float, cfg: OneCycleConfig) -> tuple[float, float]:
-    """(lr, momentum) at a step: cosine warmup to lr_max over pct_start of
-    the run, cosine anneal to lr_max/div_final after; momentum moves
-    oppositely between mom_high and mom_low."""
+    """(lr, momentum) at a step: cosine warmup to lr_max over PCT_START of
+    the run, cosine anneal to lr_max/DIV_FINAL after; momentum moves
+    oppositely between MOM_HIGH and MOM_LOW."""
     if step < 0 or step > cfg.total_steps:
         raise ValueError(f"step {step} outside [0, {cfg.total_steps}]")
-    peak = cfg.pct_start * cfg.total_steps
+    peak = PCT_START * cfg.total_steps
     if step <= peak:
         t = step / peak
-        return (_cos_interp(cfg.lr_max / cfg.div_start, cfg.lr_max, t),
-                _cos_interp(cfg.mom_high, cfg.mom_low, t))
+        return (_cos_interp(cfg.lr_max / DIV_START, cfg.lr_max, t),
+                _cos_interp(MOM_HIGH, MOM_LOW, t))
     t = (step - peak) / (cfg.total_steps - peak)
-    return (_cos_interp(cfg.lr_max, cfg.lr_max / cfg.div_final, t),
-            _cos_interp(cfg.mom_low, cfg.mom_high, t))
+    return (_cos_interp(cfg.lr_max, cfg.lr_max / DIV_FINAL, t),
+            _cos_interp(MOM_LOW, MOM_HIGH, t))
 
 
-def discriminative_lrs(base_lr: float, n_groups: int, factor: float = 2.6) -> list[float]:
+def discriminative_lrs(base_lr: float, n_groups: int, factor: float = LR_FACTOR) -> list[float]:
     """Geometric learning-rate ladder, lowest layer group first."""
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
@@ -92,8 +98,7 @@ def _check_grad(p: Tensor) -> np.ndarray:
     return g
 
 
-def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: float,
-              beta2: float = 0.99, eps: float = 1e-8) -> None:
+def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: float) -> None:
     """One decoupled-weight-decay Adam update; ``momentum`` is beta1.
 
     ``state`` maps parameter name to (m, v, step) and is owned by the
@@ -104,12 +109,12 @@ def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: flo
         m, v, t = state.get(p.name, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
         t += 1
         m = momentum * m + (1.0 - momentum) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
         m_hat = m / (1.0 - momentum ** t)
-        v_hat = v / (1.0 - beta2 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         state[p.name] = (m, v, t)
 
 
@@ -133,7 +138,8 @@ def clip_gradients(params, max_norm: float) -> float:
 
 @dataclass
 class PhaseConfig:
-    """Full hyperparameter record for one transfer-learning phase."""
+    """The hyperparameters one transfer-learning phase takes; the recipe's
+    fixed settings are the module constants above."""
 
     phase: str
     epochs: int
@@ -144,18 +150,8 @@ class PhaseConfig:
     weight_decay: float = 0.0
     seed: int = 0
     preset: str = "tiny"
-    pct_start: float = 0.25
-    div_start: float = 25.0
-    div_final: float = 1e5
-    mom_high: float = 0.8
-    mom_low: float = 0.7
-    beta2: float = 0.99
-    grad_clip: float = 0.25
     ar_alpha: float = 2.0
     tar_beta: float = 1.0
-    max_len: int = 400
-    lr_factor: float = 2.6
-    stage_lr_decay: float = 2.0
     # LM fine-tune only: last-group warm stage before training all layers
     stage1_lr: float = 4e-2
     stage1_epochs: int = 1
@@ -167,13 +163,6 @@ class PhaseConfig:
             raise ValueError("lr must be positive")
         if self.dropout_multiplier < 0:
             raise ValueError("dropout_multiplier must be >= 0")
-
-    def cycle(self, total_steps: int, lr: float | None = None) -> OneCycleConfig:
-        return OneCycleConfig(
-            lr_max=lr if lr is not None else self.lr, total_steps=total_steps,
-            pct_start=self.pct_start, div_start=self.div_start, div_final=self.div_final,
-            mom_high=self.mom_high, mom_low=self.mom_low,
-        )
 
 
 def pretrain_defaults(**overrides) -> PhaseConfig:
@@ -266,9 +255,9 @@ def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: boo
             for p in trainable:
                 p.zero_grad()
             T.backward(loss)
-            clip_gradients(trainable, cfg.grad_clip)
+            clip_gradients(trainable, GRAD_CLIP)
             lr, mom = one_cycle(min(step_offset + steps, cycle.total_steps), cycle)
-            adam_step(trainable, optimizer_state, lr, mom, cfg.weight_decay, beta2=cfg.beta2)
+            adam_step(trainable, optimizer_state, lr, mom, cfg.weight_decay)
         total_ce += ce.item() * y.size
         total_tokens += y.size
         steps += 1
@@ -279,7 +268,7 @@ def _run_lm_stage(model: AwdLstmLM, train_data, valid_data, cfg: PhaseConfig, *,
                   stage: int, epochs: int, lr: float, metrics: list[EpochMetrics],
                   track_best: dict | None = None) -> None:
     steps_per_epoch = lm_windows_per_epoch(train_data, cfg.bptt_len)
-    cycle = cfg.cycle(max(epochs * steps_per_epoch, 1), lr=lr)
+    cycle = OneCycleConfig(lr, max(epochs * steps_per_epoch, 1))
     opt_state: dict = {}
     done = 0
     for epoch in range(1, epochs + 1):
@@ -396,11 +385,11 @@ def make_clf_batches(corpus: NumericalizedCorpus, batch_size: int, max_len: int,
 
 
 def classifier_metrics(clf: TextClassifier, corpus: NumericalizedCorpus,
-                       batch_size: int = 64, max_len: int = 400) -> tuple[float, float]:
+                       batch_size: int = 64) -> tuple[float, float]:
     """(mean loss, accuracy) in eval mode; deterministic."""
     clf.eval()
     total_loss, correct, n = 0.0, 0, 0
-    for ids, lengths, labels in make_clf_batches(corpus, batch_size, max_len):
+    for ids, lengths, labels in make_clf_batches(corpus, batch_size, MAX_LEN):
         logits = clf.forward(ids, lengths)
         loss = T.cross_entropy(logits, labels)
         total_loss += loss.item() * len(labels)
@@ -432,11 +421,11 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     for stage in range(n_groups):
         clf.freeze_to(n_groups - 1 - stage)
         groups = clf.trainable_groups()
-        stage_lr = cfg.lr / cfg.stage_lr_decay ** stage
+        stage_lr = cfg.lr / STAGE_LR_DECAY ** stage
         epochs = cfg.epochs if stage == n_groups - 1 else 1
         steps_per_epoch = math.ceil(len(train_corpus.streams) / cfg.batch_size)
-        cycle = cfg.cycle(max(epochs * steps_per_epoch, 1), lr=stage_lr)
-        ladder = discriminative_lrs(stage_lr, len(groups), cfg.lr_factor)
+        cycle = OneCycleConfig(stage_lr, max(epochs * steps_per_epoch, 1))
+        ladder = discriminative_lrs(stage_lr, len(groups))
         opt_state: dict = {}
         step = 0
         for epoch in range(1, epochs + 1):
@@ -445,26 +434,24 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
             order = shuffle_rng.permutation(len(train_corpus.streams))
             total_loss, n = 0.0, 0
             for ids, lengths, labels in make_clf_batches(train_corpus, cfg.batch_size,
-                                                         cfg.max_len, order):
+                                                         MAX_LEN, order):
                 logits = clf.forward(ids, lengths)
                 loss = T.cross_entropy(logits, labels)
                 for g in groups:
                     for p in g:
                         p.zero_grad()
                 T.backward(loss)
-                clip_gradients([p for g in groups for p in g], cfg.grad_clip)
+                clip_gradients([p for g in groups for p in g], GRAD_CLIP)
                 lr_t, mom = one_cycle(min(step, cycle.total_steps), cycle)
                 scale = lr_t / stage_lr
                 for g, base in zip(groups, ladder):
-                    adam_step(g, opt_state, base * scale, mom, cfg.weight_decay,
-                              beta2=cfg.beta2)
+                    adam_step(g, opt_state, base * scale, mom, cfg.weight_decay)
                 total_loss += loss.item() * len(labels)
                 n += len(labels)
                 step += 1
             valid_loss = valid_acc = None
             if valid_corpus is not None and len(valid_corpus.streams):
-                valid_loss, valid_acc = classifier_metrics(clf, valid_corpus,
-                                                           cfg.batch_size, cfg.max_len)
+                valid_loss, valid_acc = classifier_metrics(clf, valid_corpus, cfg.batch_size)
             metrics.append(EpochMetrics(cfg.phase, stage + 1, epoch, total_loss / n,
                                         valid_loss, valid_acc, time.perf_counter() - t0))
     clf.eval()

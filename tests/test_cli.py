@@ -1,5 +1,6 @@
 """Checkpoint format and command-line behavior tests."""
 
+import argparse
 import csv
 import struct
 import zlib
@@ -9,7 +10,7 @@ import pytest
 
 from ulmkit import checkpoint as ck
 from ulmkit import train
-from ulmkit.cli import main, read_config_file
+from ulmkit.cli import Resolver, build_parser, main, read_config_file
 from ulmkit.model import TextClassifier, build_lm
 from ulmkit.textpipe import SPECIALS, Vocabulary
 
@@ -100,6 +101,22 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ck.CheckpointError, match="version 99"):
         ck.load_checkpoint(bad)
+
+
+def test_loaded_arrays_are_views_and_built_model_owns_its_parameters(tmp_path):
+    vocab = small_vocab()
+    clf = TextClassifier(build_lm(len(vocab.id_to_token), "tiny", seed=1), seed=1)
+    path = tmp_path / "clf.ckpt"
+    ck.save_checkpoint(path, clf, vocab)
+    loaded = ck.load_checkpoint(path)
+    # the loader keeps each array as a read-only view of the file's bytes ...
+    assert all(arr.base is not None and not arr.flags.writeable
+               for arr in loaded.params.values())
+    # ... and building a model copies it into writable parameters of its own
+    model = loaded.build_model()
+    for name, p in model.named_parameters():
+        assert p.data.flags.writeable, name
+        assert not np.shares_memory(p.data, loaded.params[name]), name
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -265,14 +282,14 @@ def test_cli_bad_subcommand_exits_2():
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nseed=7\nepochs=3\n", encoding="utf-8")
-    values = read_config_file(str(cfg))
+    values = read_config_file(str(cfg), ("seed", "epochs"))
     assert values == {"seed": "7", "epochs": "3"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("just a line\n", encoding="utf-8")
     from ulmkit.cli import UsageError
 
     with pytest.raises(UsageError, match="key=value"):
-        read_config_file(str(bad))
+        read_config_file(str(bad), ("seed", "epochs"))
 
 
 def test_cli_config_file_seeds_flags(cli_artifacts, tmp_path, capsys):
@@ -291,3 +308,74 @@ def test_cli_config_file_seeds_flags(cli_artifacts, tmp_path, capsys):
     rc = main(["pretrain", "--config", str(cfg), "--seed", "9", "--out", str(out2)])
     assert rc == 0
     assert ck.load_checkpoint(out2).config.get("seed") == 9
+
+
+def test_cli_config_file_rejects_unknown_keys(cli_artifacts, tmp_path, capsys):
+    _, _, labeled, _, clf_ckpt = cli_artifacts
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("# eval settings\nepoch=50\nseeed=3\n", encoding="utf-8")
+    rc = main(["eval", "--config", str(typo), "--checkpoint", str(clf_ckpt),
+               "--data", str(labeled)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(typo) in err and "line 2" in err and "'epoch'" in err
+    # a key another subcommand takes is still not an option of this one
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(f"checkpoint={clf_ckpt}\nseed=1\n", encoding="utf-8")
+    rc = main(["predict", "--config", str(seeded), "--text", "salot ang kapitbahay"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(seeded) in err and "line 2" in err and "'seed'" in err
+
+
+def declared_options() -> dict[str, set[str]]:
+    """Each subcommand's options as parsed, by config key, less ``--config``."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions if a.dest not in ("help", "config")}
+            for name, p in sub.choices.items()}
+
+
+def test_cli_each_subcommand_declares_exactly_the_options_it_reads(
+        cli_artifacts, tmp_path, monkeypatch):
+    _, corpus, labeled, lm_ckpt, clf_ckpt = cli_artifacts
+    read: dict[str, set[str]] = {}
+    real_get = Resolver.get
+
+    def spy(self, key, *args, **kwargs):
+        read.setdefault(self.args.command, set()).add(key)
+        return real_get(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(Resolver, "get", spy)
+    runs = [
+        ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "lm.ckpt"),
+         "--epochs", "1", "--batch-size", "2", "--bptt", "10", "--seed", "0"],
+        ["finetune-lm", "--checkpoint", str(lm_ckpt), "--data", str(corpus),
+         "--out", str(tmp_path / "ft.ckpt"), "--epochs", "1", "--batch-size", "2",
+         "--bptt", "10"],
+        ["finetune-clf", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+         "--out", str(tmp_path / "clf.ckpt"), "--epochs", "1", "--batch-size", "8"],
+        ["eval", "--checkpoint", str(clf_ckpt), "--data", str(labeled)],
+        ["predict", "--checkpoint", str(clf_ckpt), "--text", "salot ang kapitbahay"],
+        ["degrade", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+         "--out", str(tmp_path / "report.csv"), "--fractions", "1.0", "--repeats", "1",
+         "--lm-epochs", "1", "--clf-epochs", "1", "--batch-size", "4"],
+        ["top-losses", "--checkpoint", str(clf_ckpt), "--data", str(labeled), "-k", "3"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert read == declared_options()
+
+
+def test_cli_rejects_options_a_subcommand_does_not_read(cli_artifacts, tmp_path, capsys):
+    _, _, labeled, lm_ckpt, clf_ckpt = cli_artifacts
+    assert main(["predict", "--checkpoint", str(clf_ckpt), "--text", "salot ang kapitbahay",
+                 "--epochs", "1"]) == 2
+    assert main(["degrade", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+                 "--out", str(tmp_path / "report.csv"), "--fractions", "1.0",
+                 "--repeats", "1", "--lm-epochs", "1", "--clf-epochs", "1",
+                 "--batch-size", "4", "--dropout-multiplier", "0.1"]) == 2
+    assert main(["finetune-clf", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+                 "--out", str(tmp_path / "clf.ckpt"), "--epochs", "1", "--batch-size", "8",
+                 "--bptt", "5"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments") == 3

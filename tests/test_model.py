@@ -77,7 +77,7 @@ def test_embedding_dropout_whole_rows():
 def test_dropout_config_scaling():
     d = DropoutConfig(multiplier=0.5)
     assert d.scaled("p_input") == 0.125
-    assert DropoutConfig(p_input=0.8, multiplier=2.0).scaled("p_input") == 1.0
+    assert DropoutConfig(multiplier=5.0).scaled("p_input") == 1.0
     assert d.with_multiplier(0.0).scaled("p_weight") == 0.0
 
 

@@ -70,12 +70,6 @@ def test_build_vocab_frequency_order_ties_by_first_seen():
     assert corpus_part == ["b", "a", "c", "d"]
 
 
-def test_build_vocab_min_freq():
-    vocab = tp.build_vocab(["a", "a", "b"], min_freq=2)
-    assert "a" in vocab.token_to_id
-    assert "b" not in vocab.token_to_id
-
-
 def test_build_vocab_cap():
     tokens = [f"tok{i}" for i in range(100)]
     vocab = tp.build_vocab(tokens, max_size=20)
@@ -88,8 +82,6 @@ def test_build_vocab_cap():
 def test_build_vocab_rejects_bad_args():
     with pytest.raises(ValueError):
         tp.build_vocab(["a"], max_size=len(tp.SPECIALS))
-    with pytest.raises(ValueError):
-        tp.build_vocab(["a"], min_freq=0)
 
 
 def test_numericalize_unknown_maps_to_unk():

@@ -156,8 +156,8 @@ def cmd_pretrain(args) -> int:
     vocab, streams = _vocab_and_streams(res, load_corpus_lines(corpus_path))
     train_streams, valid_streams = split_corpus(streams, (1.0 - valid_frac, valid_frac), cfg.seed)
     model, metrics = train.pretrain_lm(
-        NumericalizedCorpus(train_streams, None, "train"),
-        NumericalizedCorpus(valid_streams, None, "valid") if valid_streams else None,
+        NumericalizedCorpus(train_streams),
+        NumericalizedCorpus(valid_streams) if valid_streams else None,
         len(vocab), cfg)
     out = res.get("out") or "lm.ckpt"
     save_checkpoint(out, model, vocab, config=res.snapshot, provenance=["pretrain"])
@@ -183,10 +183,10 @@ def _load_clf(path: str):
     return ckpt.build_model(), ckpt.vocab
 
 
-def _labeled_corpus(path: str, vocab: Vocabulary, tag: str):
+def _labeled_corpus(path: str, vocab: Vocabulary):
     records = load_labeled_csv(_require_file(path, "dataset"))
     streams = _numericalize_texts([t for t, _ in records], vocab)
-    return NumericalizedCorpus(streams, [l for _, l in records], tag), [t for t, _ in records]
+    return NumericalizedCorpus(streams, [l for _, l in records]), [t for t, _ in records]
 
 
 def cmd_finetune_lm(args) -> int:
@@ -204,8 +204,8 @@ def cmd_finetune_lm(args) -> int:
     train_s, valid_s = split_corpus(streams, (0.9, 0.1), cfg.seed)
     model, metrics = train.finetune_lm(
         ckpt.build_model(), ckpt.vocab, target_vocab,
-        NumericalizedCorpus(train_s, None, "train"),
-        NumericalizedCorpus(valid_s, None, "valid") if valid_s else None, cfg)
+        NumericalizedCorpus(train_s),
+        NumericalizedCorpus(valid_s) if valid_s else None, cfg)
     out = res.get("out") or "lm-finetuned.ckpt"
     save_checkpoint(out, model, target_vocab, config=res.snapshot,
                     provenance=ckpt.provenance + ["finetune-lm"])
@@ -219,11 +219,11 @@ def cmd_finetune_clf(args) -> int:
     ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
     cfg = replace(train.clf_finetune_defaults(), preset=ckpt.preset,
                   **_phase_overrides(res, train.clf_finetune_defaults()))
-    corpus, _ = _labeled_corpus(res.get("data"), ckpt.vocab, "train")
+    corpus, _ = _labeled_corpus(res.get("data"), ckpt.vocab)
     valid = None
     valid_path = res.get("valid")
     if valid_path:
-        valid, _ = _labeled_corpus(valid_path, ckpt.vocab, "valid")
+        valid, _ = _labeled_corpus(valid_path, ckpt.vocab)
     clf, metrics = train.finetune_classifier(ckpt.build_model(), corpus, valid, cfg)
     out = res.get("out") or "clf.ckpt"
     save_checkpoint(out, clf, ckpt.vocab, config=res.snapshot,
@@ -236,7 +236,7 @@ def cmd_finetune_clf(args) -> int:
 def cmd_eval(args) -> int:
     res = Resolver(args)
     clf, vocab = _load_clf(res.get("checkpoint"))
-    corpus, _ = _labeled_corpus(res.get("data"), vocab, "test")
+    corpus, _ = _labeled_corpus(res.get("data"), vocab)
     result = evalbench.evaluate(clf, corpus)
     print(f"accuracy={result.accuracy:.4f}, loss={result.mean_loss:.6f}, n={result.n}")
     return 0
@@ -283,8 +283,8 @@ def cmd_degrade(args) -> int:
                       batch_size=res.get("batch_size", 16))
     report = evalbench.run_degradation_suite(
         ckpt.build_model(), ckpt.vocab, target_vocab,
-        NumericalizedCorpus(train_streams, [l for _, l in train_records], "train"), None,
-        NumericalizedCorpus(test_streams, [l for _, l in test_records], "test"),
+        NumericalizedCorpus(train_streams, [l for _, l in train_records]), None,
+        NumericalizedCorpus(test_streams, [l for _, l in test_records]),
         lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
     out = res.get("out") or "degradation.csv"
     with open(out, "w", encoding="utf-8") as f:
@@ -299,7 +299,7 @@ def cmd_degrade(args) -> int:
 def cmd_top_losses(args) -> int:
     res = Resolver(args)
     clf, vocab = _load_clf(res.get("checkpoint"))
-    corpus, texts = _labeled_corpus(res.get("data"), vocab, "test")
+    corpus, texts = _labeled_corpus(res.get("data"), vocab)
     k = res.get("k", 10)
     for ex in evalbench.top_losses(clf, corpus, min(k, len(corpus.streams)), texts):
         print(f"loss={ex.loss:.4f} target={ex.target} predicted={ex.predicted} "
@@ -332,10 +332,11 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ulmkit",
-                                     description="AWD-LSTM transfer-learning pipeline")
+                                     description="AWD-LSTM transfer-learning pipeline",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, keys) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value file of this subcommand's options")
         for key in keys:
             opt = OPTIONS[key]

@@ -1,4 +1,4 @@
-"""Metrics, the training-data degradation protocol, and top-losses analysis.
+"""The training-data degradation protocol and top-losses analysis.
 
 The degradation suite retrains the full transfer pipeline (LM fine-tune +
 classifier fine-tune) on shrinking fractions of the training set, several
@@ -17,18 +17,10 @@ import numpy as np
 from . import tensor as T
 from .model import TextClassifier
 from .textpipe import NumericalizedCorpus
-from .train import (MAX_LEN, classifier_metrics, finetune_classifier, finetune_lm,
-                    make_clf_batches)
+from .train import evaluate, finetune_classifier, finetune_lm, per_example_losses
 
 # Draws subsample_train makes before it gives up on a two-class subsample.
 SUBSAMPLE_TRIES = 100
-
-
-@dataclass
-class EvalResult:
-    accuracy: float
-    mean_loss: float
-    n: int
 
 
 @dataclass
@@ -83,17 +75,6 @@ class DegradationSuiteError(RuntimeError):
         self.partial_report = partial
 
 
-def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus,
-             batch_size: int = 64) -> EvalResult:
-    """Accuracy and mean cross-entropy on a labeled corpus, in eval mode."""
-    if not corpus.streams:
-        raise ValueError("evaluate: empty test set")
-    if corpus.labels is None:
-        raise ValueError("evaluate: corpus has no labels")
-    loss, acc = classifier_metrics(clf, corpus, batch_size)
-    return EvalResult(accuracy=acc, mean_loss=loss, n=len(corpus.streams))
-
-
 def degradation_pct(metric_full: float, metric_reduced: float) -> float:
     """Relative performance drop, in percent, of reduced-data training."""
     if metric_full <= 0:
@@ -123,7 +104,7 @@ def subsample_train(corpus: NumericalizedCorpus, fraction: float,
             labels = [corpus.labels[i] for i in idx]
             if len(set(labels)) < 2:
                 continue
-        return NumericalizedCorpus([corpus.streams[i] for i in idx], labels, corpus.split_tag)
+        return NumericalizedCorpus([corpus.streams[i] for i in idx], labels)
     raise RuntimeError(f"could not draw a two-class subsample after {SUBSAMPLE_TRIES} tries")
 
 
@@ -163,7 +144,7 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
                 assert corpus_checksum(test_corpus) == checksum, "test set mutated"
                 sub = subsample_train(train_corpus, fraction, seed)
                 n_train = len(sub.streams)
-                lm_text = NumericalizedCorpus(sub.streams, None, "train")
+                lm_text = NumericalizedCorpus(sub.streams)
                 lm, _ = finetune_lm(pretrained, old_vocab, target_vocab, lm_text,
                                     None, replace(lm_cfg, seed=seed))
                 clf, _ = finetune_classifier(lm, sub, None, replace(clf_cfg, seed=seed))
@@ -183,19 +164,6 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     for row in report.rows:
         row.degradation_pct = degradation_pct(full, row.mean_accuracy)
     return report
-
-
-def per_example_losses(clf: TextClassifier,
-                       corpus: NumericalizedCorpus) -> list[tuple[int, float, float]]:
-    """(predicted label, loss, predicted probability) per example, in order."""
-    clf.eval()
-    out = []
-    for ids, lengths, labels in make_clf_batches(corpus, 64, MAX_LEN):
-        probs = T.softmax(clf.forward(ids, lengths).data, axis=1)
-        for row, label in zip(probs, labels):
-            pred = int(row.argmax())
-            out.append((pred, float(-np.log(max(row[label], 1e-300))), float(row[pred])))
-    return out
 
 
 def top_losses(clf: TextClassifier, corpus: NumericalizedCorpus, k: int,

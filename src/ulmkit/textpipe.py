@@ -130,7 +130,6 @@ class NumericalizedCorpus:
 
     streams: list[list[int]]
     labels: list[int] | None = None
-    split_tag: str = "train"
 
     def __post_init__(self):
         if self.labels is not None:

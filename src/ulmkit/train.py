@@ -132,6 +132,20 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
+def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
+                   weight_decay: float) -> None:
+    """One training step after the forward pass: zero the gradients,
+    backpropagate ``loss``, clip the global gradient norm to GRAD_CLIP, and
+    take one Adam step per parameter group at that group's rate."""
+    params = [p for g in groups for p in g]
+    for p in params:
+        p.zero_grad()
+    T.backward(loss)
+    clip_gradients(params, GRAD_CLIP)
+    for g, lr in zip(groups, lrs):
+        adam_step(g, state, lr, momentum, weight_decay)
+
+
 # ---------------------------------------------------------------------------
 # phase configuration
 
@@ -252,12 +266,8 @@ def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: boo
     for x, y in _lm_windows(data, cfg.bptt_len):
         loss, ce, state = lm_loss_terms(model, x, y, state, cfg)
         if train:
-            for p in trainable:
-                p.zero_grad()
-            T.backward(loss)
-            clip_gradients(trainable, GRAD_CLIP)
             lr, mom = one_cycle(min(step_offset + steps, cycle.total_steps), cycle)
-            adam_step(trainable, optimizer_state, lr, mom, cfg.weight_decay)
+            optimizer_step(loss, [trainable], [lr], mom, optimizer_state, cfg.weight_decay)
         total_ce += ce.item() * y.size
         total_tokens += y.size
         steps += 1
@@ -384,18 +394,40 @@ def make_clf_batches(corpus: NumericalizedCorpus, batch_size: int, max_len: int,
     return batches
 
 
-def classifier_metrics(clf: TextClassifier, corpus: NumericalizedCorpus,
-                       batch_size: int = 64) -> tuple[float, float]:
-    """(mean loss, accuracy) in eval mode; deterministic."""
+@dataclass
+class EvalResult:
+    accuracy: float
+    mean_loss: float
+    n: int
+
+
+def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
+                       batch_size: int = 64) -> list[tuple[int, float, float]]:
+    """(predicted label, loss, predicted probability) per example, in order,
+    in eval mode. The loss is log-sum-exp of the logits minus the target
+    logit, so it stays exact however far apart the logits are."""
     clf.eval()
-    total_loss, correct, n = 0.0, 0, 0
+    out = []
     for ids, lengths, labels in make_clf_batches(corpus, batch_size, MAX_LEN):
-        logits = clf.forward(ids, lengths)
-        loss = T.cross_entropy(logits, labels)
-        total_loss += loss.item() * len(labels)
-        correct += int((logits.data.argmax(axis=1) == labels).sum())
-        n += len(labels)
-    return total_loss / n, correct / n
+        logits = clf.forward(ids, lengths).data
+        z = logits - logits.max(axis=1, keepdims=True)
+        total = np.exp(z).sum(axis=1)  # the predicted class's own term is exp(0) = 1
+        losses = np.log(total) - z[np.arange(len(labels)), labels]
+        out.extend(zip(logits.argmax(axis=1).tolist(), losses.tolist(), (1.0 / total).tolist()))
+    return out
+
+
+def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus,
+             batch_size: int = 64) -> EvalResult:
+    """Accuracy and mean cross-entropy on a labeled corpus, in eval mode."""
+    if not corpus.streams:
+        raise ValueError("evaluate: empty test set")
+    if corpus.labels is None:
+        raise ValueError("evaluate: corpus has no labels")
+    stats = per_example_losses(clf, corpus, batch_size)
+    correct = sum(pred == label for (pred, _, _), label in zip(stats, corpus.labels))
+    return EvalResult(accuracy=correct / len(stats),
+                      mean_loss=float(np.mean([loss for _, loss, _ in stats])), n=len(stats))
 
 
 def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
@@ -437,21 +469,17 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
                                                          MAX_LEN, order):
                 logits = clf.forward(ids, lengths)
                 loss = T.cross_entropy(logits, labels)
-                for g in groups:
-                    for p in g:
-                        p.zero_grad()
-                T.backward(loss)
-                clip_gradients([p for g in groups for p in g], GRAD_CLIP)
                 lr_t, mom = one_cycle(min(step, cycle.total_steps), cycle)
                 scale = lr_t / stage_lr
-                for g, base in zip(groups, ladder):
-                    adam_step(g, opt_state, base * scale, mom, cfg.weight_decay)
+                optimizer_step(loss, groups, [base * scale for base in ladder], mom,
+                               opt_state, cfg.weight_decay)
                 total_loss += loss.item() * len(labels)
                 n += len(labels)
                 step += 1
             valid_loss = valid_acc = None
             if valid_corpus is not None and len(valid_corpus.streams):
-                valid_loss, valid_acc = classifier_metrics(clf, valid_corpus, cfg.batch_size)
+                result = evaluate(clf, valid_corpus, cfg.batch_size)
+                valid_loss, valid_acc = result.mean_loss, result.accuracy
             metrics.append(EpochMetrics(cfg.phase, stage + 1, epoch, total_loss / n,
                                         valid_loss, valid_acc, time.perf_counter() - t0))
     clf.eval()

@@ -123,12 +123,12 @@ def test_classifier_overfit_oracle():
     token_lists = [tp.preprocess(t) for t in texts]
     vocab = tp.build_vocab(t for toks in token_lists for t in toks)
     corpus = NumericalizedCorpus([tp.numericalize(toks, vocab) for toks in token_lists],
-                                 labels, "train")
+                                 labels)
     enc = build_lm(len(vocab), "tiny", dropout_multiplier=0.0, seed=0)
     cfg = train.clf_finetune_defaults(seed=0, batch_size=4, dropout_multiplier=0.0,
                                       weight_decay=0.0)
     clf, _ = train.finetune_classifier(enc, corpus, None, cfg)
-    _, acc = train.classifier_metrics(clf, corpus)
+    acc = train.evaluate(clf, corpus).accuracy
     elapsed = time.perf_counter() - t0
     verdict(acc == 1.0 and elapsed < 120,
             "overfit oracle: classifier reaches 100% on 16 toy examples",
@@ -178,9 +178,9 @@ def two_dialect_data():
     vocab_t = tp.build_vocab(t for d in toks_pre + toks_tr + toks_te for t in d)
     pre_c = NumericalizedCorpus([tp.numericalize(t, vocab) for t in toks_pre])
     tr_c = NumericalizedCorpus([tp.numericalize(t, vocab_t) for t in toks_tr],
-                               train_labels, "train")
+                               train_labels)
     te_c = NumericalizedCorpus([tp.numericalize(t, vocab_t) for t in toks_te],
-                               test_labels, "test")
+                               test_labels)
     return vocab, vocab_t, pre_c, tr_c, te_c
 
 
@@ -248,8 +248,8 @@ def fixture_split(labeled_path):
     streams = [tp.numericalize(tl, vocab) for tl in toks]
     recs = list(zip(streams, [l for _, l in records]))
     tr, te = tp.split_corpus(recs, (0.8, 0.2), 9)
-    train_c = NumericalizedCorpus([s for s, _ in tr], [l for _, l in tr], "train")
-    test_c = NumericalizedCorpus([s for s, _ in te], [l for _, l in te], "test")
+    train_c = NumericalizedCorpus([s for s, _ in tr], [l for _, l in tr])
+    test_c = NumericalizedCorpus([s for s, _ in te], [l for _, l in te])
     return vocab, train_c, test_c
 
 
@@ -292,7 +292,7 @@ def test_degradation_suite_protocol(labeled_path):
 def test_freezing_and_tying():
     rng = np.random.default_rng(0)
     streams = [[2] + rng.integers(5, 18, size=8).tolist() for i in range(16)]
-    corpus = NumericalizedCorpus(streams, [i % 2 for i in range(16)], "train")
+    corpus = NumericalizedCorpus(streams, [i % 2 for i in range(16)])
     lm = build_lm(20, "tiny", dropout_multiplier=0.0, seed=0)
     clf = TextClassifier(lm, seed=0)
     cfg = train.clf_finetune_defaults(epochs=1, batch_size=4, dropout_multiplier=0.0,

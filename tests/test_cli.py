@@ -378,4 +378,10 @@ def test_cli_rejects_options_a_subcommand_does_not_read(cli_artifacts, tmp_path,
     assert main(["finetune-clf", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
                  "--out", str(tmp_path / "clf.ckpt"), "--epochs", "1", "--batch-size", "8",
                  "--bptt", "5"]) == 2
-    assert capsys.readouterr().err.count("unrecognized arguments") == 3
+    # a prefix of a flag the subcommand does read is not that flag
+    assert main(["pretrain", "--corpus", "corpus.txt", "--valid", "0.2"]) == 2
+    assert main(["degrade", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+                 "--clf", "3"]) == 2
+    assert main(["finetune-lm", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+                 "--stage", "0.5"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments") == 6

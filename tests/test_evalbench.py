@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulmkit import evalbench, train
+from ulmkit import tensor as T
 from ulmkit.model import build_lm
 from ulmkit.textpipe import NumericalizedCorpus
 
@@ -44,7 +45,7 @@ def labeled_corpus(n=40, seed=0):
         tok = 7 if label == 0 else 8
         streams.append([2] + [tok] * 4 + rng.integers(9, 14, size=3).tolist())
         labels.append(label)
-    return NumericalizedCorpus(streams, labels, "test")
+    return NumericalizedCorpus(streams, labels)
 
 
 def test_subsample_determinism_and_size():
@@ -179,3 +180,37 @@ def test_top_losses_validation():
         evalbench.top_losses(clf, corpus, k=5)
     with pytest.raises(ValueError):
         evalbench.top_losses(clf, NumericalizedCorpus([[2]]), k=1)
+
+
+def test_scoring_exact_on_saturated_logits():
+    # head weights scaled so that every logit gap is in the thousands, far
+    # past where exp underflows and a clamped -log(p) would read 690.7755
+    corpus = labeled_corpus(n=10)
+    clf = train.TextClassifier(build_lm(20, "tiny", dropout_multiplier=0.0, seed=1), seed=1)
+    clf.W2.data *= 1e7
+    (ids, lengths, labels), = train.make_clf_batches(corpus, 64, train.MAX_LEN)
+    logits = clf.eval().forward(ids, lengths).data
+    expected = np.logaddexp.reduce(logits, axis=1) - logits[np.arange(10), labels]
+    assert expected.max() > 745.0
+
+    losses = [loss for _, loss, _ in evalbench.per_example_losses(clf, corpus)]
+    np.testing.assert_allclose(losses, expected, rtol=0, atol=1e-9)
+    assert np.mean(losses) == evalbench.evaluate(clf, corpus).mean_loss
+
+    texts = [f"ex{i}" for i in range(10)]
+    wrong = int((expected > 0).sum())
+    ranked = evalbench.top_losses(clf, corpus, k=wrong, texts=texts)
+    assert [r.text for r in ranked] == [texts[i] for i in np.argsort(-expected)[:wrong]]
+    ranked_losses = [r.loss for r in ranked]
+    assert all(a > b for a, b in zip(ranked_losses, ranked_losses[1:]))
+
+
+def test_scoring_builds_no_cross_entropy_node(monkeypatch):
+    calls = []
+    real = T.cross_entropy
+    monkeypatch.setattr(T, "cross_entropy", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    corpus = labeled_corpus(n=10)
+    clf = train.TextClassifier(build_lm(20, "tiny", dropout_multiplier=0.0, seed=0), seed=0)
+    evalbench.evaluate(clf, corpus)
+    evalbench.top_losses(clf, corpus, k=3)
+    assert calls == []

@@ -317,10 +317,10 @@ def test_make_clf_batches_caps_length():
     assert ids.shape == (1, 400) and lengths[0] == 400
 
 
-def test_classifier_metrics_deterministic():
+def test_evaluate_deterministic():
     corpus = labeled_toy()
     clf = train.TextClassifier(build_lm(20, "tiny", seed=0), seed=0)
-    a = train.classifier_metrics(clf, corpus)
-    b = train.classifier_metrics(clf, corpus)
+    a = train.evaluate(clf, corpus)
+    b = train.evaluate(clf, corpus)
     assert a == b
-    assert 0.0 <= a[1] <= 1.0
+    assert 0.0 <= a.accuracy <= 1.0

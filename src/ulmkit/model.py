@@ -77,25 +77,15 @@ class LstmLayer:
         return [self.W_ih, self.W_hh, self.b]
 
     def forward(self, x: Tensor, state, w_hh: Tensor):
-        """Run the layer over (batch, steps, input); returns outputs and state.
+        """Run the layer over (batch, steps, input) from the ``(h, c)``
+        arrays in ``state``; returns the outputs and the new state as fresh
+        arrays.
 
         ``w_hh`` is passed explicitly so a weight-dropped matrix (fixed for
         the whole sequence) can stand in for ``self.W_hh``.
         """
-        b, s, _ = x.shape
-        h, c = state
-        hs = self.hidden_size
-        outs = []
-        for t in range(s):
-            z = T.add(T.add(T.matmul(x[:, t, :], self.W_ih), T.matmul(h, w_hh)), self.b)
-            i = T.sigmoid(z[:, 0 * hs : 1 * hs])
-            f = T.sigmoid(z[:, 1 * hs : 2 * hs])
-            g = T.tanh(z[:, 2 * hs : 3 * hs])
-            o = T.sigmoid(z[:, 3 * hs : 4 * hs])
-            c = T.add(T.mul(f, c), T.mul(i, g))
-            h = T.mul(o, T.tanh(c))
-            outs.append(T.reshape(h, (b, 1, hs)))
-        return T.concat(outs, axis=1), (h, c)
+        out, h, c = T.lstm(x, *state, self.W_ih, w_hh, self.b)
+        return out, (h, c)
 
 
 def apply_weight_drop(layer: LstmLayer, p: float, rng: Rng, training: bool = True) -> Tensor:
@@ -226,10 +216,9 @@ class AwdLstmLM(Module):
         new_state = []
         raw = x
         for i, layer in enumerate(self.layers):
-            h0 = (Tensor(state[i][0]), Tensor(state[i][1]))
             w_hh = apply_weight_drop(layer, d.scaled("p_weight"), rng, self.training)
-            raw, (h, c) = layer.forward(x, h0, w_hh)
-            new_state.append((h.data.copy(), c.data.copy()))
+            raw, layer_state = layer.forward(x, state[i], w_hh)
+            new_state.append(layer_state)
             x = raw
             if i < self.n_layers - 1:
                 x = variational_dropout(x, d.scaled("p_hidden"), rng, self.training)

@@ -153,24 +153,71 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
+         b: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """One LSTM layer over (batch, steps, input) as a single graph node.
+
+    Gates are packed [input, forget, cell, output] along the 4·hidden axis.
+    The input projection of every step is one matmul; the recurrence runs in
+    numpy and keeps each step's gates and cell; backward is hand-written BPTT.
+    ``h0``/``c0`` are plain arrays (the carried state is never
+    differentiated). Returns the outputs (batch, steps, hidden) and fresh
+    copies of the final hidden and cell state.
+    """
+    if x.data.ndim != 3 or x.shape[1] < 1 or w_ih.data.ndim != 2 or w_hh.data.ndim != 2:
+        raise ShapeError(f"lstm: expected (batch, steps >= 1, input) x and 2-d weights, got "
+                         f"{x.shape}, {w_ih.shape}, {w_hh.shape}")
+    bsz, steps, n_in = x.shape
+    hs = w_hh.shape[0]
+    if (w_ih.shape != (n_in, 4 * hs) or w_hh.shape != (hs, 4 * hs) or b.shape != (4 * hs,)
+            or np.shape(h0) != (bsz, hs) or np.shape(c0) != (bsz, hs)):
+        raise ShapeError(f"lstm: incompatible shapes x {x.shape}, h0 {np.shape(h0)}, "
+                         f"c0 {np.shape(c0)}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}")
+    x2d = x.data.reshape(bsz * steps, n_in)
+    proj = (x2d @ w_ih.data).reshape(bsz, steps, 4 * hs)
+    gates = np.empty((steps, bsz, 4 * hs))  # activated: sigmoid i, f, o; tanh g
+    cells = np.empty((steps + 1, bsz, hs))  # cells[0] = c0, cells[t + 1] = c_t
+    tanh_c = np.empty((steps, bsz, hs))
+    out = np.empty((bsz, steps, hs))
+    cells[0] = c0
+    h = h0
+    for t in range(steps):
+        z = proj[:, t] + h @ w_hh.data + b.data
+        np.divide(1.0, 1.0 + np.exp(-z), out=gates[t])
+        i, f, gc, o = (gates[t, :, k * hs : (k + 1) * hs] for k in range(4))
+        np.tanh(z[:, 2 * hs : 3 * hs], out=gc)
+        np.add(f * cells[t], i * gc, out=cells[t + 1])
+        np.tanh(cells[t + 1], out=tanh_c[t])
+        h = out[:, t] = o * tanh_c[t]
 
     def bwd(g):
+        dz = np.empty((bsz, steps, 4 * hs))
+        dh = np.zeros((bsz, hs))
+        dc = np.zeros((bsz, hs))
+        for t in reversed(range(steps)):
+            i, f, gc, o = (gates[t, :, k * hs : (k + 1) * hs] for k in range(4))
+            dh = dh + g[:, t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            d = dz[:, t]
+            d[:, :hs] = dc * gc * i * (1.0 - i)
+            d[:, hs : 2 * hs] = dc * cells[t] * f * (1.0 - f)
+            d[:, 2 * hs : 3 * hs] = dc * i * (1.0 - gc * gc)
+            d[:, 3 * hs :] = dh * tanh_c[t] * o * (1.0 - o)
+            dc = dc * f
+            if t:
+                dh = d @ w_hh.data.T
+        dz2d = dz.reshape(bsz * steps, 4 * hs)
         if x.requires_grad:
-            x.accumulate(g * s * (1.0 - s))
+            x.accumulate((dz2d @ w_ih.data.T).reshape(x.shape))
+        if w_ih.requires_grad:
+            w_ih.accumulate(x2d.T @ dz2d)
+        if w_hh.requires_grad:
+            h_prev = np.concatenate([h0[:, None, :], out[:, :-1]], axis=1)
+            w_hh.accumulate(h_prev.reshape(bsz * steps, hs).T @ dz2d)
+        if b.requires_grad:
+            b.accumulate(dz2d.sum(axis=0))
 
-    return _make(s, (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * (1.0 - t * t))
-
-    return _make(t, (x,), bwd)
+    return _make(out, (x, w_ih, w_hh, b), bwd), out[:, -1].copy(), cells[-1].copy()
 
 
 def relu(x: Tensor) -> Tensor:

@@ -403,18 +403,27 @@ class EvalResult:
 
 def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
                        batch_size: int = 64) -> list[tuple[int, float, float]]:
-    """(predicted label, loss, predicted probability) per example, in order,
-    in eval mode. The loss is log-sum-exp of the logits minus the target
-    logit, so it stays exact however far apart the logits are."""
+    """(predicted label, loss, predicted probability) per example, in corpus
+    order, in eval mode. The loss is log-sum-exp of the logits minus the
+    target logit, so it stays exact however far apart the logits are.
+
+    Batches take the examples in stable order of length, so that each pads
+    to little more than its own longest sequence."""
     clf.eval()
-    out = []
-    for ids, lengths, labels in make_clf_batches(corpus, batch_size, MAX_LEN):
+    order = np.argsort([len(s) for s in corpus.streams], kind="stable")
+    pred = np.empty(len(order), dtype=np.int64)
+    loss = np.empty(len(order))
+    prob = np.empty(len(order))
+    for lo, (ids, lengths, labels) in zip(range(0, len(order), batch_size),
+                                          make_clf_batches(corpus, batch_size, MAX_LEN, order)):
+        rows = order[lo : lo + batch_size]
         logits = clf.forward(ids, lengths).data
         z = logits - logits.max(axis=1, keepdims=True)
         total = np.exp(z).sum(axis=1)  # the predicted class's own term is exp(0) = 1
-        losses = np.log(total) - z[np.arange(len(labels)), labels]
-        out.extend(zip(logits.argmax(axis=1).tolist(), losses.tolist(), (1.0 / total).tolist()))
-    return out
+        pred[rows] = logits.argmax(axis=1)
+        loss[rows] = np.log(total) - z[np.arange(len(rows)), labels]
+        prob[rows] = 1.0 / total
+    return list(zip(pred.tolist(), loss.tolist(), prob.tolist()))
 
 
 def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus,

@@ -87,11 +87,11 @@ def test_dropout_config_scaling():
 def test_lstm_layer_shapes_and_state():
     layer = LstmLayer(5, 7, Rng(0), "l")
     x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 5)))
-    h0 = (Tensor(np.zeros((3, 7))), Tensor(np.zeros((3, 7))))
+    h0 = (np.zeros((3, 7)), np.zeros((3, 7)))
     out, (h, c) = layer.forward(x, h0, layer.W_hh)
     assert out.shape == (3, 4, 7)
     assert h.shape == (3, 7) and c.shape == (3, 7)
-    assert np.array_equal(out.data[:, -1, :], h.data)
+    assert np.array_equal(out.data[:, -1, :], h)
 
 
 def test_lstm_forget_bias_initialized_to_one():

@@ -64,7 +64,49 @@ def test_broadcast_add_grad():
     check_grad(build, x, bias)
 
 
-@pytest.mark.parametrize("op", [T.sigmoid, T.tanh, T.relu])
+# -- the per-timestep LSTM graph: the oracle for the fused T.lstm ----------
+
+
+def sigmoid(x):
+    s = 1.0 / (1.0 + np.exp(-x.data))
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate(g * s * (1.0 - s))
+
+    return T._make(s, (x,), bwd)
+
+
+def tanh(x):
+    t = np.tanh(x.data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate(g * (1.0 - t * t))
+
+    return T._make(t, (x,), bwd)
+
+
+def lstm_per_step(x, h0, c0, w_ih, w_hh, b):
+    """The LSTM layer built from one small graph node per gate op and step,
+    as the model ran it before the fused op; returns outputs, h and c."""
+    bsz, steps, _ = x.shape
+    hs = w_hh.shape[0]
+    h, c = T.Tensor(h0), T.Tensor(c0)
+    outs = []
+    for t in range(steps):
+        z = T.add(T.add(T.matmul(x[:, t, :], w_ih), T.matmul(h, w_hh)), b)
+        i = sigmoid(z[:, 0 * hs : 1 * hs])
+        f = sigmoid(z[:, 1 * hs : 2 * hs])
+        g = tanh(z[:, 2 * hs : 3 * hs])
+        o = sigmoid(z[:, 3 * hs : 4 * hs])
+        c = T.add(T.mul(f, c), T.mul(i, g))
+        h = T.mul(o, tanh(c))
+        outs.append(T.reshape(h, (bsz, 1, hs)))
+    return T.concat(outs, axis=1), h.data, c.data
+
+
+@pytest.mark.parametrize("op", [sigmoid, tanh, T.relu])
 def test_elementwise_grads(op):
     rng = np.random.default_rng(2)
     # keep relu inputs away from the kink at 0
@@ -75,6 +117,87 @@ def test_elementwise_grads(op):
         return T.sum_(op(x) * op(x))
 
     check_grad(build, x)
+
+
+def lstm_inputs(bsz, steps, n_in, hs, seed):
+    """x, h0, c0, W_ih, W_hh and b for one layer; the carried state is
+    non-zero."""
+    rng = np.random.default_rng(seed)
+    return (T.param(rng.normal(size=(bsz, steps, n_in)), "x"),
+            0.5 * rng.normal(size=(bsz, hs)), 0.5 * rng.normal(size=(bsz, hs)),
+            T.param(rng.uniform(-0.5, 0.5, size=(n_in, 4 * hs)), "W_ih"),
+            T.param(rng.uniform(-0.5, 0.5, size=(hs, 4 * hs)), "W_hh"),
+            T.param(0.1 * rng.normal(size=4 * hs), "b"))
+
+
+@pytest.mark.parametrize("bsz,steps", [(3, 6), (2, 1), (1, 5)])
+def test_lstm_forward_matches_per_step_graph(bsz, steps):
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(bsz, steps, 5, 7, seed=10 * bsz + steps)
+    out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b)
+    want = lstm_per_step(x, h0, c0, w_ih, w_hh, b)
+    for got, ref in zip((out.data, h, c), (want[0].data, want[1], want[2])):
+        if bsz >= 2:  # the per-step arithmetic in the same order
+            assert np.array_equal(got, ref)
+        else:  # BLAS takes its matrix-vector path for a one-row product
+            assert rel_err(got, ref) <= 1e-15
+    assert out.shape == (bsz, steps, 7)
+    assert not np.shares_memory(h, out.data) and not np.shares_memory(c, out.data)
+
+
+@pytest.mark.parametrize("bsz,steps", [(3, 6), (2, 1), (1, 5)])
+def test_lstm_grads_match_per_step_graph(bsz, steps):
+    x, h0, c0, w_ih, W_hh, b = lstm_inputs(bsz, steps, 5, 7, seed=10 * bsz + steps)
+    mask = T.Tensor(T.Rng(0).keep_mask(W_hh.shape, 0.3))  # DropConnect on W_hh
+    weights = T.Tensor(np.random.default_rng(1).normal(size=(bsz, steps, 7)))
+    grads = []
+    for layer in (T.lstm, lstm_per_step):
+        for p in (x, w_ih, W_hh, b):
+            p.zero_grad()
+        out, _, _ = layer(x, h0, c0, w_ih, T.mul(W_hh, mask), b)
+        T.backward(T.sum_(T.mul(out, weights)))
+        grads.append([p.grad for p in (x, w_ih, W_hh, b)])
+    for name, got, want in zip(("x", "W_ih", "W_hh", "b"), *grads):
+        assert rel_err(got, want) <= 1e-12, name
+
+
+@pytest.mark.parametrize("frozen", [("x",), ("W_ih",), ("W_hh",), ("b",),
+                                    ("x", "W_ih", "W_hh", "b")])
+def test_lstm_frozen_inputs_get_no_gradient(frozen):
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(2, 4, 3, 5, seed=3)
+    inputs = {"x": x, "W_ih": w_ih, "W_hh": w_hh, "b": b}
+    for name in frozen:
+        inputs[name].requires_grad = False
+    out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b)
+    assert out.requires_grad == (len(frozen) < 4)
+    T.backward(T.sum_(T.mul(out, out)))
+    for name, t in inputs.items():
+        assert (t.grad is None) == (name in frozen), name
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_lstm_finite_differences(bsz, steps, n_in, hs, seed):
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(bsz, steps, n_in, hs, seed)
+    weights = T.Tensor(np.random.default_rng(seed).normal(size=(bsz, steps, hs)))
+
+    def build():
+        for p in (x, w_ih, w_hh, b):
+            p.zero_grad()
+        out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b)
+        return T.sum_(T.mul(out, weights))
+
+    check_grad(build, x, w_ih, w_hh, b)
+
+
+def test_lstm_shape_errors():
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(2, 3, 4, 5, seed=0)
+    with pytest.raises(T.ShapeError, match="lstm"):
+        T.lstm(x, h0[:1], c0, w_ih, w_hh, b)
+    with pytest.raises(T.ShapeError, match="lstm"):
+        T.lstm(x, h0, c0, w_hh, w_hh, b)
+    with pytest.raises(T.ShapeError, match="lstm"):
+        T.lstm(T.Tensor(np.zeros((2, 0, 4))), h0, c0, w_ih, w_hh, b)
 
 
 def test_softmax_rows_sum_to_one():

@@ -144,6 +144,18 @@ def test_batchify_shape_and_order():
         train.batchify([[1, 2]], 4)
 
 
+def test_lm_loss_graph_size_independent_of_steps():
+    # one fused node per LSTM layer, however many steps the window has
+    model = build_lm(20, "tiny", seed=0).train()
+    cfg = train.pretrain_defaults(batch_size=2)
+    sizes = []
+    for steps in (5, 40):
+        x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
+        loss, _, _ = train.lm_loss_terms(model, x[:, :-1], x[:, 1:], None, cfg)
+        sizes.append(len(T.topo_order(loss)))
+    assert sizes[0] == sizes[1]
+
+
 def test_lm_windows_cover_ribbon():
     data = np.arange(20).reshape(2, 10)
     windows = list(train._lm_windows(data, 4))
@@ -324,3 +336,18 @@ def test_evaluate_deterministic():
     b = train.evaluate(clf, corpus)
     assert a == b
     assert 0.0 <= a.accuracy <= 1.0
+
+
+def test_per_example_losses_in_corpus_order():
+    # shuffled lengths, so that the length-sorted batches mix the corpus order
+    rng = np.random.default_rng(2)
+    streams = [[2] + rng.integers(7, 14, size=n).tolist() for n in rng.permutation(13)]
+    labels = [i % 2 for i in range(len(streams))]
+    clf = train.TextClassifier(build_lm(20, "tiny", seed=1), seed=1)
+    stats = train.per_example_losses(clf, NumericalizedCorpus(streams, labels), batch_size=4)
+    assert len(stats) == len(streams)
+    for (pred, loss, prob), s, label in zip(stats, streams, labels):
+        logits = clf.forward(np.array([s]), np.array([len(s)])).data[0]
+        assert pred == logits.argmax()
+        assert abs(loss - (np.logaddexp.reduce(logits) - logits[label])) < 1e-12
+        assert abs(prob - T.softmax(logits).max()) < 1e-12

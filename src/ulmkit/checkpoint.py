@@ -3,8 +3,9 @@
 Layout: magic, format version, a JSON header (kind, preset, vocabulary,
 config snapshot, phase provenance, array manifest), the raw little-endian
 parameter arrays, and a trailing CRC32 of everything before it. Loading is
-strict: bad magic, truncation, checksum mismatch, or shape drift all fail
-with a named error and no partial model.
+strict: bad magic, truncation, checksum mismatch, a manifest entry whose
+byte count disagrees with its shape, a vocabulary whose size disagrees with
+the dims, or shape drift all fail with a named error and no partial model.
 """
 
 from __future__ import annotations
@@ -118,16 +119,25 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         n = entry["nbytes"]
+        dtype = np.dtype(entry["dtype"])
+        count = int(np.prod(entry["shape"], dtype=int))
+        if n != count * dtype.itemsize:
+            raise CheckpointError(
+                f"{path}: array {entry['name']!r} declares {n} bytes, but shape "
+                f"{entry['shape']} of {dtype} takes {count * dtype.itemsize}"
+            )
         if off + n > len(body):
             raise CheckpointError(
                 f"{path}: truncated array section {entry['name']!r} at offset {off}"
             )
-        count = int(np.prod(entry["shape"], dtype=int))
-        arr = np.frombuffer(body, dtype=np.dtype(entry["dtype"]), count=count, offset=off)
+        arr = np.frombuffer(body, dtype=dtype, count=count, offset=off)
         params[entry["name"]] = arr.reshape(entry["shape"])
         off += n
     if off != len(body):
         raise CheckpointError(f"{path}: {len(body) - off} trailing bytes after arrays")
+    if len(header["vocab"]) != header["dims"]["vocab_size"]:
+        raise CheckpointError(f"{path}: vocabulary of {len(header['vocab'])} tokens, but "
+                              f"dims give vocab_size {header['dims']['vocab_size']}")
     return Checkpoint(kind=header["kind"], preset=header["preset"], dims=header["dims"],
                       vocab=Vocabulary(header["vocab"]), params=params,
                       config=header.get("config", {}), provenance=header.get("provenance", []))

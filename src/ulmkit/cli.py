@@ -283,7 +283,7 @@ def cmd_degrade(args) -> int:
                       batch_size=res.get("batch_size", 16))
     report = evalbench.run_degradation_suite(
         ckpt.build_model(), ckpt.vocab, target_vocab,
-        NumericalizedCorpus(train_streams, [l for _, l in train_records]), None,
+        NumericalizedCorpus(train_streams, [l for _, l in train_records]),
         NumericalizedCorpus(test_streams, [l for _, l in test_records]),
         lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
     out = res.get("out") or "degradation.csv"

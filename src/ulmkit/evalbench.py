@@ -46,7 +46,6 @@ class SplitRecord:
 @dataclass
 class DegradationReport:
     rows: list[SplitRecord]
-    base_seed: int
     test_checksum: str
 
     CSV_HEADER = "fraction,n_train,repeats,mean_accuracy,mean_loss,degradation_pct"
@@ -119,7 +118,6 @@ def corpus_checksum(corpus: NumericalizedCorpus) -> str:
 
 def run_degradation_suite(pretrained, old_vocab, target_vocab,
                           train_corpus: NumericalizedCorpus,
-                          valid_corpus: NumericalizedCorpus | None,
                           test_corpus: NumericalizedCorpus,
                           lm_cfg, clf_cfg,
                           fractions=(1.0, 0.5, 0.1), repeats: int = 5,
@@ -135,7 +133,7 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
         raise ValueError("repeats must be >= 1")
     fractions = sorted(set(fractions), reverse=True)
     checksum = corpus_checksum(test_corpus)
-    report = DegradationReport(rows=[], base_seed=base_seed, test_checksum=checksum)
+    report = DegradationReport(rows=[], test_checksum=checksum)
     for fraction in fractions:
         accs, losses, n_train = [], [], 0
         for rep in range(repeats):

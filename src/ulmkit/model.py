@@ -235,14 +235,6 @@ class AwdLstmLM(Module):
         return T.reshape(logits, (b, s, self.vocab_size)), new_state, raw, dropped
 
 
-def concat_pool(hidden: Tensor, lengths) -> Tensor:
-    """Classifier head input: [last valid hidden, max pool, mean pool]."""
-    return T.concat(
-        [T.last_step(hidden, lengths), T.max_over_time(hidden, lengths), T.mean_over_time(hidden, lengths)],
-        axis=-1,
-    )
-
-
 class TextClassifier(Module):
     """LM encoder + concat-pool head with layer groups for unfreezing.
 
@@ -298,7 +290,7 @@ class TextClassifier(Module):
             raise ValueError("classifier: zero-length sequence")
         self.encoder.training = self.training
         raw, dropped, _ = self.encoder.encode(ids)
-        pooled = concat_pool(dropped, lengths)
+        pooled = T.concat_pool(dropped, lengths)
         hid = T.relu(T.add(T.matmul(pooled, self.W1), self.b1))
         if self.training:
             p = self.encoder.dropouts.scaled("p_head")

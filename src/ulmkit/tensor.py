@@ -49,37 +49,6 @@ class Tensor:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
-
 
 def param(data, name=None) -> Tensor:
     """A trainable leaf."""
@@ -118,10 +87,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(_unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, mul(b, _as_tensor(-1.0)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -254,37 +219,6 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
     return _make(out_data, (weight,), bwd)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = list(tensors)
-    try:
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate(g[tuple(idx)])
-
-    return _make(out_data, tuple(tensors), bwd)
-
-
-def slice_(x: Tensor, key) -> Tensor:
-    out_data = x.data[key]
-
-    def bwd(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[key] = g
-            x.accumulate(full)
-
-    return _make(out_data, (x,), bwd)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     out_data = x.data.reshape(shape)
 
@@ -306,96 +240,76 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def sum_(x: Tensor, axis=None) -> Tensor:
-    out_data = x.data.sum(axis=axis)
-
-    def bwd(g):
-        if x.requires_grad:
-            if axis is None:
-                x.accumulate(np.broadcast_to(g, x.shape).copy())
-            else:
-                x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
-
-    return _make(out_data, (x,), bwd)
-
-
-def mean(x: Tensor, axis=None) -> Tensor:
-    n = x.data.size if axis is None else x.shape[axis]
-    return mul(sum_(x, axis=axis), _as_tensor(1.0 / n))
-
-
-def _check_lengths(op: str, x: Tensor, lengths: np.ndarray) -> np.ndarray:
+def concat_pool(x: Tensor, lengths) -> Tensor:
+    """ULMFiT's classifier input from (batch, steps, features) outputs: the
+    output at each sequence's last valid step, the max and the mean over its
+    valid steps, concatenated to (batch, 3·features). Steps past a
+    sequence's length are padding and take no part."""
     lengths = np.asarray(lengths)
     if x.data.ndim != 3:
-        raise ShapeError(f"{op}: expected (batch, steps, features), got {x.shape}")
-    if lengths.shape != (x.shape[0],):
-        raise ShapeError(f"{op}: lengths shape {lengths.shape} does not match batch {x.shape[0]}")
-    if (lengths < 1).any() or (lengths > x.shape[1]).any():
-        raise ValueError(f"{op}: lengths must be in [1, {x.shape[1]}]")
-    return lengths
-
-
-def max_over_time(x: Tensor, lengths) -> Tensor:
-    """Per-feature max over the valid (unpadded) steps of each sequence."""
-    lengths = _check_lengths("max_over_time", x, lengths)
+        raise ShapeError(f"concat_pool: expected (batch, steps, features), got {x.shape}")
     b, s, f = x.shape
-    mask = np.arange(s)[None, :] < lengths[:, None]
-    masked = np.where(mask[:, :, None], x.data, -np.inf)
-    argmax = masked.argmax(axis=1)  # (b, f)
-    out_data = np.take_along_axis(x.data, argmax[:, None, :], axis=1)[:, 0, :]
+    if lengths.shape != (b,):
+        raise ShapeError(f"concat_pool: lengths shape {lengths.shape} does not match batch {b}")
+    if (lengths < 1).any() or (lengths > s).any():
+        raise ValueError(f"concat_pool: lengths must be in [1, {s}]")
+    rows = np.arange(b)
+    valid = np.arange(s)[None, :] < lengths[:, None]
+    argmax = np.where(valid[:, :, None], x.data, -np.inf).argmax(axis=1)  # (b, f)
+    w = valid / lengths[:, None]  # mean weights, 0 on padding
+    out_data = np.concatenate([x.data[rows, lengths - 1],
+                               np.take_along_axis(x.data, argmax[:, None, :], axis=1)[:, 0],
+                               (x.data * w[:, :, None]).sum(axis=1)], axis=1)
 
     def bwd(g):
         if x.requires_grad:
-            full = np.zeros_like(x.data)
-            bi = np.repeat(np.arange(b), f)
-            fi = np.tile(np.arange(f), b)
-            np.add.at(full, (bi, argmax.ravel(), fi), g.ravel())
-            x.accumulate(full)
+            dx = np.zeros_like(x.data)
+            dx[rows, lengths - 1] += g[:, :f]
+            dx[rows[:, None], argmax, np.arange(f)] += g[:, f : 2 * f]
+            dx += g[:, None, 2 * f :] * w[:, :, None]
+            x.accumulate(dx)
 
     return _make(out_data, (x,), bwd)
 
 
-def mean_over_time(x: Tensor, lengths) -> Tensor:
-    """Per-feature mean over the valid steps of each sequence."""
-    lengths = _check_lengths("mean_over_time", x, lengths)
-    s = x.shape[1]
-    mask = (np.arange(s)[None, :] < lengths[:, None]).astype(x.data.dtype)
-    w = mask / lengths[:, None]
-    out_data = (x.data * w[:, :, None]).sum(axis=1)
+def ar_tar(raw: Tensor, dropped: Tensor, alpha: float, beta: float) -> Tensor:
+    """AWD-LSTM's activation penalties on the final layer's (batch, steps,
+    features) outputs, as one scalar: AR, alpha·mean(dropped²), plus TAR,
+    beta·mean((raw[:, t] - raw[:, t - 1])²). A single step has no TAR term."""
+    if raw.data.ndim != 3 or dropped.shape != raw.shape:
+        raise ShapeError(f"ar_tar: expected two equal (batch, steps, features) shapes, got "
+                         f"{raw.shape} and {dropped.shape}")
+    diff = raw.data[:, 1:] - raw.data[:, :-1]
+    ar_scale = alpha * (1.0 / dropped.data.size)
+    tar_scale = beta * (1.0 / diff.size) if diff.size else 0.0
+    out_data = ar_scale * (dropped.data * dropped.data).sum() + tar_scale * (diff * diff).sum()
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g[:, None, :] * w[:, :, None])
+        if dropped.requires_grad and ar_scale:
+            dropped.accumulate(2.0 * g * ar_scale * dropped.data)
+        if raw.requires_grad and tar_scale:
+            d = 2.0 * g * tar_scale * diff
+            draw = np.zeros_like(raw.data)
+            draw[:, 1:] += d
+            draw[:, :-1] -= d
+            raw.accumulate(draw)
 
-    return _make(out_data, (x,), bwd)
-
-
-def last_step(x: Tensor, lengths) -> Tensor:
-    """Hidden state at the final valid step of each sequence."""
-    lengths = _check_lengths("last_step", x, lengths)
-    b = x.shape[0]
-    idx = lengths - 1
-
-    def bwd(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[np.arange(b), idx] = g
-            x.accumulate(full)
-
-    return _make(x.data[np.arange(b), idx], (x,), bwd)
+    return _make(out_data, (raw, dropped), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of targets under softmax(logits)."""
+    """Mean negative log-likelihood of targets under softmax(logits), for
+    (..., classes) logits and targets of their leading shape."""
     targets = np.asarray(targets)
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: expected (batch, classes), got {logits.shape}")
-    n, c = logits.shape
-    if targets.shape != (n,):
-        raise ShapeError(f"cross_entropy: {targets.shape[0] if targets.ndim else 0} targets for batch {n}")
+    if logits.data.ndim < 2 or targets.shape != logits.shape[:-1]:
+        raise ShapeError(f"cross_entropy: targets of shape {targets.shape} for logits {logits.shape}")
+    c = logits.shape[-1]
+    targets = targets.reshape(-1)
+    n = len(targets)
     if targets.size and (targets.min() < 0 or targets.max() >= c):
         raise IndexError(f"cross_entropy: target out of range for {c} classes")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    flat = logits.data.reshape(n, c)
+    z = flat - flat.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     out_data = -logp[np.arange(n), targets].mean()
@@ -404,7 +318,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         if logits.requires_grad:
             p = np.exp(logp)
             p[np.arange(n), targets] -= 1.0
-            logits.accumulate(g * p / n)
+            logits.accumulate((g * p / n).reshape(logits.shape))
 
     return _make(out_data, (logits,), bwd)
 

@@ -243,15 +243,13 @@ def lm_windows_per_epoch(data: np.ndarray, bptt: int) -> int:
 
 
 def lm_loss_terms(model: AwdLstmLM, x: np.ndarray, y: np.ndarray, state, cfg: PhaseConfig):
+    """(training loss, cross-entropy, new state) for one window; in training
+    the loss adds the AR/TAR activation penalties to the cross-entropy."""
     logits, new_state, raw, dropped = model.forward(x, state)
-    b, s, v = logits.shape
-    ce = T.cross_entropy(T.reshape(logits, (b * s, v)), y.reshape(-1))
-    loss = ce
-    if model.training and cfg.ar_alpha > 0:
-        loss = T.add(loss, T.mul(T.mean(T.mul(dropped, dropped)), T._as_tensor(cfg.ar_alpha)))
-    if model.training and cfg.tar_beta > 0 and s > 1:
-        diff = T.sub(raw[:, 1:, :], raw[:, :-1, :])
-        loss = T.add(loss, T.mul(T.mean(T.mul(diff, diff)), T._as_tensor(cfg.tar_beta)))
+    ce = T.cross_entropy(logits, y)
+    # ce second: backward then walks its subgraph in the order it would
+    # alone, so zero penalties leave every gradient bit-identical.
+    loss = T.add(T.ar_tar(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce) if model.training else ce
     return loss, ce, new_state
 
 

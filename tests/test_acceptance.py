@@ -262,7 +262,7 @@ def test_degradation_suite_protocol(labeled_path):
 
     def suite(base_seed):
         return evalbench.run_degradation_suite(
-            lm, vocab, vocab, train_c, None, test_c, lm_cfg, clf_cfg,
+            lm, vocab, vocab, train_c, test_c, lm_cfg, clf_cfg,
             fractions=(1.0, 0.5, 0.1), repeats=5, base_seed=base_seed)
 
     monotone = 0

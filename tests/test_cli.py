@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import json
 import struct
 import zlib
 
@@ -100,6 +101,46 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     bad = tmp_path / "v99.ckpt"
     bad.write_bytes(bytes(blob))
     with pytest.raises(ck.CheckpointError, match="version 99"):
+        ck.load_checkpoint(bad)
+
+
+def rewrite_header(src, dst, edit):
+    """Copy checkpoint src to dst with edit() applied to its JSON header, and
+    a length field and trailing CRC32 that match, so only the header's own
+    consistency can reject it."""
+    blob = src.read_bytes()[:-4]
+    off = len(ck.MAGIC) + 12
+    version, header_len = struct.unpack_from("<IQ", blob, len(ck.MAGIC))
+    header = json.loads(blob[off : off + header_len])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    body = ck.MAGIC + struct.pack("<IQ", version, len(raw)) + raw + blob[off + header_len :]
+    dst.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_checkpoint_rejects_manifest_nbytes_that_disagree_with_shape(tmp_path):
+    vocab = small_vocab()
+    path = tmp_path / "lm.ckpt"
+    ck.save_checkpoint(path, build_lm(len(vocab.id_to_token), "tiny", seed=0), vocab)
+
+    def shift(header):  # the total still matches the payload
+        header["arrays"][0]["nbytes"] += 8
+        header["arrays"][1]["nbytes"] -= 8
+
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(path, bad, shift)
+    with pytest.raises(ck.CheckpointError, match="declares"):
+        ck.load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_vocabulary_longer_than_dims(tmp_path):
+    vocab = small_vocab()
+    path = tmp_path / "clf.ckpt"
+    ck.save_checkpoint(path, TextClassifier(build_lm(len(vocab.id_to_token), "tiny", seed=0)),
+                       vocab)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(path, bad, lambda header: header["vocab"].append("extra"))
+    with pytest.raises(ck.CheckpointError, match="vocab_size"):
         ck.load_checkpoint(bad)
 
 

@@ -121,7 +121,7 @@ def suite_inputs():
 
 def test_degradation_suite_structure_and_zero_full_split():
     lm, vocab, corpus, test, lm_cfg, clf_cfg = suite_inputs()
-    report = evalbench.run_degradation_suite(lm, vocab, vocab, corpus, None, test,
+    report = evalbench.run_degradation_suite(lm, vocab, vocab, corpus, test,
                                              lm_cfg, clf_cfg, fractions=(1.0, 0.5),
                                              repeats=2, base_seed=0)
     assert len(report.rows) == 2
@@ -138,10 +138,10 @@ def test_degradation_suite_structure_and_zero_full_split():
 
 def test_degradation_suite_rerun_identical():
     lm, vocab, corpus, test, lm_cfg, clf_cfg = suite_inputs()
-    r1 = evalbench.run_degradation_suite(lm, vocab, vocab, corpus, None, test,
+    r1 = evalbench.run_degradation_suite(lm, vocab, vocab, corpus, test,
                                          lm_cfg, clf_cfg, fractions=(1.0, 0.5),
                                          repeats=2, base_seed=7)
-    r2 = evalbench.run_degradation_suite(lm, vocab, vocab, corpus, None, test,
+    r2 = evalbench.run_degradation_suite(lm, vocab, vocab, corpus, test,
                                          lm_cfg, clf_cfg, fractions=(1.0, 0.5),
                                          repeats=2, base_seed=7)
     assert r1.to_csv() == r2.to_csv()
@@ -151,7 +151,7 @@ def test_degradation_suite_failure_carries_partial_report():
     lm, vocab, corpus, test, lm_cfg, clf_cfg = suite_inputs()
     # fraction 0.02 of 40 examples rounds to 1 < 2 and must abort
     with pytest.raises(evalbench.DegradationSuiteError) as exc:
-        evalbench.run_degradation_suite(lm, vocab, vocab, corpus, None, test,
+        evalbench.run_degradation_suite(lm, vocab, vocab, corpus, test,
                                         lm_cfg, clf_cfg, fractions=(1.0, 0.02),
                                         repeats=1, base_seed=0)
     partial = exc.value.partial_report

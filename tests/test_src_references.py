@@ -2,9 +2,12 @@
 
 Walks ``src/ulmkit`` with ``ast`` and requires every function, method and
 class defined there (dunders aside) to be referenced somewhere in ``src/``
-outside its own definition. References are matched by name, not resolved by
-scope, so a dead definition that shares its name with a live one can slip
-through; a live definition is never reported.
+outside its own definition. A module-level definition of module M counts as
+referenced only by a bare name inside M, by ``X.name`` where an import binds
+X to M, or by importing the name from M, so ``np.mean`` cannot keep a
+``tensor.mean`` alive. Methods and nested definitions are matched by name
+alone, since the type behind ``obj.name`` is not resolved: a dead method that
+shares its name with a live one can slip through.
 """
 
 import ast
@@ -16,11 +19,13 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ulmkit"
 ENTRY_POINTS = {"cli.main"}
 
 
-def _scan():
+def _scan(src=SRC):
     """(qualified name, name, module, first line, last line) per definition,
-    and (module, name, line) per name or attribute read."""
+    and (module, target module or None, name, line) per name read, attribute
+    read or name imported; the target is the package module the reference
+    resolves to, None where it is not resolved."""
     defs, refs = [], []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -34,22 +39,50 @@ def _scan():
                     visit(child, prefix)
 
         visit(tree, module)
+        aliases = {}  # local name -> the package module an import binds it to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:  # src/ imports relatively
+                for alias in node.names:
+                    if node.module:
+                        refs.append((module, node.module, alias.name, node.lineno))
+                    else:  # from . import tensor as T
+                        aliases[alias.asname or alias.name] = alias.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.append((module, node.id, node.lineno))
+                refs.append((module, module, node.id, node.lineno))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                refs.append((module, node.attr, node.lineno))
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                refs.append((module, aliases.get(owner), node.attr, node.lineno))
     return defs, refs
 
 
-def test_every_definition_is_referenced_in_src():
-    defs, refs = _scan()
-    assert len(defs) > 100, "scan found too few definitions; is SRC right?"
+def _unreferenced(src=SRC):
+    defs, refs = _scan(src)
     unreferenced = []
     for qual, name, module, first, last in defs:
         if name.startswith("__") and name.endswith("__") or qual in ENTRY_POINTS:
             continue
-        if not any(ref_name == name and not (ref_module == module and first <= line <= last)
-                   for ref_module, ref_name, line in refs):
+        module_level = qual == f"{module}.{name}"
+        if not any(ref_name == name and (not module_level or target == module)
+                   and not (ref_module == module and first <= line <= last)
+                   for ref_module, target, ref_name, line in refs):
             unreferenced.append(qual)
+    return defs, unreferenced
+
+
+def test_every_definition_is_referenced_in_src():
+    defs, unreferenced = _unreferenced()
+    assert len(defs) > 100, "scan found too few definitions; is SRC right?"
     assert not unreferenced, f"defined in src/ but referenced only outside it: {unreferenced}"
+
+
+def test_scan_resolves_module_level_names(tmp_path):
+    (tmp_path / "tensor.py").write_text(
+        "def mean(x):\n    return x\n\n\ndef add(a, b):\n    return a\n\n\n"
+        "def lstm(x):\n    return x\n\n\nclass Tensor:\n    def item(self):\n        return 0\n")
+    (tmp_path / "model.py").write_text(
+        "import numpy as np\n\nfrom . import tensor as T\nfrom .tensor import Tensor\n\n"
+        "y = np.mean([1.0])  # numpy's mean, not tensor.mean\n"
+        "z = T.add(Tensor(), lstm).item()  # a bare lstm here is model's own name\n")
+    _, unreferenced = _unreferenced(tmp_path)
+    assert unreferenced == ["tensor.mean", "tensor.lstm"]

@@ -33,10 +33,46 @@ def check_grad(build, *params, tol=1e-6):
     """build() -> scalar loss Tensor over the given param Tensors."""
     loss = build()
     T.backward(loss)
-    analytic = [p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     for p, g in zip(params, analytic):
         fd = finite_diff(lambda: build().data, p.data)
         assert rel_err(g, fd) < tol, f"grad mismatch for {p.name or p.shape}"
+
+
+# -- test-local ops on T._make: reducers and the oracle's structural ops ------
+
+
+def total(x):
+    """Sum of every entry: the scalar loss the gradient checks reduce to."""
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate(np.broadcast_to(g, x.shape))
+
+    return T._make(x.data.sum(), (x,), bwd)
+
+
+def take(x, key):
+    """x.data[key] for a basic-slicing key."""
+
+    def bwd(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            full[key] = g
+            x.accumulate(full)
+
+    return T._make(x.data[key], (x,), bwd)
+
+
+def concat(tensors, axis):
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def bwd(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                t.accumulate(np.take(g, np.arange(lo, hi), axis=axis))
+
+    return T._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
 
 
 def test_add_mul_matmul_grads():
@@ -47,7 +83,7 @@ def test_add_mul_matmul_grads():
 
     def build():
         a.zero_grad(), b.zero_grad(), c.zero_grad()
-        return T.sum_((a @ b + c) * c)
+        return total(T.mul(T.add(T.matmul(a, b), c), c))
 
     check_grad(build, a, b, c)
 
@@ -59,7 +95,7 @@ def test_broadcast_add_grad():
 
     def build():
         x.zero_grad(), bias.zero_grad()
-        return T.sum_((x + bias) * (x + bias))
+        return total(T.mul(T.add(x, bias), T.add(x, bias)))
 
     check_grad(build, x, bias)
 
@@ -95,15 +131,15 @@ def lstm_per_step(x, h0, c0, w_ih, w_hh, b):
     h, c = T.Tensor(h0), T.Tensor(c0)
     outs = []
     for t in range(steps):
-        z = T.add(T.add(T.matmul(x[:, t, :], w_ih), T.matmul(h, w_hh)), b)
-        i = sigmoid(z[:, 0 * hs : 1 * hs])
-        f = sigmoid(z[:, 1 * hs : 2 * hs])
-        g = tanh(z[:, 2 * hs : 3 * hs])
-        o = sigmoid(z[:, 3 * hs : 4 * hs])
+        z = T.add(T.add(T.matmul(take(x, np.s_[:, t, :]), w_ih), T.matmul(h, w_hh)), b)
+        i = sigmoid(take(z, np.s_[:, 0 * hs : 1 * hs]))
+        f = sigmoid(take(z, np.s_[:, 1 * hs : 2 * hs]))
+        g = tanh(take(z, np.s_[:, 2 * hs : 3 * hs]))
+        o = sigmoid(take(z, np.s_[:, 3 * hs : 4 * hs]))
         c = T.add(T.mul(f, c), T.mul(i, g))
         h = T.mul(o, tanh(c))
         outs.append(T.reshape(h, (bsz, 1, hs)))
-    return T.concat(outs, axis=1), h.data, c.data
+    return concat(outs, axis=1), h.data, c.data
 
 
 @pytest.mark.parametrize("op", [sigmoid, tanh, T.relu])
@@ -114,7 +150,7 @@ def test_elementwise_grads(op):
 
     def build():
         x.zero_grad()
-        return T.sum_(op(x) * op(x))
+        return total(T.mul(op(x), op(x)))
 
     check_grad(build, x)
 
@@ -154,7 +190,7 @@ def test_lstm_grads_match_per_step_graph(bsz, steps):
         for p in (x, w_ih, W_hh, b):
             p.zero_grad()
         out, _, _ = layer(x, h0, c0, w_ih, T.mul(W_hh, mask), b)
-        T.backward(T.sum_(T.mul(out, weights)))
+        T.backward(total(T.mul(out, weights)))
         grads.append([p.grad for p in (x, w_ih, W_hh, b)])
     for name, got, want in zip(("x", "W_ih", "W_hh", "b"), *grads):
         assert rel_err(got, want) <= 1e-12, name
@@ -169,7 +205,7 @@ def test_lstm_frozen_inputs_get_no_gradient(frozen):
         inputs[name].requires_grad = False
     out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b)
     assert out.requires_grad == (len(frozen) < 4)
-    T.backward(T.sum_(T.mul(out, out)))
+    T.backward(total(T.mul(out, out)))
     for name, t in inputs.items():
         assert (t.grad is None) == (name in frozen), name
 
@@ -185,7 +221,7 @@ def test_lstm_finite_differences(bsz, steps, n_in, hs, seed):
         for p in (x, w_ih, w_hh, b):
             p.zero_grad()
         out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b)
-        return T.sum_(T.mul(out, weights))
+        return total(T.mul(out, weights))
 
     check_grad(build, x, w_ih, w_hh, b)
 
@@ -249,7 +285,7 @@ def test_embedding_lookup_grad_accumulates_repeats():
 
     def build():
         w.zero_grad()
-        return T.sum_(T.embedding_lookup(w, ids) * T.embedding_lookup(w, ids))
+        return total(T.mul(T.embedding_lookup(w, ids), T.embedding_lookup(w, ids)))
 
     check_grad(build, w)
     with pytest.raises(IndexError):
@@ -257,50 +293,42 @@ def test_embedding_lookup_grad_accumulates_repeats():
 
 
 def test_structural_op_grads():
-    rng = np.random.default_rng(7)
-    x = T.param(rng.normal(size=(2, 3, 4)), "x")
-    y = T.param(rng.normal(size=(2, 3, 2)), "y")
-
-    def build():
-        x.zero_grad(), y.zero_grad()
-        cat = T.concat([x, y], axis=2)
-        flat = T.reshape(cat, (6, 6))
-        return T.sum_(T.transpose(flat, (1, 0)) * T.transpose(flat, (1, 0)))
-
-    check_grad(build, x, y)
-
-
-def test_slice_and_mean_grads():
-    x = T.param(np.random.default_rng(8).normal(size=(4, 6)), "x")
+    x = T.param(np.random.default_rng(7).normal(size=(2, 3, 4)), "x")
 
     def build():
         x.zero_grad()
-        return T.mean(x[1:3, ::2] * x[1:3, ::2])
+        flat = T.reshape(x, (6, 4))
+        return total(T.mul(T.transpose(flat, (1, 0)), T.transpose(flat)))
 
     check_grad(build, x)
 
 
 def test_pooling_ops_brute_force():
+    # concat_pool against a loop over each sequence's valid steps
     rng = np.random.default_rng(9)
-    x = T.param(rng.normal(size=(3, 5, 2)), "x")
-    lengths = np.array([5, 2, 4])
+    for shape, lengths in (((3, 5, 2), [5, 2, 4]), ((2, 6, 3), [6, 3])):
+        x = T.Tensor(rng.normal(size=shape))
+        pooled = T.concat_pool(x, np.array(lengths)).data
+        f = shape[2]
+        assert pooled.shape == (shape[0], 3 * f)
+        for b, n in enumerate(lengths):
+            valid = x.data[b, :n]
+            assert np.array_equal(pooled[b, :f], valid[-1])
+            assert np.array_equal(pooled[b, f : 2 * f], valid.max(axis=0))
+            assert np.allclose(pooled[b, 2 * f :], valid.mean(axis=0), atol=1e-12)
 
-    last = T.last_step(x, lengths).data
-    mx = T.max_over_time(x, lengths).data
-    mn = T.mean_over_time(x, lengths).data
-    for b in range(3):
-        valid = x.data[b, : lengths[b]]
-        assert np.array_equal(last[b], valid[-1])
-        assert np.array_equal(mx[b], valid.max(axis=0))
-        assert np.allclose(mn[b], valid.mean(axis=0), atol=1e-12)
+
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_concat_pool_finite_differences(bsz, steps, feats, seed):
+    rng = np.random.default_rng(seed)
+    x = T.param(rng.normal(size=(bsz, steps, feats)), "x")
+    lengths = rng.integers(1, steps + 1, size=bsz)
+    weights = T.Tensor(rng.normal(size=(bsz, 3 * feats)))
 
     def build():
         x.zero_grad()
-        pooled = T.concat(
-            [T.last_step(x, lengths), T.max_over_time(x, lengths), T.mean_over_time(x, lengths)],
-            axis=1,
-        )
-        return T.sum_(pooled * pooled)
+        return total(T.mul(T.concat_pool(x, lengths), weights))
 
     check_grad(build, x)
 
@@ -308,24 +336,46 @@ def test_pooling_ops_brute_force():
 def test_pooling_length_validation():
     x = T.Tensor(np.zeros((2, 4, 3)))
     with pytest.raises(ValueError):
-        T.last_step(x, np.array([0, 4]))
+        T.concat_pool(x, np.array([0, 4]))
     with pytest.raises(ValueError):
-        T.max_over_time(x, np.array([1, 5]))
+        T.concat_pool(x, np.array([1, 5]))
     with pytest.raises(T.ShapeError):
-        T.mean_over_time(x, np.array([1, 1, 1]))
+        T.concat_pool(x, np.array([1, 1, 1]))
+    with pytest.raises(T.ShapeError):
+        T.concat_pool(T.Tensor(np.zeros((2, 4))), np.array([1, 1]))
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.sampled_from([0.0, 0.5, 2.0]),
+       st.sampled_from([0.0, 1.0, 3.0]), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_ar_tar_finite_differences(bsz, steps, feats, alpha, beta, shared, seed):
+    # shared: no output dropout, so the same tensor is both raw and dropped
+    rng = np.random.default_rng(seed)
+    raw = T.param(rng.normal(size=(bsz, steps, feats)), "raw")
+    dropped = raw if shared else T.param(rng.normal(size=(bsz, steps, feats)), "dropped")
+    want = alpha * np.mean(dropped.data ** 2)
+    if steps > 1:
+        want += beta * np.mean(np.diff(raw.data, axis=1) ** 2)
+    assert abs(T.ar_tar(raw, dropped, alpha, beta).item() - want) <= 1e-12 * max(1.0, want)
+
+    def build():
+        raw.zero_grad(), dropped.zero_grad()
+        return T.ar_tar(raw, dropped, alpha, beta)
+
+    check_grad(build, *((raw,) if shared else (raw, dropped)))
 
 
 def test_backward_requires_scalar():
     x = T.param(np.ones((2, 2)), "x")
     with pytest.raises(ValueError):
-        T.backward(x + x)
+        T.backward(T.add(x, x))
 
 
 def test_backward_accumulates_until_zeroed():
     x = T.param(np.array([3.0]), "x")
-    T.backward(T.sum_(x * x))
+    T.backward(total(T.mul(x, x)))
     first = x.grad.copy()
-    T.backward(T.sum_(x * x))
+    T.backward(total(T.mul(x, x)))
     assert np.allclose(x.grad, 2 * first)
     x.zero_grad()
     assert x.grad is None
@@ -334,24 +384,26 @@ def test_backward_accumulates_until_zeroed():
 def test_diamond_graph_grad():
     # y = x*x used twice: d/dx (x^2 + x^2) = 4x
     x = T.param(np.array([2.0]), "x")
-    y = x * x
-    T.backward(T.sum_(y + y))
+    y = T.mul(x, x)
+    T.backward(total(T.add(y, y)))
     assert np.allclose(x.grad, [8.0])
 
 
 def test_no_grad_tracking_when_not_required():
     a = T.Tensor(np.ones((2, 2)))
     b = T.Tensor(np.ones((2, 2)))
-    out = a @ b + a
+    out = T.add(T.matmul(a, b), a)
     assert not out.requires_grad
     assert out._backward is None
 
 
 def test_shape_errors_report_op():
     with pytest.raises(T.ShapeError, match="matmul"):
-        T.Tensor(np.zeros((2, 3))) @ T.Tensor(np.zeros((2, 3)))
+        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
     with pytest.raises(T.ShapeError, match="add"):
-        T.Tensor(np.zeros((2, 3))) + T.Tensor(np.zeros((4, 5)))
+        T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
+    with pytest.raises(T.ShapeError, match="ar_tar"):
+        T.ar_tar(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 3, 5))), 2.0, 1.0)
 
 
 def test_rng_determinism_and_children():

@@ -145,15 +145,22 @@ def test_batchify_shape_and_order():
 
 
 def test_lm_loss_graph_size_independent_of_steps():
-    # one fused node per LSTM layer, however many steps the window has
+    # one fused node per LSTM layer and one for AR/TAR, however many steps
+    # the window has
     model = build_lm(20, "tiny", seed=0).train()
     cfg = train.pretrain_defaults(batch_size=2)
-    sizes = []
     for steps in (5, 40):
         x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
         loss, _, _ = train.lm_loss_terms(model, x[:, :-1], x[:, 1:], None, cfg)
-        sizes.append(len(T.topo_order(loss)))
-    assert sizes[0] == sizes[1]
+        assert len(T.topo_order(loss)) == 31, steps
+
+
+def test_classifier_loss_graph_size():
+    # one fused node for the concat pool
+    clf = train.TextClassifier(build_lm(20, "tiny", seed=0), seed=0).train()
+    ids = np.random.default_rng(0).integers(0, 20, size=(3, 6))
+    loss = T.cross_entropy(clf.forward(ids, np.array([6, 2, 4])), np.array([0, 1, 1]))
+    assert len(T.topo_order(loss)) == 34
 
 
 def test_lm_windows_cover_ribbon():

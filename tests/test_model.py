@@ -1,4 +1,4 @@
-"""Model tests: dropout sites, LSTM mechanics, tying, freezing, the classifier."""
+"""Model tests: dropout sites, LSTM mechanics, tying, freezing, pooling."""
 
 import numpy as np
 import pytest
@@ -181,7 +181,19 @@ def test_build_lm_presets():
         build_lm(50, "huge")
 
 
-# -- classifier ----------------------------------------------------------
+# -- pooling and classifier -------------------------------------------------
+
+
+def test_concat_pool_brute_force():
+    rng = np.random.default_rng(4)
+    hidden = Tensor(rng.normal(size=(2, 6, 3)))
+    lengths = np.array([6, 3])
+    pooled = T.concat_pool(hidden, lengths).data
+    assert pooled.shape == (2, 9)
+    for b in range(2):
+        valid = hidden.data[b, : lengths[b]]
+        expect = np.concatenate([valid[-1], valid.max(axis=0), valid.mean(axis=0)])
+        assert np.allclose(pooled[b], expect, atol=1e-12)
 
 
 def test_classifier_forward_shapes_and_errors():

@@ -249,7 +249,8 @@ def cmd_predict(args) -> int:
     if text is None:
         raise UsageError("missing --text")
     ids = np.array([numericalize(preprocess(text), vocab)])
-    logits = clf.eval().forward(ids, np.array([ids.shape[1]]))
+    with T.no_grad():
+        logits = clf.eval().forward(ids, np.array([ids.shape[1]]))
     probs = T.softmax(logits.data[0])
     label = int(probs.argmax())
     print(f"label={label} probability={probs[label]:.4f}")

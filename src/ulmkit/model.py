@@ -51,12 +51,14 @@ def variational_dropout(x: Tensor, p: float, rng: Rng, training: bool = True) ->
     return T.mul(x, Tensor(mask))
 
 
-def embedding_dropout(emb: Tensor, p: float, rng: Rng, training: bool = True) -> Tensor:
-    """Drop whole vocabulary rows of the embedding matrix for one batch."""
+def embedding_dropout(emb: Tensor, ids: np.ndarray, p: float, rng: Rng,
+                      training: bool = True) -> Tensor:
+    """Look ids up in the embedding with whole vocabulary rows dropped for
+    one batch: one (vocab, 1) keep mask is drawn, and only the rows that ids
+    gather are scaled by it."""
     if not training or p <= 0.0:
-        return emb
-    mask = rng.keep_mask((emb.shape[0], 1), p)
-    return T.mul(emb, Tensor(mask))
+        return T.embedding_lookup(emb, ids)
+    return T.embedding_lookup(emb, ids, rng.keep_mask((emb.shape[0], 1), p))
 
 
 class LstmLayer:
@@ -210,8 +212,7 @@ class AwdLstmLM(Module):
             state = self.init_state(b)
         d = self.dropouts
         rng = self._drop_rng
-        emb_w = embedding_dropout(self.embedding, d.scaled("p_emb"), rng, self.training)
-        x = T.embedding_lookup(emb_w, ids)
+        x = embedding_dropout(self.embedding, ids, d.scaled("p_emb"), rng, self.training)
         x = variational_dropout(x, d.scaled("p_input"), rng, self.training)
         new_state = []
         raw = x
@@ -225,14 +226,20 @@ class AwdLstmLM(Module):
         dropped = variational_dropout(raw, d.scaled("p_output"), rng, self.training)
         return raw, dropped, new_state
 
-    def forward(self, ids: np.ndarray, state=None):
-        """Next-token logits (batch, steps, vocab) plus carried state and the
-        raw/dropped final-layer activations (for AR/TAR terms)."""
+    def forward(self, ids: np.ndarray, state=None, targets=None):
+        """With (batch, steps) ``targets``, the mean next-token cross-entropy
+        through the tied decoder as one graph node; without, next-token
+        logits (batch, steps, vocab) as a plain Tensor outside the graph.
+        Either comes with the carried state and the raw/dropped final-layer
+        activations (for AR/TAR terms)."""
         raw, dropped, new_state = self.encode(ids, state)
-        b, s, e = dropped.shape
-        flat = T.reshape(dropped, (b * s, e))
-        logits = T.add(T.matmul(flat, T.transpose(self.embedding)), self.decoder_bias)
-        return T.reshape(logits, (b, s, self.vocab_size)), new_state, raw, dropped
+        if targets is not None:
+            out = T.tied_decoder_ce(dropped, self.embedding, self.decoder_bias, targets)
+        else:
+            b, s, e = dropped.shape
+            logits = dropped.data.reshape(b * s, e) @ self.embedding.data.T + self.decoder_bias.data
+            out = Tensor(logits.reshape(b, s, self.vocab_size))
+        return out, new_state, raw, dropped
 
 
 class TextClassifier(Module):

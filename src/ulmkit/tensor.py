@@ -8,11 +8,16 @@ which truncated BPTT relies on.
 
 from __future__ import annotations
 
+import contextlib
 import zlib
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
+# Rows of logits the tied decoder forms at a time: the fastest of 64 to 1,120
+# rows at 10,008 classes and 64 features, where a chunk of logits is 20 MB.
+DECODER_CHUNK = 256
+_grad_enabled = True
 
 
 class ShapeError(ValueError):
@@ -39,8 +44,9 @@ class Tensor:
 
     def accumulate(self, g) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=_DEFAULT_DTYPE)
+        else:
+            self.grad += g
 
     def item(self) -> float:
         return float(self.data)
@@ -55,8 +61,21 @@ def param(data, name=None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Within this block no op records a graph node: every result is a leaf
+    with no parents, and fused ops skip their gradient work. Values are
+    unchanged."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _tracked(*ts: Tensor) -> bool:
-    return any(t.requires_grad for t in ts)
+    return _grad_enabled and any(t.requires_grad for t in ts)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -70,8 +89,9 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _make(data, parents, backward) -> Tensor:
-    rg = _tracked(*parents)
-    return Tensor(data, requires_grad=rg, parents=tuple(parents), backward=backward if rg else None)
+    if not _tracked(*parents):
+        return Tensor(data)
+    return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -202,42 +222,27 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def embedding_lookup(weight: Tensor, ids: np.ndarray) -> Tensor:
+def embedding_lookup(weight: Tensor, ids: np.ndarray, row_scale: np.ndarray | None = None) -> Tensor:
+    """The rows of weight that ids name. A (vocab, 1) ``row_scale``
+    multiplies each gathered row by its own entry (embedding dropout); only
+    the gathered rows are scaled, in both passes."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise IndexError(
             f"embedding_lookup: id out of range for vocabulary of {weight.shape[0]}"
         )
     out_data = weight.data[ids]
+    scale = None if row_scale is None else row_scale[ids]
+    if scale is not None:
+        out_data *= scale
 
     def bwd(g):
         if weight.requires_grad:
             if weight.grad is None:
                 weight.grad = np.zeros_like(weight.data)
-            np.add.at(weight.grad, ids, g)
+            np.add.at(weight.grad, ids, g if scale is None else g * scale)
 
     return _make(out_data, (weight,), bwd)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    out_data = x.data.reshape(shape)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g.reshape(x.shape))
-
-    return _make(out_data, (x,), bwd)
-
-
-def transpose(x: Tensor, axes=None) -> Tensor:
-    out_data = x.data.transpose(axes)
-    inv = None if axes is None else np.argsort(axes)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g.transpose(inv))
-
-    return _make(out_data, (x,), bwd)
 
 
 def concat_pool(x: Tensor, lengths) -> Tensor:
@@ -321,6 +326,62 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
             logits.accumulate((g * p / n).reshape(logits.shape))
 
     return _make(out_data, (logits,), bwd)
+
+
+def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
+    """Mean negative log-likelihood of targets under softmax(h @ weight.T +
+    bias), for (..., features) h, a (classes, features) weight (the tied
+    embedding), a (classes,) bias and targets of h's leading shape.
+
+    One graph node that never holds more than DECODER_CHUNK rows of logits.
+    When a parent needs a gradient, the forward pass forms each chunk's
+    share of it (the fused linear cross-entropy of Liger Kernel and Cut
+    Cross-Entropy), and backward only scales by the upstream gradient."""
+    targets = np.asarray(targets)
+    if (h.data.ndim < 2 or weight.data.ndim != 2 or h.shape[-1] != weight.shape[1]
+            or bias.shape != weight.shape[:1] or targets.shape != h.shape[:-1]):
+        raise ShapeError(f"tied_decoder_ce: incompatible shapes h {h.shape}, weight "
+                         f"{weight.shape}, bias {bias.shape}, targets {targets.shape}")
+    c, e = weight.shape
+    targets = targets.reshape(-1)
+    n = len(targets)
+    if targets.size and (targets.min() < 0 or targets.max() >= c):
+        raise IndexError(f"tied_decoder_ce: target out of range for {c} classes")
+    h2d = h.data.reshape(n, e)
+    track = _tracked(h, weight, bias)
+    dh = np.empty((n, e)) if track and h.requires_grad else None
+    dw = np.zeros((c, e)) if track and weight.requires_grad else None
+    db = np.zeros(c) if track and bias.requires_grad else None
+    picked = np.empty(n)  # log-probability of each target
+    for lo in range(0, n, DECODER_CHUNK):
+        hc, tc = h2d[lo : lo + DECODER_CHUNK], targets[lo : lo + DECODER_CHUNK]
+        rows = np.arange(len(tc))
+        z = hc @ weight.data.T
+        z += bias.data
+        z -= z.max(axis=1, keepdims=True)
+        zt = z[rows, tc]
+        s = np.exp(z, out=z).sum(axis=1, keepdims=True)
+        picked[lo : lo + len(tc)] = zt - np.log(s[:, 0])
+        if track:
+            dz = np.divide(z, s * n, out=z)  # (softmax - one-hot) / n
+            dz[rows, tc] -= 1.0 / n
+            if dh is not None:
+                np.matmul(dz, weight.data, out=dh[lo : lo + len(tc)])
+            if dw is not None:
+                dw += dz.T @ hc
+            if db is not None:
+                db += dz.sum(axis=0)
+    out_data = -picked.mean()
+
+    def bwd(g):
+        if dh is not None:
+            h.accumulate(g * dh.reshape(h.shape))
+        if dw is not None:
+            weight.accumulate(g * dw)
+        if db is not None:
+            bias.accumulate(g * db)
+
+    return _make(out_data, (h, weight, bias), bwd)
 
 
 def topo_order(root: Tensor) -> list[Tensor]:

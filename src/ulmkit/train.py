@@ -9,6 +9,7 @@ exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, replace
@@ -93,8 +94,9 @@ def discriminative_lrs(base_lr: float, n_groups: int, factor: float = LR_FACTOR)
 
 def _check_grad(p: Tensor) -> np.ndarray:
     g = p.grad if p.grad is not None else np.zeros_like(p.data)
-    if np.isnan(g).any():
-        raise FloatingPointError(f"NaN gradient in parameter {p.name or '<unnamed>'}")
+    if not np.isfinite(g).all():
+        kind = "NaN" if np.isnan(g).any() else "inf"
+        raise FloatingPointError(f"{kind} gradient in parameter {p.name or '<unnamed>'}")
     return g
 
 
@@ -102,28 +104,51 @@ def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: flo
     """One decoupled-weight-decay Adam update; ``momentum`` is beta1.
 
     ``state`` maps parameter name to (m, v, step) and is owned by the
-    caller; frozen parameters must not be passed in.
+    caller; frozen parameters must not be passed in. The moments are
+    updated in place and the step is formed in two scratch buffers shared
+    by all parameters, in the order of lr * m_hat / (sqrt(v_hat) + eps).
     """
+    params = list(params)
+    size = max((p.data.size for p in params), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for p in params:
         g = _check_grad(p)
-        m, v, t = state.get(p.name, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
+        entry = state.get(p.name)
+        m, v, t = entry if entry is not None else (np.zeros_like(p.data), np.zeros_like(p.data), 0)
         t += 1
-        m = momentum * m + (1.0 - momentum) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - momentum ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
+        a = scratch_a[: g.size].reshape(g.shape)
+        b = scratch_b[: g.size].reshape(g.shape)
+        m *= momentum
+        m += np.multiply(g, 1.0 - momentum, out=a)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - momentum ** t, out=a)  # m_hat
+        a *= lr
+        np.divide(v, 1.0 - BETA2 ** t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.data -= a
         state[p.name] = (m, v, t)
 
 
 def clip_gradients(params, max_norm: float) -> float:
+    """Scale every gradient so that their global norm is at most max_norm,
+    and return the norm before clipping. A norm that is not finite raises
+    FloatingPointError before any gradient or parameter changes, naming the
+    first parameter whose gradient holds NaN or inf."""
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        for p in params:
+            _check_grad(p)
+        raise FloatingPointError(f"gradient norm {norm} overflows; every gradient is finite")
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for p in params:
@@ -245,8 +270,7 @@ def lm_windows_per_epoch(data: np.ndarray, bptt: int) -> int:
 def lm_loss_terms(model: AwdLstmLM, x: np.ndarray, y: np.ndarray, state, cfg: PhaseConfig):
     """(training loss, cross-entropy, new state) for one window; in training
     the loss adds the AR/TAR activation penalties to the cross-entropy."""
-    logits, new_state, raw, dropped = model.forward(x, state)
-    ce = T.cross_entropy(logits, y)
+    ce, new_state, raw, dropped = model.forward(x, state, targets=y)
     # ce second: backward then walks its subgraph in the order it would
     # alone, so zero penalties leave every gradient bit-identical.
     loss = T.add(T.ar_tar(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce) if model.training else ce
@@ -256,19 +280,22 @@ def lm_loss_terms(model: AwdLstmLM, x: np.ndarray, y: np.ndarray, state, cfg: Ph
 def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: bool,
              optimizer_state: dict | None = None, cycle: OneCycleConfig | None = None,
              step_offset: int = 0) -> tuple[float, int]:
-    """One pass over the token ribbon; returns (mean token loss, steps run)."""
+    """One pass over the token ribbon; returns (mean token loss, steps run).
+    Without ``train`` it runs under ``no_grad``: the loss alone, no
+    gradient work."""
     model.train() if train else model.eval()
     state = model.init_state(data.shape[0])
     total_ce, total_tokens, steps = 0.0, 0, 0
     trainable = [p for _, p in model.named_parameters() if p.requires_grad]
-    for x, y in _lm_windows(data, cfg.bptt_len):
-        loss, ce, state = lm_loss_terms(model, x, y, state, cfg)
-        if train:
-            lr, mom = one_cycle(min(step_offset + steps, cycle.total_steps), cycle)
-            optimizer_step(loss, [trainable], [lr], mom, optimizer_state, cfg.weight_decay)
-        total_ce += ce.item() * y.size
-        total_tokens += y.size
-        steps += 1
+    with contextlib.nullcontext() if train else T.no_grad():
+        for x, y in _lm_windows(data, cfg.bptt_len):
+            loss, ce, state = lm_loss_terms(model, x, y, state, cfg)
+            if train:
+                lr, mom = one_cycle(min(step_offset + steps, cycle.total_steps), cycle)
+                optimizer_step(loss, [trainable], [lr], mom, optimizer_state, cfg.weight_decay)
+            total_ce += ce.item() * y.size
+            total_tokens += y.size
+            steps += 1
     return total_ce / total_tokens, steps
 
 
@@ -402,8 +429,9 @@ class EvalResult:
 def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
                        batch_size: int = 64) -> list[tuple[int, float, float]]:
     """(predicted label, loss, predicted probability) per example, in corpus
-    order, in eval mode. The loss is log-sum-exp of the logits minus the
-    target logit, so it stays exact however far apart the logits are.
+    order, in eval mode and under ``no_grad``. The loss is log-sum-exp of
+    the logits minus the target logit, so it stays exact however far apart
+    the logits are.
 
     Batches take the examples in stable order of length, so that each pads
     to little more than its own longest sequence."""
@@ -415,7 +443,8 @@ def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
     for lo, (ids, lengths, labels) in zip(range(0, len(order), batch_size),
                                           make_clf_batches(corpus, batch_size, MAX_LEN, order)):
         rows = order[lo : lo + batch_size]
-        logits = clf.forward(ids, lengths).data
+        with T.no_grad():
+            logits = clf.forward(ids, lengths).data
         z = logits - logits.max(axis=1, keepdims=True)
         total = np.exp(z).sum(axis=1)  # the predicted class's own term is exp(0) = 1
         pred[rows] = logits.argmax(axis=1)

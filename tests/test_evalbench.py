@@ -1,5 +1,7 @@
 """Degradation protocol, evaluation, and loss-ranking tests."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,3 +216,19 @@ def test_scoring_builds_no_cross_entropy_node(monkeypatch):
     evalbench.evaluate(clf, corpus)
     evalbench.top_losses(clf, corpus, k=3)
     assert calls == []
+
+
+def test_scoring_records_no_graph_node(monkeypatch):
+    corpus = labeled_corpus(n=10)
+    clf = train.TextClassifier(build_lm(20, "tiny", seed=0), seed=0)
+    tracked = []
+    real = T._make
+    monkeypatch.setattr(T, "_make", lambda data, parents, bwd: tracked.append(
+        T._tracked(*parents)) or real(data, parents, bwd))
+    stats = evalbench.per_example_losses(clf, corpus)
+    assert tracked and not any(tracked)
+    # the same numbers, bit for bit, as scoring with the graph recorded
+    monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+    tracked.clear()
+    assert evalbench.per_example_losses(clf, corpus) == stats
+    assert any(tracked)

@@ -64,13 +64,25 @@ def test_variational_dropout_preserves_expectation():
 
 
 def test_embedding_dropout_whole_rows():
-    emb = T.param(np.ones((1000, 6)), "emb")
-    out = embedding_dropout(emb, 0.2, Rng(0), training=True).data
-    row_zero = (out == 0).all(axis=1)
-    row_kept = (out == 1.25).all(axis=1)
-    assert ((row_zero | row_kept)).all()  # each row fully dropped or fully kept
-    assert abs(row_zero.mean() - 0.2) < 0.04
-    assert embedding_dropout(emb, 0.0, Rng(0), training=True) is emb
+    emb = T.param(np.random.default_rng(0).normal(size=(1000, 6)), "emb")
+    ids = np.random.default_rng(1).integers(0, 1000, size=(50, 40))
+    out = embedding_dropout(emb, ids, 0.2, Rng(0), training=True)
+    # the same (vocab, 1) mask as one drawn for the whole matrix
+    keep = Rng(0).keep_mask((1000, 1), 0.2)[:, 0] > 0
+    dropped, kept = ~keep[ids], keep[ids]
+    assert (out.data[dropped] == 0.0).all()  # dropped rows exactly zero
+    assert np.array_equal(out.data[kept], emb.data[ids][kept] * (1.0 / (1.0 - 0.2)))
+    assert abs(dropped.mean() - 0.2) < 0.04
+    # backward: each gathered row's gradient carries its scale
+    g = np.random.default_rng(2).normal(size=out.shape)
+    out._backward(g)
+    expect = np.zeros_like(emb.data)
+    np.add.at(expect, ids, g * (keep[ids] / (1.0 - 0.2))[..., None])
+    np.testing.assert_allclose(emb.grad, expect, rtol=1e-13, atol=1e-13)
+    assert (emb.grad[~keep] == 0.0).all()
+    for p, training in ((0.0, True), (0.2, False)):
+        plain = embedding_dropout(emb, ids, p, Rng(0), training=training)
+        assert np.array_equal(plain.data, emb.data[ids])
 
 
 def test_dropout_config_scaling():

@@ -1,5 +1,8 @@
 """Autodiff engine tests: finite-difference oracles and graph mechanics."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,7 +141,7 @@ def lstm_per_step(x, h0, c0, w_ih, w_hh, b):
         o = sigmoid(take(z, np.s_[:, 3 * hs : 4 * hs]))
         c = T.add(T.mul(f, c), T.mul(i, g))
         h = T.mul(o, tanh(c))
-        outs.append(T.reshape(h, (bsz, 1, hs)))
+        outs.append(take(h, np.s_[:, None, :]))
     return concat(outs, axis=1), h.data, c.data
 
 
@@ -279,6 +282,88 @@ def test_cross_entropy_errors():
         T.cross_entropy(T.Tensor(np.zeros((2, 3, 4))), np.array([0, 1]))
 
 
+def decoder_ce_reference(h, w, b, targets):
+    """Mean cross-entropy of a numpy log-softmax over h @ w.T + b."""
+    z = h.reshape(-1, w.shape[1]) @ w.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -logp[np.arange(len(z)), targets.reshape(-1)].mean()
+
+
+def decoder_ce_inputs(rows, feats, classes, seed):
+    """h, weight and bias parameters and targets that include class 0 and
+    the last class; h is (rows, feats) or (1, rows, feats)."""
+    rng = np.random.default_rng(seed)
+    lead = (rows,) if seed % 2 else (1, rows)
+    h = T.param(rng.normal(size=lead + (feats,)), "h")
+    w = T.param(rng.normal(size=(classes, feats)), "w")
+    b = T.param(rng.normal(size=classes), "b")
+    targets = rng.integers(0, classes, size=rows)
+    targets[0], targets[-1] = 0, classes - 1
+    return h, w, b, targets.reshape(lead)
+
+
+# rows below, equal to and above a chunk of 3, and k·chunk + 1
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 7])
+@given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_tied_decoder_ce_finite_differences(rows, feats, classes, seed):
+    h, w, b, targets = decoder_ce_inputs(rows, feats, classes, seed)
+    with mock.patch.object(T, "DECODER_CHUNK", 3):
+
+        def build():
+            for p in (h, w, b):
+                p.zero_grad()
+            return T.tied_decoder_ce(h, w, b, targets)
+
+        assert abs(build().item() - decoder_ce_reference(h.data, w.data, b.data, targets)) < 1e-12
+        check_grad(build, h, w, b)
+
+
+def test_tied_decoder_ce_matches_log_softmax_reference():
+    h, w, b, targets = decoder_ce_inputs(1000, 16, 300, 5)
+    loss = T.tied_decoder_ce(h, w, b, targets)
+    want = decoder_ce_reference(h.data, w.data, b.data, targets)
+    assert abs(loss.item() - want) <= 1e-12 * abs(want)
+    T.backward(loss)
+    # the logits gradient (softmax - one-hot) / n through the tied weights
+    z = h.data.reshape(-1, 16) @ w.data.T + b.data
+    dz = T.softmax(z)
+    dz[np.arange(1000), targets.reshape(-1)] -= 1.0
+    dz /= 1000
+    for got, want in ((h.grad.reshape(-1, 16), dz @ w.data), (w.grad, dz.T @ h.data.reshape(-1, 16)),
+                      (b.grad, dz.sum(axis=0))):
+        assert rel_err(got, want) < 1e-12
+
+
+def test_tied_decoder_ce_under_no_grad_is_a_leaf_with_no_gradient_work():
+    h, w, b, targets = decoder_ce_inputs(8, 64, 5000, 1)
+    tracked = T.tied_decoder_ce(h, w, b, targets)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            loss = T.tied_decoder_ce(h, w, b, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss.item() == tracked.item()
+    assert not loss.requires_grad and loss._parents == () and loss._backward is None
+    assert peak < w.data.nbytes  # no weight-sized gradient was formed
+    assert tracked.requires_grad and T._tracked(h)  # the switch is off again
+
+
+def test_tied_decoder_ce_errors():
+    h, w, b, targets = decoder_ce_inputs(4, 3, 5, 1)
+    with pytest.raises(IndexError):
+        T.tied_decoder_ce(h, w, b, np.array([0, 1, 2, 5]))
+    with pytest.raises(T.ShapeError):
+        T.tied_decoder_ce(h, w, b, np.array([0, 1]))
+    with pytest.raises(T.ShapeError):
+        T.tied_decoder_ce(h, T.param(np.zeros((5, 4))), b, targets)
+    with pytest.raises(T.ShapeError):
+        T.tied_decoder_ce(h, w, T.param(np.zeros(4)), targets)
+
+
 def test_embedding_lookup_grad_accumulates_repeats():
     w = T.param(np.random.default_rng(6).normal(size=(5, 3)), "emb")
     ids = np.array([[1, 1, 4], [0, 1, 4]])
@@ -293,12 +378,14 @@ def test_embedding_lookup_grad_accumulates_repeats():
 
 
 def test_structural_op_grads():
+    # the test-local slicing and concatenation the per-step LSTM oracle is
+    # built from
     x = T.param(np.random.default_rng(7).normal(size=(2, 3, 4)), "x")
 
     def build():
         x.zero_grad()
-        flat = T.reshape(x, (6, 4))
-        return total(T.mul(T.transpose(flat, (1, 0)), T.transpose(flat)))
+        parts = concat([take(x, np.s_[:, 2:, None, :]), take(x, np.s_[:, :2, None, :])], axis=1)
+        return total(T.mul(parts, take(x, np.s_[:, :, None, ::-1])))
 
     check_grad(build, x)
 

@@ -96,6 +96,78 @@ def test_nan_gradient_raises_named_error():
         train.adam_step([p], {}, lr=0.01, momentum=0.9, weight_decay=0.0)
 
 
+def adam_out_of_place(params, state, lr, momentum, weight_decay):
+    """Adam as a fresh array per term; adam_step must match it bit for bit."""
+    for p in params:
+        g = p.grad
+        m, v, t = state.get(p.name, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
+        t += 1
+        m = momentum * m + (1.0 - momentum) * g
+        v = train.BETA2 * v + (1.0 - train.BETA2) * g * g
+        m_hat = m / (1.0 - momentum ** t)
+        v_hat = v / (1.0 - train.BETA2 ** t)
+        if weight_decay:
+            p.data *= 1.0 - lr * weight_decay
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + train.ADAM_EPS)
+        state[p.name] = (m, v, t)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_adam_step_bit_identical_to_out_of_place_formula(weight_decay):
+    rng = np.random.default_rng(4)
+    ours = [T.param(rng.normal(size=s), f"p{i}") for i, s in enumerate([(7, 5), (3,), (4, 2, 3)])]
+    ref = [T.param(p.data.copy(), p.name) for p in ours]
+    ours_state, ref_state = {}, {}
+    for step in range(5):
+        for a, b in zip(ours, ref):
+            a.grad = rng.normal(size=a.shape) * 10.0 ** rng.integers(-4, 3)
+            b.grad = a.grad.copy()
+        lr, mom = 1e-2 * (step + 1), 0.8 - 0.02 * step
+        train.adam_step(ours, ours_state, lr, mom, weight_decay)
+        adam_out_of_place(ref, ref_state, lr, mom, weight_decay)
+        for a, b in zip(ours, ref):
+            assert np.array_equal(a.data, b.data)
+            (m, v, t), (m_ref, v_ref, t_ref) = ours_state[a.name], ref_state[b.name]
+            assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref) and t == t_ref
+
+
+@pytest.mark.parametrize("bad, kind", [(np.inf, "inf"), (-np.inf, "inf"), (np.nan, "NaN")])
+def test_non_finite_gradient_stops_before_any_parameter_moves(bad, kind):
+    params = [T.param(np.full(3, i + 1.0), f"p{i}") for i in range(3)]
+    grads = [np.ones(3), np.array([1.0, bad, 1.0]), np.ones(3)]
+
+    def bwd(g):
+        for p, gp in zip(params, grads):
+            p.accumulate(gp)
+
+    loss = T._make(np.array(0.0), tuple(params), bwd)
+    with pytest.raises(FloatingPointError, match=f"{kind} gradient in parameter p1"):
+        train.optimizer_step(loss, [params], [0.1], 0.9, {}, weight_decay=0.1)
+    for i, p in enumerate(params):
+        assert (p.data == i + 1.0).all()
+    assert np.array_equal(params[2].grad, np.ones(3))  # not clipped either
+
+
+def test_overflowing_gradient_norm_raises():
+    p = T.param(np.zeros(2), "p")
+    p.grad = np.array([1e200, 1.0])
+    with pytest.raises(FloatingPointError, match="overflows"), np.errstate(over="ignore"):
+        train.clip_gradients([p], max_norm=1.0)
+    assert p.grad[0] == 1e200
+
+
+def test_lm_validation_records_no_graph_node(monkeypatch):
+    tracked = []
+    real = T._make
+    monkeypatch.setattr(T, "_make", lambda data, parents, bwd: tracked.append(
+        T._tracked(*parents)) or real(data, parents, bwd))
+    model = build_lm(20, "tiny", seed=0)
+    data = np.random.default_rng(0).integers(0, 20, size=(2, 30))
+    loss, steps = train.lm_epoch(model, data, train.pretrain_defaults(bptt_len=10), train=False)
+    assert steps == 3 and math.isfinite(loss)
+    assert tracked and not any(tracked)
+
+
 def test_clip_gradients_global_norm():
     a = T.param(np.zeros(2), "a")
     b = T.param(np.zeros(2), "b")
@@ -145,22 +217,23 @@ def test_batchify_shape_and_order():
 
 
 def test_lm_loss_graph_size_independent_of_steps():
-    # one fused node per LSTM layer and one for AR/TAR, however many steps
-    # the window has
+    # one fused node per LSTM layer, one for AR/TAR and one for the tied
+    # decoder with its cross-entropy, however many steps the window has
     model = build_lm(20, "tiny", seed=0).train()
     cfg = train.pretrain_defaults(batch_size=2)
     for steps in (5, 40):
         x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
         loss, _, _ = train.lm_loss_terms(model, x[:, :-1], x[:, 1:], None, cfg)
-        assert len(T.topo_order(loss)) == 31, steps
+        assert len(T.topo_order(loss)) == 25, steps
 
 
 def test_classifier_loss_graph_size():
-    # one fused node for the concat pool
+    # one fused node for the concat pool, one lookup for the embedding and
+    # its dropout
     clf = train.TextClassifier(build_lm(20, "tiny", seed=0), seed=0).train()
     ids = np.random.default_rng(0).integers(0, 20, size=(3, 6))
     loss = T.cross_entropy(clf.forward(ids, np.array([6, 2, 4])), np.array([0, 1, 1]))
-    assert len(T.topo_order(loss)) == 34
+    assert len(T.topo_order(loss)) == 33
 
 
 def test_lm_windows_cover_ribbon():

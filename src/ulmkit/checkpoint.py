@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AwdLstmLM, DropoutConfig, TextClassifier
+from .model import HEAD_HIDDEN, N_CLASSES, AwdLstmLM, DropoutConfig, TextClassifier
 from .textpipe import Vocabulary
 
 MAGIC = b"ULMKCKPT"
@@ -43,12 +43,11 @@ class Checkpoint:
         d = self.dims
         dropouts = DropoutConfig(multiplier=d.get("dropout_multiplier", 1.0))
         lm = AwdLstmLM(d["vocab_size"], d["emb_dim"], d["hid_dim"], d["n_layers"],
-                       dropouts=dropouts, seed=d.get("seed", 0), preset=self.preset)
+                       dropouts=dropouts, preset=self.preset)
         if self.kind == "lm":
             lm.load_state_dict(self.params)
             return lm.eval()
-        clf = TextClassifier(lm, n_classes=d.get("n_classes", 2),
-                             head_hidden=d.get("head_hidden", 50), seed=d.get("seed", 0))
+        clf = TextClassifier(lm)
         clf.load_state_dict(self.params)
         return clf.eval()
 
@@ -57,8 +56,7 @@ def _model_dims(model) -> tuple[str, dict, dict[str, np.ndarray]]:
     if isinstance(model, TextClassifier):
         enc = model.encoder
         dims = dict(vocab_size=enc.vocab_size, emb_dim=enc.emb_dim, hid_dim=enc.hid_dim,
-                    n_layers=enc.n_layers, n_classes=model.n_classes,
-                    head_hidden=model.head_hidden,
+                    n_layers=enc.n_layers, n_classes=N_CLASSES, head_hidden=HEAD_HIDDEN,
                     dropout_multiplier=enc.dropouts.multiplier)
         return "classifier", dims, model.state_dict()
     if isinstance(model, AwdLstmLM):

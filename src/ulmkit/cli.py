@@ -15,10 +15,7 @@ import sys
 from dataclasses import replace
 from typing import NamedTuple
 
-import numpy as np
-
 from . import evalbench, train
-from . import tensor as T
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .model import PRESETS
 from .textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_corpus_lines,
@@ -143,6 +140,16 @@ def _phase_overrides(res: Resolver, defaults) -> dict:
     return {key: res.get(key, getattr(defaults, key)) for key in PHASE_KEYS if key in res.keys}
 
 
+def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
+                   provenance: list[str], metrics) -> int:
+    """Write a training subcommand's checkpoint and its metrics log."""
+    out = res.get("out") or default_out
+    save_checkpoint(out, model, vocab, config=res.snapshot, provenance=provenance)
+    train.write_metrics_log(out + ".log", metrics, res.snapshot)
+    print(f"wrote {out} and {out}.log")
+    return 0
+
+
 def cmd_pretrain(args) -> int:
     res = Resolver(args)
     corpus_path = _require_file(res.get("corpus"), "corpus")
@@ -159,11 +166,7 @@ def cmd_pretrain(args) -> int:
         NumericalizedCorpus(train_streams),
         NumericalizedCorpus(valid_streams) if valid_streams else None,
         len(vocab), cfg)
-    out = res.get("out") or "lm.ckpt"
-    save_checkpoint(out, model, vocab, config=res.snapshot, provenance=["pretrain"])
-    train.write_metrics_log(out + ".log", metrics, res.snapshot)
-    print(f"wrote {out} and {out}.log")
-    return 0
+    return _write_outputs(res, "lm.ckpt", model, vocab, ["pretrain"], metrics)
 
 
 def _load_lm(path: str, want_preset: str | None):
@@ -192,8 +195,7 @@ def _labeled_corpus(path: str, vocab: Vocabulary):
 def cmd_finetune_lm(args) -> int:
     res = Resolver(args)
     ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
-    cfg = replace(train.lm_finetune_defaults(), preset=ckpt.preset,
-                  stage1_lr=res.get("stage1_lr", 4e-2),
+    cfg = replace(train.lm_finetune_defaults(), stage1_lr=res.get("stage1_lr", 4e-2),
                   **_phase_overrides(res, train.lm_finetune_defaults()))
     data_path = _require_file(res.get("data"), "dataset")
     if data_path.endswith(".csv"):
@@ -206,18 +208,14 @@ def cmd_finetune_lm(args) -> int:
         ckpt.build_model(), ckpt.vocab, target_vocab,
         NumericalizedCorpus(train_s),
         NumericalizedCorpus(valid_s) if valid_s else None, cfg)
-    out = res.get("out") or "lm-finetuned.ckpt"
-    save_checkpoint(out, model, target_vocab, config=res.snapshot,
-                    provenance=ckpt.provenance + ["finetune-lm"])
-    train.write_metrics_log(out + ".log", metrics, res.snapshot)
-    print(f"wrote {out} and {out}.log")
-    return 0
+    return _write_outputs(res, "lm-finetuned.ckpt", model, target_vocab,
+                          ckpt.provenance + ["finetune-lm"], metrics)
 
 
 def cmd_finetune_clf(args) -> int:
     res = Resolver(args)
     ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
-    cfg = replace(train.clf_finetune_defaults(), preset=ckpt.preset,
+    cfg = replace(train.clf_finetune_defaults(),
                   **_phase_overrides(res, train.clf_finetune_defaults()))
     corpus, _ = _labeled_corpus(res.get("data"), ckpt.vocab)
     valid = None
@@ -225,12 +223,8 @@ def cmd_finetune_clf(args) -> int:
     if valid_path:
         valid, _ = _labeled_corpus(valid_path, ckpt.vocab)
     clf, metrics = train.finetune_classifier(ckpt.build_model(), corpus, valid, cfg)
-    out = res.get("out") or "clf.ckpt"
-    save_checkpoint(out, clf, ckpt.vocab, config=res.snapshot,
-                    provenance=ckpt.provenance + ["finetune-clf"])
-    train.write_metrics_log(out + ".log", metrics, res.snapshot)
-    print(f"wrote {out} and {out}.log")
-    return 0
+    return _write_outputs(res, "clf.ckpt", clf, ckpt.vocab,
+                          ckpt.provenance + ["finetune-clf"], metrics)
 
 
 def cmd_eval(args) -> int:
@@ -248,12 +242,9 @@ def cmd_predict(args) -> int:
     text = res.get("text")
     if text is None:
         raise UsageError("missing --text")
-    ids = np.array([numericalize(preprocess(text), vocab)])
-    with T.no_grad():
-        logits = clf.eval().forward(ids, np.array([ids.shape[1]]))
-    probs = T.softmax(logits.data[0])
-    label = int(probs.argmax())
-    print(f"label={label} probability={probs[label]:.4f}")
+    corpus = NumericalizedCorpus(_numericalize_texts([text], vocab))
+    [(label, _, probability)] = train.per_example_losses(clf, corpus)
+    print(f"label={label} probability={probability:.4f}")
     return 0
 
 
@@ -274,12 +265,12 @@ def cmd_degrade(args) -> int:
     target_vocab, train_streams = _vocab_and_streams(res, [t for t, _ in train_records])
     test_streams = _numericalize_texts([t for t, _ in test_records], target_vocab)
 
-    lm_cfg = replace(train.lm_finetune_defaults(), preset=ckpt.preset, seed=seed,
+    lm_cfg = replace(train.lm_finetune_defaults(), seed=seed,
                      epochs=res.get("lm_epochs", 2),
                      lr=res.get("lm_lr", 4e-3),
                      stage1_lr=res.get("stage1_lr", 4e-2),
                      batch_size=res.get("batch_size", 16))
-    clf_cfg = replace(train.clf_finetune_defaults(), preset=ckpt.preset, seed=seed,
+    clf_cfg = replace(train.clf_finetune_defaults(), seed=seed,
                       epochs=res.get("clf_epochs", 2),
                       batch_size=res.get("batch_size", 16))
     report = evalbench.run_degradation_suite(

@@ -67,11 +67,11 @@ class DegradationReport:
 
 
 class DegradationSuiteError(RuntimeError):
-    """A training run inside the suite failed; carries the partial report."""
+    """A training run inside the suite failed; the message ends with the
+    partial report as CSV."""
 
     def __init__(self, message: str, partial: DegradationReport):
         super().__init__(f"{message}\npartial report:\n{partial.to_csv()}")
-        self.partial_report = partial
 
 
 def degradation_pct(metric_full: float, metric_reduced: float) -> float:

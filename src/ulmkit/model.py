@@ -21,7 +21,9 @@ PRESETS = {
     "full": dict(emb_dim=400, hid_dim=1152, n_layers=3),
     "tiny": dict(emb_dim=64, hid_dim=128, n_layers=3),
 }
+# The classifier head's hidden width, and its classes: labels are 0 or 1.
 HEAD_HIDDEN = 50
+N_CLASSES = 2
 
 # Base dropout probability of each site, before DropoutConfig.multiplier.
 DROPOUT_RATES = {"p_emb": 0.02, "p_input": 0.25, "p_hidden": 0.15, "p_weight": 0.2,
@@ -65,9 +67,7 @@ class LstmLayer:
     """One LSTM layer; gates packed [input, forget, cell, output]."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: Rng, name: str):
-        self.input_size = input_size
         self.hidden_size = hidden_size
-        self.name = name
         bound = 1.0 / math.sqrt(hidden_size)
         self.W_ih = T.param(rng.uniform((input_size, 4 * hidden_size), -bound, bound), f"{name}.W_ih")
         self.W_hh = T.param(rng.uniform((hidden_size, 4 * hidden_size), -bound, bound), f"{name}.W_hh")
@@ -107,9 +107,20 @@ def apply_weight_drop(layer: LstmLayer, p: float, rng: Rng, training: bool = Tru
 
 
 class Module:
-    """What the language model and the classifier share: state dicts over
-    ``named_parameters()`` and freezing by ``layer_groups()``, both of which
-    each subclass defines (groups ordered bottom to top)."""
+    """What the language model and the classifier share: the training flag,
+    state dicts over ``named_parameters()`` and freezing by
+    ``layer_groups()``, both of which each subclass defines (groups ordered
+    bottom to top)."""
+
+    training = True
+
+    def train(self):
+        self.training = True
+        return self
+
+    def eval(self):
+        self.training = False
+        return self
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -155,9 +166,8 @@ class AwdLstmLM(Module):
         self.n_layers = n_layers
         self.dropouts = dropouts or DropoutConfig()
         self.preset = preset
-        self.training = True
-        self.rng = Rng(seed)
-        init = self.rng.child("init")
+        rng = Rng(seed)
+        init = rng.child("init")
         self.embedding = T.param(init.uniform((vocab_size, emb_dim), -0.1, 0.1), "embedding")
         self.layers = []
         for i in range(n_layers):
@@ -165,17 +175,7 @@ class AwdLstmLM(Module):
             out_size = emb_dim if i == n_layers - 1 else hid_dim
             self.layers.append(LstmLayer(in_size, out_size, init, f"lstm{i}"))
         self.decoder_bias = T.param(np.zeros(vocab_size), "decoder_bias")
-        self._drop_rng = self.rng.child("dropout")
-
-    # -- modes ------------------------------------------------------------
-
-    def train(self):
-        self.training = True
-        return self
-
-    def eval(self):
-        self.training = False
-        return self
+        self.drop_rng = rng.child("dropout")
 
     # -- parameters -------------------------------------------------------
 
@@ -204,14 +204,11 @@ class AwdLstmLM(Module):
     def encode(self, ids: np.ndarray, state=None):
         """Run embedding + LSTM stack; returns (raw final outputs, dropped
         final outputs, detached new state)."""
-        ids = np.asarray(ids)
-        if ids.size and ids.max() >= self.vocab_size:
-            raise IndexError(f"token id {ids.max()} out of range for vocab {self.vocab_size}")
-        b, _ = ids.shape
+        b, _ = np.shape(ids)
         if state is None:
             state = self.init_state(b)
         d = self.dropouts
-        rng = self._drop_rng
+        rng = self.drop_rng
         x = embedding_dropout(self.embedding, ids, d.scaled("p_emb"), rng, self.training)
         x = variational_dropout(x, d.scaled("p_input"), rng, self.training)
         new_state = []
@@ -249,29 +246,15 @@ class TextClassifier(Module):
     LSTM layer, then the head. ``freeze_to(i)`` freezes all groups below i.
     """
 
-    def __init__(self, encoder: AwdLstmLM, n_classes: int = 2, head_hidden: int = HEAD_HIDDEN,
-                 seed: int = 0):
+    def __init__(self, encoder: AwdLstmLM, seed: int = 0):
         self.encoder = encoder
-        self.n_classes = n_classes
-        self.head_hidden = head_hidden
-        self.training = True
         rng = Rng(seed).child("head-init")
         in_w = 3 * encoder.emb_dim
-        self.W1 = T.param(rng.uniform((in_w, head_hidden), -1 / math.sqrt(in_w), 1 / math.sqrt(in_w)), "head.W1")
-        self.b1 = T.param(np.zeros(head_hidden), "head.b1")
-        self.W2 = T.param(rng.uniform((head_hidden, n_classes), -1 / math.sqrt(head_hidden), 1 / math.sqrt(head_hidden)), "head.W2")
-        self.b2 = T.param(np.zeros(n_classes), "head.b2")
+        self.W1 = T.param(rng.uniform((in_w, HEAD_HIDDEN), -1 / math.sqrt(in_w), 1 / math.sqrt(in_w)), "head.W1")
+        self.b1 = T.param(np.zeros(HEAD_HIDDEN), "head.b1")
+        self.W2 = T.param(rng.uniform((HEAD_HIDDEN, N_CLASSES), -1 / math.sqrt(HEAD_HIDDEN), 1 / math.sqrt(HEAD_HIDDEN)), "head.W2")
+        self.b2 = T.param(np.zeros(N_CLASSES), "head.b2")
         self._drop_rng = Rng(seed).child("head-dropout")
-
-    def train(self):
-        self.training = True
-        self.encoder.train()
-        return self
-
-    def eval(self):
-        self.training = False
-        self.encoder.eval()
-        return self
 
     def head_parameters(self) -> list[Tensor]:
         return [self.W1, self.b1, self.W2, self.b2]
@@ -290,11 +273,8 @@ class TextClassifier(Module):
 
     def forward(self, ids: np.ndarray, lengths) -> Tensor:
         ids = np.asarray(ids)
-        lengths = np.asarray(lengths)
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
             raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
-        if (lengths < 1).any():
-            raise ValueError("classifier: zero-length sequence")
         self.encoder.training = self.training
         raw, dropped, _ = self.encoder.encode(ids)
         pooled = T.concat_pool(dropped, lengths)

@@ -215,13 +215,6 @@ def relu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Probabilities from finished logits: a plain array, no graph node."""
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def embedding_lookup(weight: Tensor, ids: np.ndarray, row_scale: np.ndarray | None = None) -> Tensor:
     """The rows of weight that ids name. A (vocab, 1) ``row_scale``
     multiplies each gathered row by its own entry (embedding dropout); only
@@ -303,18 +296,15 @@ def ar_tar(raw: Tensor, dropped: Tensor, alpha: float, beta: float) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of targets under softmax(logits), for
-    (..., classes) logits and targets of their leading shape."""
+    """Mean negative log-likelihood of (n,) targets under softmax(logits),
+    for (n, classes) logits."""
     targets = np.asarray(targets)
-    if logits.data.ndim < 2 or targets.shape != logits.shape[:-1]:
+    if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
         raise ShapeError(f"cross_entropy: targets of shape {targets.shape} for logits {logits.shape}")
-    c = logits.shape[-1]
-    targets = targets.reshape(-1)
-    n = len(targets)
+    n, c = logits.shape
     if targets.size and (targets.min() < 0 or targets.max() >= c):
         raise IndexError(f"cross_entropy: target out of range for {c} classes")
-    flat = logits.data.reshape(n, c)
-    z = flat - flat.max(axis=1, keepdims=True)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     out_data = -logp[np.arange(n), targets].mean()
@@ -323,7 +313,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         if logits.requires_grad:
             p = np.exp(logp)
             p[np.arange(n), targets] -= 1.0
-            logits.accumulate((g * p / n).reshape(logits.shape))
+            logits.accumulate(g * p / n)
 
     return _make(out_data, (logits,), bwd)
 
@@ -435,8 +425,6 @@ class Rng:
 
     def keep_mask(self, shape, p_drop: float) -> np.ndarray:
         """Bernoulli keep mask scaled by 1/(1-p_drop); expectation-preserving."""
-        if p_drop <= 0.0:
-            return np.ones(shape, dtype=_DEFAULT_DTYPE)
         keep = self._gen.random(size=shape) >= p_drop
         return keep.astype(_DEFAULT_DTYPE) / (1.0 - p_drop)
 

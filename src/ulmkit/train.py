@@ -323,8 +323,7 @@ def _run_lm_stage(model: AwdLstmLM, train_data, valid_data, cfg: PhaseConfig, *,
 
 
 def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCorpus | None,
-                vocab_size: int, cfg: PhaseConfig,
-                model: AwdLstmLM | None = None) -> tuple[AwdLstmLM, list[EpochMetrics]]:
+                vocab_size: int, cfg: PhaseConfig) -> tuple[AwdLstmLM, list[EpochMetrics]]:
     """Train a language model from scratch with truncated BPTT under 1cycle.
 
     Returns the model restored to its best-validation-loss epoch (or the
@@ -332,11 +331,8 @@ def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCo
     """
     if not train_corpus.streams:
         raise ValueError("pretrain_lm: empty corpus")
-    if model is None:
-        model = build_lm(vocab_size, preset=cfg.preset,
-                         dropout_multiplier=cfg.dropout_multiplier, seed=cfg.seed)
-    else:
-        model.dropouts = model.dropouts.with_multiplier(cfg.dropout_multiplier)
+    model = build_lm(vocab_size, preset=cfg.preset,
+                     dropout_multiplier=cfg.dropout_multiplier, seed=cfg.seed)
     train_data = batchify(train_corpus.streams, cfg.batch_size)
     valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
     metrics: list[EpochMetrics] = []
@@ -348,8 +344,10 @@ def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCo
     return model, metrics
 
 
-def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabulary) -> AwdLstmLM:
-    """Re-home a pretrained LM onto a new vocabulary.
+def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabulary,
+              seed: int) -> AwdLstmLM:
+    """Re-home a pretrained LM onto a new vocabulary, with its dropout
+    streams drawn from ``seed``.
 
     Tokens present in both vocabularies keep their embedding rows and
     decoder bias entries; unseen tokens start at the mean pretrained
@@ -357,7 +355,7 @@ def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabular
     """
     new = AwdLstmLM(len(new_vocab), pretrained.emb_dim, pretrained.hid_dim,
                     pretrained.n_layers, dropouts=pretrained.dropouts,
-                    seed=pretrained.rng.seed, preset=pretrained.preset)
+                    seed=seed, preset=pretrained.preset)
     old_emb = pretrained.embedding.data
     old_bias = pretrained.decoder_bias.data
     mean_row = old_emb.mean(axis=0)
@@ -382,7 +380,7 @@ def finetune_lm(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabul
     """Two-stage LM fine-tune on the target corpus: first the
     embedding/decoder group alone for one epoch at a high rate, then every
     group at a lower rate."""
-    model = map_vocab(pretrained, old_vocab, new_vocab)
+    model = map_vocab(pretrained, old_vocab, new_vocab, cfg.seed)
     model.dropouts = model.dropouts.with_multiplier(cfg.dropout_multiplier)
     train_data = batchify(train_corpus.streams, cfg.batch_size)
     valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
@@ -429,9 +427,10 @@ class EvalResult:
 def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
                        batch_size: int = 64) -> list[tuple[int, float, float]]:
     """(predicted label, loss, predicted probability) per example, in corpus
-    order, in eval mode and under ``no_grad``. The loss is log-sum-exp of
-    the logits minus the target logit, so it stays exact however far apart
-    the logits are.
+    order, in eval mode and under ``no_grad``, each input cut to its first
+    MAX_LEN tokens. The loss is log-sum-exp of the logits minus the target
+    logit, so it stays exact however far apart the logits are; an unlabeled
+    corpus has NaN losses.
 
     Batches take the examples in stable order of length, so that each pads
     to little more than its own longest sequence."""
@@ -448,7 +447,7 @@ def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
         z = logits - logits.max(axis=1, keepdims=True)
         total = np.exp(z).sum(axis=1)  # the predicted class's own term is exp(0) = 1
         pred[rows] = logits.argmax(axis=1)
-        loss[rows] = np.log(total) - z[np.arange(len(rows)), labels]
+        loss[rows] = np.nan if labels is None else np.log(total) - z[np.arange(len(rows)), labels]
         prob[rows] = 1.0 / total
     return list(zip(pred.tolist(), loss.tolist(), prob.tolist()))
 
@@ -468,7 +467,6 @@ def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus,
 
 def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
                         valid_corpus: NumericalizedCorpus | None, cfg: PhaseConfig,
-                        clf: TextClassifier | None = None,
                         ) -> tuple[TextClassifier, list[EpochMetrics]]:
     """Gradual-unfreezing classifier fine-tune with discriminative rates.
 
@@ -476,13 +474,14 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     per stage, all groups in the last stage (which runs cfg.epochs epochs,
     the others one each). The stage base rate halves each stage and is
     spread across unfrozen groups by the geometric ladder; 1cycle runs
-    within each stage.
+    within each stage. Dropout masks, the encoder's included, are drawn
+    from cfg.seed.
     """
     if train_corpus.labels is None or len(set(train_corpus.labels)) < 2:
         raise ValueError("classifier training needs both labels present in the corpus")
-    if clf is None:
-        clf = TextClassifier(encoder, seed=cfg.seed)
+    clf = TextClassifier(encoder, seed=cfg.seed)
     encoder.dropouts = encoder.dropouts.with_multiplier(cfg.dropout_multiplier)
+    encoder.drop_rng = Rng(cfg.seed).child("dropout")  # as build_lm(seed=cfg.seed) starts it
     shuffle_rng = Rng(cfg.seed).child("clf-shuffle")
     n_groups = len(clf.layer_groups())
     metrics: list[EpochMetrics] = []

@@ -254,6 +254,25 @@ def test_cli_top_losses(cli_artifacts, capsys):
     assert all(line.startswith("loss=") for line in lines)
 
 
+def test_cli_predict_scores_a_long_text_like_top_losses(tmp_path, capsys):
+    vocab = small_vocab()
+    clf = TextClassifier(build_lm(len(vocab.id_to_token), "tiny", seed=1), seed=1)
+    clf.encoder.embedding.data *= 10.0  # wider weights: outputs depend on the input
+    clf.W2.data *= 20.0
+    path = tmp_path / "clf.ckpt"
+    ck.save_checkpoint(path, clf, vocab)
+    # 601 tokens with xxbos; the last 200, past train.MAX_LEN, differ from the rest
+    text = " ".join(["aso", "pusa"] * 200 + ["ibon", "isda"] * 100)
+    data = tmp_path / "long.csv"
+    with open(data, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([["text", "label"], [text, 0], ["daga", 1]])
+    assert main(["top-losses", "--checkpoint", str(path), "--data", str(data), "-k", "2"]) == 0
+    ranked = [line for line in capsys.readouterr().out.splitlines() if "aso" in line]
+    assert main(["predict", "--checkpoint", str(path), "--text", text]) == 0
+    label, probability = capsys.readouterr().out.split()
+    assert f"predicted={label.split('=')[1]} p={probability.split('=')[1]}" in ranked[0]
+
+
 def test_cli_degrade_report(cli_artifacts, tmp_path, capsys):
     _, _, labeled, lm_ckpt, _ = cli_artifacts
     out = tmp_path / "report.csv"

@@ -156,9 +156,11 @@ def test_degradation_suite_failure_carries_partial_report():
         evalbench.run_degradation_suite(lm, vocab, vocab, corpus, test,
                                         lm_cfg, clf_cfg, fractions=(1.0, 0.02),
                                         repeats=1, base_seed=0)
-    partial = exc.value.partial_report
-    assert len(partial.rows) == 1
-    assert "fraction=0.02" in str(exc.value)
+    message = str(exc.value)
+    assert "fraction=0.02" in message
+    partial = message.split("partial report:\n", 1)[1].splitlines()
+    assert partial[0] == evalbench.DegradationReport.CSV_HEADER
+    assert [row.split(",")[0] for row in partial[1:]] == ["1.0"]
 
 
 def test_top_losses_brute_force_ranking():

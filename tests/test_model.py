@@ -127,7 +127,7 @@ def test_lm_forward_shapes_and_state_carry():
 
 def test_lm_layer_sizes_taper_to_embedding():
     lm = tiny_lm(emb=8, hid=12, layers=3)
-    assert [(l.input_size, l.hidden_size) for l in lm.layers] == [(8, 12), (12, 12), (12, 8)]
+    assert [(l.W_ih.shape[0], l.hidden_size) for l in lm.layers] == [(8, 12), (12, 12), (12, 8)]
 
 
 def test_lm_rejects_out_of_range_ids():

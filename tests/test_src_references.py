@@ -8,6 +8,9 @@ X to M, or by importing the name from M, so ``np.mean`` cannot keep a
 ``tensor.mean`` alive. Methods and nested definitions are matched by name
 alone, since the type behind ``obj.name`` is not resolved: a dead method that
 shares its name with a live one can slip through.
+
+Likewise every attribute assigned on ``self`` in ``src/`` must be read there
+as ``obj.name``, again matched by name alone.
 """
 
 import ast
@@ -70,6 +73,21 @@ def _unreferenced(src=SRC):
     return defs, unreferenced
 
 
+def _unread_attributes(src=SRC):
+    """``module:line self.name`` per attribute assigned on ``self`` whose name
+    no attribute read in src/ uses."""
+    stores, reads = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stores.append(f"{path.stem}:{node.lineno} self.{node.attr}")
+    return [s for s in stores if s.rsplit(".", 1)[1] not in reads]
+
+
 def test_every_definition_is_referenced_in_src():
     defs, unreferenced = _unreferenced()
     assert len(defs) > 100, "scan found too few definitions; is SRC right?"
@@ -86,3 +104,16 @@ def test_scan_resolves_module_level_names(tmp_path):
         "z = T.add(Tensor(), lstm).item()  # a bare lstm here is model's own name\n")
     _, unreferenced = _unreferenced(tmp_path)
     assert unreferenced == ["tensor.mean", "tensor.lstm"]
+
+
+def test_every_attribute_set_on_self_is_read_in_src():
+    unread = _unread_attributes()
+    assert not unread, f"assigned on self in src/ but read only outside it: {unread}"
+
+
+def test_scan_finds_unread_attributes(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "class Layer:\n    def __init__(self, n):\n        self.n = n\n"
+        "        self.size = 2 * n\n        self.size += 1\n")
+    (tmp_path / "train.py").write_text("def width(layer):\n    return layer.size\n")
+    assert _unread_attributes(tmp_path) == ["model:3 self.n"]

@@ -239,22 +239,6 @@ def test_lstm_shape_errors():
         T.lstm(T.Tensor(np.zeros((2, 0, 4))), h0, c0, w_ih, w_hh, b)
 
 
-def test_softmax_rows_sum_to_one():
-    x = np.random.default_rng(4).normal(size=(7, 9)) * 30
-    s = T.softmax(x, axis=1)
-    assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
-    assert (s >= 0).all()
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_softmax_shift_invariance(seed):
-    x = np.random.default_rng(seed).normal(size=(2, 5))
-    a = T.softmax(x)
-    b = T.softmax(x + 123.0)
-    assert np.allclose(a, b, atol=1e-12)
-
-
 def test_cross_entropy_matches_manual():
     rng = np.random.default_rng(5)
     logits = T.param(rng.normal(size=(4, 3)), "logits")
@@ -280,6 +264,12 @@ def test_cross_entropy_errors():
         T.cross_entropy(logits, np.array([0]))
     with pytest.raises(T.ShapeError):
         T.cross_entropy(T.Tensor(np.zeros((2, 3, 4))), np.array([0, 1]))
+
+
+def softmax(z):
+    """Row-wise softmax of a (n, classes) array."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def decoder_ce_reference(h, w, b, targets):
@@ -328,7 +318,7 @@ def test_tied_decoder_ce_matches_log_softmax_reference():
     T.backward(loss)
     # the logits gradient (softmax - one-hot) / n through the tied weights
     z = h.data.reshape(-1, 16) @ w.data.T + b.data
-    dz = T.softmax(z)
+    dz = softmax(z)
     dz[np.arange(1000), targets.reshape(-1)] -= 1.0
     dz /= 1000
     for got, want in ((h.grad.reshape(-1, 16), dz @ w.data), (w.grad, dz.T @ h.data.reshape(-1, 16)),

@@ -309,7 +309,7 @@ def make_vocabs():
 def test_map_vocab_row_transfer():
     old, new = make_vocabs()
     lm = build_lm(len(old.id_to_token), "tiny", seed=0)
-    mapped = train.map_vocab(lm, old, new)
+    mapped = train.map_vocab(lm, old, new, seed=0)
     old_emb = lm.embedding.data
     # shared token keeps its row and bias
     oi, ni = old.token_to_id["pusa"], new.token_to_id["pusa"]
@@ -320,6 +320,23 @@ def test_map_vocab_row_transfer():
     assert np.allclose(mapped.embedding.data[di], old_emb.mean(axis=0), atol=1e-12)
     # recurrent weights carry over untouched
     assert np.array_equal(mapped.layers[0].W_hh.data, lm.layers[0].W_hh.data)
+
+
+def test_finetune_lm_dropout_follows_the_phase_seed():
+    old, _ = make_vocabs()
+    corpus = NumericalizedCorpus([[2] + [6, 7, 8, 9] * 6 for _ in range(6)])
+    weights = build_lm(len(old.id_to_token), "tiny", seed=0).state_dict()
+
+    def tuned(pretrained_seed, seed):
+        pretrained = build_lm(len(old.id_to_token), "tiny", seed=pretrained_seed)
+        pretrained.load_state_dict(weights)
+        cfg = train.lm_finetune_defaults(epochs=1, batch_size=2, bptt_len=10,
+                                         dropout_multiplier=1.0, seed=seed)
+        return train.finetune_lm(pretrained, old, old, corpus, None, cfg)[0].state_dict()
+
+    a, b, c = tuned(0, 1), tuned(5, 1), tuned(0, 2)
+    assert all(np.array_equal(a[name], b[name]) for name in a)
+    assert not all(np.array_equal(a[name], c[name]) for name in a)
 
 
 def test_finetune_lm_improves_target_perplexity():
@@ -387,6 +404,19 @@ def test_finetune_classifier_head_stage_freezes_encoder():
         assert np.array_equal(arr, before[name]), f"frozen {name} drifted"
 
 
+def test_finetune_classifier_dropout_follows_the_phase_seed():
+    corpus = labeled_toy()
+    cfg = train.clf_finetune_defaults(epochs=1, batch_size=4, dropout_multiplier=1.0, seed=3)
+    fresh = build_lm(20, "tiny", seed=3)
+    used = build_lm(20, "tiny", seed=3)
+    used.forward(np.array([[2, 7, 8]]))  # draws dropout masks from its stream
+    a, _ = train.finetune_classifier(fresh, corpus, None, cfg)
+    b, _ = train.finetune_classifier(used, corpus, None, cfg)
+    b_state = b.state_dict()
+    for name, arr in a.state_dict().items():
+        assert np.array_equal(arr, b_state[name]), name
+
+
 def test_finetune_classifier_requires_both_labels():
     lm = build_lm(20, "tiny", seed=0)
     corpus = NumericalizedCorpus([[2, 7], [2, 8]], [1, 1])
@@ -430,4 +460,14 @@ def test_per_example_losses_in_corpus_order():
         logits = clf.forward(np.array([s]), np.array([len(s)])).data[0]
         assert pred == logits.argmax()
         assert abs(loss - (np.logaddexp.reduce(logits) - logits[label])) < 1e-12
-        assert abs(prob - T.softmax(logits).max()) < 1e-12
+        assert abs(prob - np.exp(logits - np.logaddexp.reduce(logits)).max()) < 1e-12
+
+
+def test_per_example_losses_on_unlabeled_corpus():
+    corpus = labeled_toy()
+    clf = train.TextClassifier(build_lm(20, "tiny", seed=1), seed=1)
+    labeled = train.per_example_losses(clf, corpus, batch_size=4)
+    unlabeled = train.per_example_losses(clf, NumericalizedCorpus(corpus.streams), batch_size=4)
+    assert [(pred, prob) for pred, _, prob in unlabeled] == \
+        [(pred, prob) for pred, _, prob in labeled]
+    assert all(math.isnan(loss) for _, loss, _ in unlabeled)

@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import evalbench, train
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, atomic_open, load_checkpoint, save_checkpoint
 from .model import PRESETS
 from .textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_corpus_lines,
                        load_labeled_csv, numericalize, preprocess, split_corpus)
@@ -279,7 +279,7 @@ def cmd_degrade(args) -> int:
         NumericalizedCorpus(test_streams, [l for _, l in test_records]),
         lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
     out = res.get("out") or "degradation.csv"
-    with open(out, "w", encoding="utf-8") as f:
+    with atomic_open(out, encoding="utf-8") as f:
         f.write(train.config_header(res.snapshot))
         f.write(f"# test_checksum={report.test_checksum}\n")
         f.write(report.to_csv())

@@ -10,7 +10,6 @@ itself (tying), so a single storage receives both gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,23 +24,10 @@ PRESETS = {
 HEAD_HIDDEN = 50
 N_CLASSES = 2
 
-# Base dropout probability of each site, before DropoutConfig.multiplier.
+# Base dropout probability of each site; a training phase scales them all by
+# its one dropout multiplier.
 DROPOUT_RATES = {"p_emb": 0.02, "p_input": 0.25, "p_hidden": 0.15, "p_weight": 0.2,
                  "p_output": 0.1, "p_head": 0.1}
-
-
-@dataclass
-class DropoutConfig:
-    """``multiplier`` scales every site's base rate in ``DROPOUT_RATES``."""
-
-    multiplier: float = 1.0
-
-    def scaled(self, site: str) -> float:
-        p = DROPOUT_RATES[site] * self.multiplier
-        return min(max(p, 0.0), 1.0)
-
-    def with_multiplier(self, m: float) -> "DropoutConfig":
-        return replace(self, multiplier=m)
 
 
 def variational_dropout(x: Tensor, p: float, rng: Rng, training: bool = True) -> Tensor:
@@ -93,15 +79,10 @@ class LstmLayer:
 def apply_weight_drop(layer: LstmLayer, p: float, rng: Rng, training: bool = True) -> Tensor:
     """DropConnect on the hidden->hidden matrix, one mask per batch.
 
-    Survivors are scaled by 1/(1-p); eval mode is the identity. p=1 while
-    training would sever the recurrence entirely and is rejected.
+    Survivors are scaled by 1/(1-p); eval mode is the identity.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"weight-drop probability must be in [0, 1], got {p}")
     if not training or p == 0.0:
         return layer.W_hh
-    if p >= 1.0:
-        raise ValueError("weight-drop p=1 in training mode makes the recurrence degenerate")
     mask = rng.keep_mask(layer.W_hh.shape, p)
     return T.mul(layer.W_hh, Tensor(mask))
 
@@ -159,15 +140,12 @@ class AwdLstmLM(Module):
     """
 
     def __init__(self, vocab_size: int, emb_dim: int, hid_dim: int, n_layers: int,
-                 dropouts: DropoutConfig | None = None, seed: int = 0, preset: str = "custom"):
+                 dropout_multiplier: float = 1.0, seed: int = 0):
         self.vocab_size = vocab_size
         self.emb_dim = emb_dim
         self.hid_dim = hid_dim
         self.n_layers = n_layers
-        self.dropouts = dropouts or DropoutConfig()
-        self.preset = preset
-        rng = Rng(seed)
-        init = rng.child("init")
+        init = Rng(seed).child("init")
         self.embedding = T.param(init.uniform((vocab_size, emb_dim), -0.1, 0.1), "embedding")
         self.layers = []
         for i in range(n_layers):
@@ -175,7 +153,16 @@ class AwdLstmLM(Module):
             out_size = emb_dim if i == n_layers - 1 else hid_dim
             self.layers.append(LstmLayer(in_size, out_size, init, f"lstm{i}"))
         self.decoder_bias = T.param(np.zeros(vocab_size), "decoder_bias")
-        self.drop_rng = rng.child("dropout")
+        self.reset_dropout(dropout_multiplier, seed)
+
+    def reset_dropout(self, multiplier: float, seed: int) -> None:
+        """Start a phase's dropout: every site's rate is its DROPOUT_RATES
+        entry times ``multiplier``, and the masks are drawn from ``seed``."""
+        self.dropout_multiplier = multiplier
+        self.drop_rng = Rng(seed).child("dropout")
+
+    def rate(self, site: str) -> float:
+        return DROPOUT_RATES[site] * self.dropout_multiplier
 
     # -- parameters -------------------------------------------------------
 
@@ -207,20 +194,19 @@ class AwdLstmLM(Module):
         b, _ = np.shape(ids)
         if state is None:
             state = self.init_state(b)
-        d = self.dropouts
         rng = self.drop_rng
-        x = embedding_dropout(self.embedding, ids, d.scaled("p_emb"), rng, self.training)
-        x = variational_dropout(x, d.scaled("p_input"), rng, self.training)
+        x = embedding_dropout(self.embedding, ids, self.rate("p_emb"), rng, self.training)
+        x = variational_dropout(x, self.rate("p_input"), rng, self.training)
         new_state = []
         raw = x
         for i, layer in enumerate(self.layers):
-            w_hh = apply_weight_drop(layer, d.scaled("p_weight"), rng, self.training)
+            w_hh = apply_weight_drop(layer, self.rate("p_weight"), rng, self.training)
             raw, layer_state = layer.forward(x, state[i], w_hh)
             new_state.append(layer_state)
             x = raw
             if i < self.n_layers - 1:
-                x = variational_dropout(x, d.scaled("p_hidden"), rng, self.training)
-        dropped = variational_dropout(raw, d.scaled("p_output"), rng, self.training)
+                x = variational_dropout(x, self.rate("p_hidden"), rng, self.training)
+        dropped = variational_dropout(raw, self.rate("p_output"), rng, self.training)
         return raw, dropped, new_state
 
     def forward(self, ids: np.ndarray, state=None, targets=None):
@@ -280,7 +266,7 @@ class TextClassifier(Module):
         pooled = T.concat_pool(dropped, lengths)
         hid = T.relu(T.add(T.matmul(pooled, self.W1), self.b1))
         if self.training:
-            p = self.encoder.dropouts.scaled("p_head")
+            p = self.encoder.rate("p_head")
             if p > 0:
                 hid = T.mul(hid, Tensor(self._drop_rng.keep_mask(hid.shape, p)))
         return T.add(T.matmul(hid, self.W2), self.b2)
@@ -290,6 +276,5 @@ def build_lm(vocab_size: int, preset: str = "tiny", dropout_multiplier: float = 
              seed: int = 0) -> AwdLstmLM:
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}, expected one of {sorted(PRESETS)}")
-    sizes = PRESETS[preset]
-    dropouts = DropoutConfig(multiplier=dropout_multiplier)
-    return AwdLstmLM(vocab_size, dropouts=dropouts, seed=seed, preset=preset, **sizes)
+    return AwdLstmLM(vocab_size, **PRESETS[preset], dropout_multiplier=dropout_multiplier,
+                     seed=seed)

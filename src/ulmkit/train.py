@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .model import AwdLstmLM, TextClassifier, build_lm
+from .checkpoint import atomic_open
+from .model import DROPOUT_RATES, AwdLstmLM, TextClassifier, build_lm
 from .tensor import Rng, Tensor
 from .textpipe import PAD_ID, NumericalizedCorpus, Vocabulary
 
@@ -198,10 +199,17 @@ class PhaseConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.bptt_len < 1:
             raise ValueError("epochs, batch_size, and bptt_len must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.dropout_multiplier < 0:
-            raise ValueError("dropout_multiplier must be >= 0")
+        # written as "not ... > 0" so that NaN is rejected too
+        for name in ("lr", "stage1_lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # every site's rate, DROPOUT_RATES times the multiplier, stays below 1
+        limit = 1.0 / max(DROPOUT_RATES.values())
+        if not 0 <= self.dropout_multiplier < limit:
+            raise ValueError(f"dropout_multiplier must be in [0, {limit:g}), "
+                             f"got {self.dropout_multiplier}")
 
 
 def pretrain_defaults(**overrides) -> PhaseConfig:
@@ -344,18 +352,14 @@ def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCo
     return model, metrics
 
 
-def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabulary,
-              seed: int) -> AwdLstmLM:
-    """Re-home a pretrained LM onto a new vocabulary, with its dropout
-    streams drawn from ``seed``.
+def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabulary) -> AwdLstmLM:
+    """Re-home a pretrained LM onto a new vocabulary.
 
     Tokens present in both vocabularies keep their embedding rows and
     decoder bias entries; unseen tokens start at the mean pretrained
     embedding (and mean bias).
     """
-    new = AwdLstmLM(len(new_vocab), pretrained.emb_dim, pretrained.hid_dim,
-                    pretrained.n_layers, dropouts=pretrained.dropouts,
-                    seed=seed, preset=pretrained.preset)
+    new = AwdLstmLM(len(new_vocab), pretrained.emb_dim, pretrained.hid_dim, pretrained.n_layers)
     old_emb = pretrained.embedding.data
     old_bias = pretrained.decoder_bias.data
     mean_row = old_emb.mean(axis=0)
@@ -380,8 +384,8 @@ def finetune_lm(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabul
     """Two-stage LM fine-tune on the target corpus: first the
     embedding/decoder group alone for one epoch at a high rate, then every
     group at a lower rate."""
-    model = map_vocab(pretrained, old_vocab, new_vocab, cfg.seed)
-    model.dropouts = model.dropouts.with_multiplier(cfg.dropout_multiplier)
+    model = map_vocab(pretrained, old_vocab, new_vocab)
+    model.reset_dropout(cfg.dropout_multiplier, cfg.seed)
     train_data = batchify(train_corpus.streams, cfg.batch_size)
     valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
     metrics: list[EpochMetrics] = []
@@ -480,8 +484,7 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     if train_corpus.labels is None or len(set(train_corpus.labels)) < 2:
         raise ValueError("classifier training needs both labels present in the corpus")
     clf = TextClassifier(encoder, seed=cfg.seed)
-    encoder.dropouts = encoder.dropouts.with_multiplier(cfg.dropout_multiplier)
-    encoder.drop_rng = Rng(cfg.seed).child("dropout")  # as build_lm(seed=cfg.seed) starts it
+    encoder.reset_dropout(cfg.dropout_multiplier, cfg.seed)
     shuffle_rng = Rng(cfg.seed).child("clf-shuffle")
     n_groups = len(clf.layer_groups())
     metrics: list[EpochMetrics] = []
@@ -528,7 +531,7 @@ def config_header(snapshot: dict) -> str:
 
 
 def write_metrics_log(path, metrics: list[EpochMetrics], snapshot: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, encoding="utf-8") as f:
         f.write(config_header(snapshot))
         f.write(METRICS_HEADER + "\n")
         for m in metrics:

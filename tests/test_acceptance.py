@@ -16,7 +16,7 @@ import pytest
 from conftest import VERDICTS
 from ulmkit import checkpoint as ck
 from ulmkit import evalbench, tensor as T, textpipe as tp, train
-from ulmkit.model import AwdLstmLM, DropoutConfig, TextClassifier, build_lm
+from ulmkit.model import AwdLstmLM, TextClassifier, build_lm
 from ulmkit.textpipe import NumericalizedCorpus
 
 
@@ -35,7 +35,7 @@ def verdict(ok: bool, name: str, detail: str = "") -> None:
 
 def test_gradient_correctness():
     t0 = time.perf_counter()
-    model = AwdLstmLM(11, 4, 6, 2, DropoutConfig(multiplier=0.0), seed=0)
+    model = AwdLstmLM(11, 4, 6, 2, dropout_multiplier=0.0, seed=0)
     model.train()
     rng = np.random.default_rng(0)
     x = rng.integers(0, 11, size=(2, 5))

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from ulmkit import checkpoint as ck
 from ulmkit import train
 from ulmkit.cli import Resolver, build_parser, main, read_config_file
-from ulmkit.model import TextClassifier, build_lm
+from ulmkit.model import AwdLstmLM, TextClassifier, build_lm
 from ulmkit.textpipe import SPECIALS, Vocabulary
 
 
@@ -104,16 +105,17 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         ck.load_checkpoint(bad)
 
 
-def rewrite_header(src, dst, edit):
-    """Copy checkpoint src to dst with edit() applied to its JSON header, and
-    a length field and trailing CRC32 that match, so only the header's own
-    consistency can reject it."""
+def rewrite_header(src, dst, edit, replacement=None):
+    """Copy checkpoint src to dst with edit() applied to its JSON header (or
+    with the header replaced by ``replacement``), and a length field and
+    trailing CRC32 that match, so only the header's own consistency can
+    reject it."""
     blob = src.read_bytes()[:-4]
     off = len(ck.MAGIC) + 12
     version, header_len = struct.unpack_from("<IQ", blob, len(ck.MAGIC))
     header = json.loads(blob[off : off + header_len])
     edit(header)
-    raw = json.dumps(header).encode("utf-8")
+    raw = json.dumps(header if replacement is None else replacement).encode("utf-8")
     body = ck.MAGIC + struct.pack("<IQ", version, len(raw)) + raw + blob[off + header_len :]
     dst.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
@@ -142,6 +144,117 @@ def test_checkpoint_rejects_vocabulary_longer_than_dims(tmp_path):
     rewrite_header(path, bad, lambda header: header["vocab"].append("extra"))
     with pytest.raises(ck.CheckpointError, match="vocab_size"):
         ck.load_checkpoint(bad)
+
+
+def saved_lm(tmp_path):
+    vocab = small_vocab()
+    lm = build_lm(len(vocab.id_to_token), "tiny", seed=0)
+    path = tmp_path / "lm.ckpt"
+    ck.save_checkpoint(path, lm, vocab)
+    return lm, path
+
+
+def set_dtype(header):
+    header["arrays"][0]["dtype"] = "bogus"
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda header: header.pop("kind"), "'kind' must be a JSON str"),
+    (lambda header: header.__setitem__("vocab", {"aso": 0}), "'vocab' must be a JSON list"),
+    (lambda header: header.__setitem__("kind", "tagger"), "unknown kind"),
+    (lambda header: header["dims"].pop("emb_dim"), "dims.emb_dim"),
+    (lambda header: header["dims"].__setitem__("n_layers", 2.0), "dims.n_layers"),
+    (lambda header: header["vocab"].__setitem__(0, 7), "vocabulary entries"),
+    (lambda header: header["arrays"][0].pop("nbytes"), "name, shape, dtype and nbytes"),
+    (lambda header: header["arrays"][0].__setitem__("nbytes", True), "needs a name"),
+    (lambda header: header["arrays"].__setitem__(0, []), "name, shape, dtype and nbytes"),
+    (set_dtype, "dtype 'bogus'"),
+    (lambda header: header["arrays"][0].__setitem__("dtype", "<i8"), "dtype '<i8'"),
+    (lambda header: header["arrays"][1].__setitem__("shape", [-1]), "shape"),
+    (lambda header: header["arrays"][1].__setitem__("name", "embedding"), "appears twice"),
+])
+def test_checkpoint_rejects_malformed_headers(tmp_path, edit, match):
+    _, path = saved_lm(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(path, bad, edit)
+    with pytest.raises(ck.CheckpointError, match=match):
+        ck.load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_a_header_that_is_not_an_object(tmp_path):
+    _, path = saved_lm(tmp_path)
+    bad = tmp_path / "list.ckpt"
+    rewrite_header(path, bad, lambda header: None, replacement=[])
+    with pytest.raises(ck.CheckpointError, match="expected an object, got list"):
+        ck.load_checkpoint(bad)
+
+
+def test_checkpoint_build_rejects_array_names_other_than_the_models(tmp_path):
+    _, path = saved_lm(tmp_path)
+    renamed = tmp_path / "renamed.ckpt"
+    rewrite_header(path, renamed, lambda h: h["arrays"][-1].__setitem__("name", "decoder.b"))
+    with pytest.raises(ck.CheckpointError, match=r"\['decoder.b'\] are not the model's"):
+        ck.load_checkpoint(renamed).build_model()
+    # an LM's arrays are not a classifier's
+    relabeled = tmp_path / "relabeled.ckpt"
+    rewrite_header(path, relabeled, lambda h: h.__setitem__("kind", "classifier"))
+    with pytest.raises(ck.CheckpointError, match="head.W1"):
+        ck.load_checkpoint(relabeled).build_model()
+
+
+def test_checkpoint_with_a_dropout_multiplier_in_its_dims_still_loads(tmp_path):
+    # files written before the multiplier left the dims carry it; it is ignored
+    lm, path = saved_lm(tmp_path)
+    old = tmp_path / "old.ckpt"
+    rewrite_header(path, old, lambda h: h["dims"].__setitem__("dropout_multiplier", 0.7))
+    model = ck.load_checkpoint(old).build_model()
+    state = model.state_dict()
+    for name, arr in lm.state_dict().items():
+        assert np.array_equal(state[name], arr), name
+    assert model.dropout_multiplier == 1.0
+
+
+def test_checkpoint_preset_is_read_off_the_dims(tmp_path):
+    vocab = small_vocab()
+    v = len(vocab.id_to_token)
+    models = {"tiny": build_lm(v, "tiny", seed=0),
+              "custom": AwdLstmLM(v, emb_dim=64, hid_dim=128, n_layers=2)}
+    models["clf"] = TextClassifier(models["tiny"])
+    for name, model in models.items():
+        ck.save_checkpoint(tmp_path / name, model, vocab)
+    assert ck.load_checkpoint(tmp_path / "tiny").preset == "tiny"
+    assert ck.load_checkpoint(tmp_path / "clf").preset == "tiny"
+    custom = ck.load_checkpoint(tmp_path / "custom")
+    assert custom.preset == "custom"
+    assert "dropout_multiplier" not in custom.dims
+
+
+def test_failed_writes_leave_the_earlier_file_and_no_temporary(tmp_path, monkeypatch):
+    _, path = saved_lm(tmp_path)
+    before = path.read_bytes()
+    log = tmp_path / "lm.ckpt.log"
+    metrics = [train.EpochMetrics("pretrain", 1, 1, 1.0, None, None, 0.1)]
+    train.write_metrics_log(log, metrics, {"seed": 0})
+    log_before = log.read_text()
+
+    class Broken:  # the log's second line fails after the first is written
+        def as_line(self):
+            raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        train.write_metrics_log(log, metrics + [Broken()], {"seed": 1})
+
+    def crc_fails(data):  # after the body, before the checksum
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(ck.zlib, "crc32", crc_fails)
+    with pytest.raises(OSError, match="no space"):
+        ck.save_checkpoint(path, build_lm(len(small_vocab().id_to_token), "tiny", seed=1),
+                           small_vocab())
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert log.read_text() == log_before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lm.ckpt", "lm.ckpt.log"]
 
 
 def test_loaded_arrays_are_views_and_built_model_owns_its_parameters(tmp_path):
@@ -316,6 +429,40 @@ def test_cli_corrupt_checkpoint_exits_1(tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(bad), "--data", "x.csv"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, replacement", [(lambda header: None, []), (set_dtype, None)])
+def test_cli_malformed_checkpoint_header_exits_1(tmp_path, capsys, edit, replacement):
+    _, path = saved_lm(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(path, bad, edit, replacement)
+    data = tmp_path / "data.csv"
+    write_labeled(data)
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(data)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed header" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["pretrain", "--dropout-multiplier", "4"], "dropout_multiplier"),
+    (["finetune-lm", "--stage1-lr", "-1"], "stage1_lr"),
+    (["finetune-clf", "--weight-decay", "-5"], "weight_decay"),
+])
+def test_cli_out_of_range_phase_settings_exit_1(cli_artifacts, tmp_path, capsys, argv, option):
+    _, corpus, labeled, lm_ckpt, _ = cli_artifacts
+    inputs = {"pretrain": ["--corpus", str(corpus)],
+              "finetune-lm": ["--checkpoint", str(lm_ckpt), "--data", str(corpus)],
+              "finetune-clf": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)]}[argv[0]]
+    out = tmp_path / "out.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + inputs + ["--out", str(out), "--epochs", "1", "--batch-size", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_kind_mismatch_exits_2(cli_artifacts, capsys):

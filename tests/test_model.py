@@ -8,7 +8,6 @@ from ulmkit.model import (
     HEAD_HIDDEN,
     PRESETS,
     AwdLstmLM,
-    DropoutConfig,
     LstmLayer,
     TextClassifier,
     apply_weight_drop,
@@ -20,7 +19,7 @@ from ulmkit.tensor import Rng, Tensor
 
 
 def tiny_lm(vocab=13, emb=8, hid=12, layers=2, mult=1.0, seed=0):
-    return AwdLstmLM(vocab, emb, hid, layers, DropoutConfig(multiplier=mult), seed=seed)
+    return AwdLstmLM(vocab, emb, hid, layers, dropout_multiplier=mult, seed=seed)
 
 
 # -- dropout sites ----------------------------------------------------------
@@ -36,14 +35,10 @@ def test_weight_drop_monte_carlo():
     assert np.allclose(survivors, orig * 2.0)  # 1/(1-p) scaling
 
 
-def test_weight_drop_eval_identity_and_errors():
+def test_weight_drop_eval_and_zero_rate_identity():
     layer = LstmLayer(4, 6, Rng(0), "l")
     assert apply_weight_drop(layer, 0.5, Rng(1), training=False) is layer.W_hh
     assert apply_weight_drop(layer, 0.0, Rng(1), training=True) is layer.W_hh
-    with pytest.raises(ValueError):
-        apply_weight_drop(layer, 1.0, Rng(1), training=True)
-    with pytest.raises(ValueError):
-        apply_weight_drop(layer, -0.1, Rng(1), training=True)
 
 
 def test_variational_dropout_locked_across_time():
@@ -83,13 +78,6 @@ def test_embedding_dropout_whole_rows():
     for p, training in ((0.0, True), (0.2, False)):
         plain = embedding_dropout(emb, ids, p, Rng(0), training=training)
         assert np.array_equal(plain.data, emb.data[ids])
-
-
-def test_dropout_config_scaling():
-    d = DropoutConfig(multiplier=0.5)
-    assert d.scaled("p_input") == 0.125
-    assert DropoutConfig(multiplier=5.0).scaled("p_input") == 1.0
-    assert d.with_multiplier(0.0).scaled("p_weight") == 0.0
 
 
 # -- LSTM and LM forward ----------------------------------------------------
@@ -157,6 +145,23 @@ def test_eval_mode_deterministic_train_mode_stochastic():
     assert not np.array_equal(c.data, d.data)
 
 
+def test_reset_dropout_scales_every_site_and_restarts_the_stream():
+    ids = np.random.default_rng(2).integers(0, 13, size=(2, 6))
+    built = tiny_lm(mult=0.5, seed=7).train()
+    reset = tiny_lm(mult=2.0, seed=0).train()
+    reset.forward(ids)  # draws masks from seed 0's stream
+    reset.load_state_dict(built.state_dict())
+    reset.reset_dropout(0.5, 7)
+    # one multiplier scales each site's base rate
+    assert reset.rate("p_input") == 0.125 and reset.rate("p_weight") == 0.1
+    # the constructor and reset_dropout start the same stream
+    a, _, _, _ = built.forward(ids)
+    b, _, _, _ = reset.forward(ids)
+    assert np.array_equal(a.data, b.data)
+    reset.reset_dropout(0.0, 7)
+    assert all(reset.rate(site) == 0.0 for site in ("p_emb", "p_hidden", "p_output", "p_head"))
+
+
 def test_weight_tying_storage_identity():
     lm = tiny_lm()
     names = [n for n, _ in lm.named_parameters()]
@@ -188,7 +193,7 @@ def test_build_lm_presets():
     assert PRESETS["tiny"] == dict(emb_dim=64, hid_dim=128, n_layers=3)
     lm = build_lm(50, "tiny", dropout_multiplier=0.5, seed=3)
     assert lm.emb_dim == 64 and lm.hid_dim == 128 and lm.n_layers == 3
-    assert lm.dropouts.multiplier == 0.5
+    assert lm.dropout_multiplier == 0.5
     with pytest.raises(ValueError, match="preset"):
         build_lm(50, "huge")
 

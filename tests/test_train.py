@@ -206,6 +206,17 @@ def test_phase_config_validation():
         train.pretrain_defaults(lr=-1.0)
     with pytest.raises(ValueError):
         train.pretrain_defaults(dropout_multiplier=-0.5)
+    # every site's rate stays in [0, 1): the largest base rate is 0.25
+    with pytest.raises(ValueError, match="dropout_multiplier"):
+        train.pretrain_defaults(dropout_multiplier=4.0)
+    train.pretrain_defaults(dropout_multiplier=3.99)
+    with pytest.raises(ValueError, match="stage1_lr"):
+        train.lm_finetune_defaults(stage1_lr=-1.0)
+    with pytest.raises(ValueError, match="stage1_lr"):
+        train.lm_finetune_defaults(stage1_lr=0.0)
+    with pytest.raises(ValueError, match="weight_decay"):
+        train.clf_finetune_defaults(weight_decay=-5.0)
+    train.clf_finetune_defaults(weight_decay=0.0)
 
 
 def test_batchify_shape_and_order():
@@ -309,7 +320,7 @@ def make_vocabs():
 def test_map_vocab_row_transfer():
     old, new = make_vocabs()
     lm = build_lm(len(old.id_to_token), "tiny", seed=0)
-    mapped = train.map_vocab(lm, old, new, seed=0)
+    mapped = train.map_vocab(lm, old, new)
     old_emb = lm.embedding.data
     # shared token keeps its row and bias
     oi, ni = old.token_to_id["pusa"], new.token_to_id["pusa"]

@@ -1,13 +1,14 @@
 """Single-file binary checkpoints.
 
-Layout: magic, format version, a JSON header (kind, preset, vocabulary,
+Layout: magic, format version, a JSON header (kind, model dims, vocabulary,
 config snapshot, phase provenance, array manifest), the raw little-endian
 parameter arrays, and a trailing CRC32 of everything before it. Loading is
 strict: bad magic, truncation, checksum mismatch, a header without the keys,
 JSON types or array dtype that saving writes, a manifest entry whose byte
 count disagrees with its shape, a vocabulary whose size disagrees with the
 dims, array names other than the model's, or shape drift all fail with a
-named error and no partial model.
+named error and no partial model. Header keys beyond these, which files
+written by earlier versions carry, are ignored.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import HEAD_HIDDEN, N_CLASSES, PRESETS, AwdLstmLM, TextClassifier
+from .model import AwdLstmLM, TextClassifier
 from .textpipe import Vocabulary
 
 MAGIC = b"ULMKCKPT"
 FORMAT_VERSION = 1
 # The header's keys with their JSON types, the keys of each array entry, the
 # dims a model is built from, and the array dtypes that save_checkpoint writes.
-HEADER_TYPES = {"kind": str, "preset": str, "dims": dict, "vocab": list, "config": dict,
-                "provenance": list, "arrays": list}
+HEADER_TYPES = {"kind": str, "dims": dict, "vocab": list, "config": dict, "provenance": list,
+                "arrays": list}
 ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "nbytes": int}
 MODEL_DIMS = ("vocab_size", "emb_dim", "hid_dim", "n_layers")
 DTYPES = ("<f8",)
@@ -42,7 +43,6 @@ class CheckpointError(ValueError):
 @dataclass
 class Checkpoint:
     kind: str  # "lm" | "classifier"
-    preset: str
     dims: dict
     vocab: Vocabulary
     params: dict[str, np.ndarray]
@@ -83,23 +83,19 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def _model_dims(model) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """The kind, the dims of the LM (a classifier's encoder) and the arrays."""
     if isinstance(model, TextClassifier):
-        enc = model.encoder
-        dims = dict(vocab_size=enc.vocab_size, emb_dim=enc.emb_dim, hid_dim=enc.hid_dim,
-                    n_layers=enc.n_layers, n_classes=N_CLASSES, head_hidden=HEAD_HIDDEN)
-        return "classifier", dims, model.state_dict()
-    if isinstance(model, AwdLstmLM):
-        dims = dict(vocab_size=model.vocab_size, emb_dim=model.emb_dim,
-                    hid_dim=model.hid_dim, n_layers=model.n_layers)
-        return "lm", dims, model.state_dict()
-    raise TypeError(f"cannot checkpoint {type(model).__name__}")
+        kind, lm = "classifier", model.encoder
+    elif isinstance(model, AwdLstmLM):
+        kind, lm = "lm", model
+    else:
+        raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    return kind, {key: getattr(lm, key) for key in MODEL_DIMS}, model.state_dict()
 
 
 def save_checkpoint(path, model, vocab: Vocabulary, config: dict | None = None,
                     provenance: list[str] | None = None) -> None:
     kind, dims, params = _model_dims(model)
-    preset = next((name for name, sizes in PRESETS.items()
-                   if all(dims[k] == v for k, v in sizes.items())), "custom")
     manifest = []
     payload = bytearray()
     for name, arr in params.items():
@@ -109,7 +105,7 @@ def save_checkpoint(path, model, vocab: Vocabulary, config: dict | None = None,
                          "dtype": le.dtype.str, "nbytes": le.nbytes})
         payload += le.tobytes()
     header = json.dumps({
-        "kind": kind, "preset": preset, "dims": dims,
+        "kind": kind, "dims": dims,
         "vocab": vocab.id_to_token, "config": config or {},
         "provenance": provenance or [], "arrays": manifest,
     }).encode("utf-8")
@@ -196,6 +192,6 @@ def load_checkpoint(path) -> Checkpoint:
     if len(header["vocab"]) != header["dims"]["vocab_size"]:
         raise CheckpointError(f"{path}: vocabulary of {len(header['vocab'])} tokens, but "
                               f"dims give vocab_size {header['dims']['vocab_size']}")
-    return Checkpoint(kind=header["kind"], preset=header["preset"], dims=header["dims"],
+    return Checkpoint(kind=header["kind"], dims=header["dims"],
                       vocab=Vocabulary(header["vocab"]), params=params,
                       config=header["config"], provenance=header["provenance"])

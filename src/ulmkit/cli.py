@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import evalbench, train
-from .checkpoint import CheckpointError, atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .model import PRESETS
 from .textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_corpus_lines,
                        load_labeled_csv, numericalize, preprocess, split_corpus)
@@ -64,7 +64,7 @@ OPTIONS = {
 }
 # The PhaseConfig fields a training subcommand takes from its options.
 PHASE_KEYS = ("epochs", "lr", "batch_size", "bptt_len", "dropout_multiplier",
-              "weight_decay", "seed")
+              "weight_decay", "seed", "stage1_lr", "preset")
 
 
 def read_config_file(path: str, keys) -> dict[str, str]:
@@ -135,9 +135,19 @@ def _vocab_and_streams(res: Resolver, texts) -> tuple[Vocabulary, list[list[int]
     return vocab, [numericalize(toks, vocab) for toks in token_lists]
 
 
-def _phase_overrides(res: Resolver, defaults) -> dict:
-    """The PhaseConfig fields this subcommand takes, resolved over ``defaults``."""
-    return {key: res.get(key, getattr(defaults, key)) for key in PHASE_KEYS if key in res.keys}
+def _phase_config(res: Resolver, defaults: train.PhaseConfig, keys: dict | None = None,
+                  **fixed) -> train.PhaseConfig:
+    """``defaults`` with ``fixed`` and with each field in ``keys`` resolved from
+    the option key it maps to (by default, the PHASE_KEYS this subcommand
+    takes). A refused value is reported by the flag of its option."""
+    if keys is None:
+        keys = {key: key for key in PHASE_KEYS if key in res.keys}
+    values = {field: res.get(key, getattr(defaults, field)) for field, key in keys.items()}
+    try:
+        return replace(defaults, **fixed, **values)
+    except train.PhaseSettingError as exc:
+        flag = OPTIONS[keys.get(exc.field, exc.field)].flag
+        raise ValueError(str(exc).replace(exc.field, flag, 1)) from None
 
 
 def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
@@ -153,11 +163,9 @@ def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
 def cmd_pretrain(args) -> int:
     res = Resolver(args)
     corpus_path = _require_file(res.get("corpus"), "corpus")
-    preset = res.get("preset", "tiny")
-    if preset not in PRESETS:
-        raise UsageError(f"unknown preset {preset!r}")
-    cfg = replace(train.pretrain_defaults(), preset=preset,
-                  **_phase_overrides(res, train.pretrain_defaults()))
+    cfg = _phase_config(res, train.pretrain_defaults())
+    if cfg.preset not in PRESETS:
+        raise UsageError(f"unknown preset {cfg.preset!r}")
     valid_frac = res.get("valid_fraction", 0.1)
 
     vocab, streams = _vocab_and_streams(res, load_corpus_lines(corpus_path))
@@ -169,20 +177,19 @@ def cmd_pretrain(args) -> int:
     return _write_outputs(res, "lm.ckpt", model, vocab, ["pretrain"], metrics)
 
 
-def _load_lm(path: str, want_preset: str | None):
+def _load(path: str, kind: str):
+    """The checkpoint at ``path``, which must hold a model of ``kind``."""
     ckpt = load_checkpoint(_require_file(path, "checkpoint"))
-    if ckpt.kind != "lm":
-        raise UsageError(f"{path} holds a {ckpt.kind} checkpoint, expected a language model")
-    if want_preset and ckpt.preset != want_preset:
-        raise CheckpointError(
-            f"{path}: checkpoint preset {ckpt.preset!r} does not match requested {want_preset!r}")
+    if ckpt.kind != kind:
+        expected = {"lm": "a language model", "classifier": "a classifier"}[kind]
+        raise UsageError(f"{path} holds a {ckpt.kind} checkpoint, expected {expected}")
     return ckpt
 
 
-def _load_clf(path: str):
-    ckpt = load_checkpoint(_require_file(path, "checkpoint"))
-    if ckpt.kind != "classifier":
-        raise UsageError(f"{path} holds a {ckpt.kind} checkpoint, expected a classifier")
+def _load_classifier(path: str):
+    """The built classifier at ``path`` and its vocabulary. The checkpoint,
+    whose arrays are views of the whole file, is not kept while it scores."""
+    ckpt = _load(path, "classifier")
     return ckpt.build_model(), ckpt.vocab
 
 
@@ -194,9 +201,8 @@ def _labeled_corpus(path: str, vocab: Vocabulary):
 
 def cmd_finetune_lm(args) -> int:
     res = Resolver(args)
-    ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
-    cfg = replace(train.lm_finetune_defaults(), stage1_lr=res.get("stage1_lr", 4e-2),
-                  **_phase_overrides(res, train.lm_finetune_defaults()))
+    ckpt = _load(res.get("checkpoint"), "lm")
+    cfg = _phase_config(res, train.lm_finetune_defaults())
     data_path = _require_file(res.get("data"), "dataset")
     if data_path.endswith(".csv"):
         texts = [t for t, _ in load_labeled_csv(data_path)]
@@ -214,9 +220,8 @@ def cmd_finetune_lm(args) -> int:
 
 def cmd_finetune_clf(args) -> int:
     res = Resolver(args)
-    ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
-    cfg = replace(train.clf_finetune_defaults(),
-                  **_phase_overrides(res, train.clf_finetune_defaults()))
+    ckpt = _load(res.get("checkpoint"), "lm")
+    cfg = _phase_config(res, train.clf_finetune_defaults())
     corpus, _ = _labeled_corpus(res.get("data"), ckpt.vocab)
     valid = None
     valid_path = res.get("valid")
@@ -229,7 +234,7 @@ def cmd_finetune_clf(args) -> int:
 
 def cmd_eval(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_clf(res.get("checkpoint"))
+    clf, vocab = _load_classifier(res.get("checkpoint"))
     corpus, _ = _labeled_corpus(res.get("data"), vocab)
     result = evalbench.evaluate(clf, corpus)
     print(f"accuracy={result.accuracy:.4f}, loss={result.mean_loss:.6f}, n={result.n}")
@@ -238,7 +243,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_clf(res.get("checkpoint"))
+    clf, vocab = _load_classifier(res.get("checkpoint"))
     text = res.get("text")
     if text is None:
         raise UsageError("missing --text")
@@ -250,9 +255,13 @@ def cmd_predict(args) -> int:
 
 def cmd_degrade(args) -> int:
     res = Resolver(args)
-    ckpt = _load_lm(res.get("checkpoint"), res.get("preset"))
+    ckpt = _load(res.get("checkpoint"), "lm")
     seed = res.get("seed", 0)
-    fractions = [float(x) for x in res.get("fractions", "1.0,0.5,0.1").split(",")]
+    text = res.get("fractions", "1.0,0.5,0.1")
+    try:
+        fractions = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--fractions takes comma-separated numbers, got {text!r}") from None
     repeats = res.get("repeats", 5)
     records = load_labeled_csv(_require_file(res.get("data"), "dataset"))
     test_path = res.get("test")
@@ -265,14 +274,12 @@ def cmd_degrade(args) -> int:
     target_vocab, train_streams = _vocab_and_streams(res, [t for t, _ in train_records])
     test_streams = _numericalize_texts([t for t, _ in test_records], target_vocab)
 
-    lm_cfg = replace(train.lm_finetune_defaults(), seed=seed,
-                     epochs=res.get("lm_epochs", 2),
-                     lr=res.get("lm_lr", 4e-3),
-                     stage1_lr=res.get("stage1_lr", 4e-2),
-                     batch_size=res.get("batch_size", 16))
-    clf_cfg = replace(train.clf_finetune_defaults(), seed=seed,
-                      epochs=res.get("clf_epochs", 2),
-                      batch_size=res.get("batch_size", 16))
+    batch_size = res.get("batch_size", 16)
+    lm_cfg = _phase_config(res, train.lm_finetune_defaults(epochs=2),
+                           {"epochs": "lm_epochs", "lr": "lm_lr", "stage1_lr": "stage1_lr"},
+                           seed=seed, batch_size=batch_size)
+    clf_cfg = _phase_config(res, train.clf_finetune_defaults(), {"epochs": "clf_epochs"},
+                            seed=seed, batch_size=batch_size)
     report = evalbench.run_degradation_suite(
         ckpt.build_model(), ckpt.vocab, target_vocab,
         NumericalizedCorpus(train_streams, [l for _, l in train_records]),
@@ -290,7 +297,7 @@ def cmd_degrade(args) -> int:
 
 def cmd_top_losses(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_clf(res.get("checkpoint"))
+    clf, vocab = _load_classifier(res.get("checkpoint"))
     corpus, texts = _labeled_corpus(res.get("data"), vocab)
     k = res.get("k", 10)
     for ex in evalbench.top_losses(clf, corpus, min(k, len(corpus.streams)), texts):
@@ -299,13 +306,13 @@ def cmd_top_losses(args) -> int:
     return 0
 
 
-_TRAINING = ("seed", "preset", "out", "epochs", "lr", "batch_size", "bptt_len",
-             "dropout_multiplier", "weight_decay")
+_TRAINING = ("seed", "out", "epochs", "lr", "batch_size", "bptt_len", "dropout_multiplier",
+             "weight_decay")
 
 # Subcommand: (handler, help, the keys of the options it reads).
 COMMANDS = {
     "pretrain": (cmd_pretrain, "pretrain a language model on plain text",
-                 (*_TRAINING, "max_vocab", "corpus", "valid_fraction")),
+                 (*_TRAINING, "preset", "max_vocab", "corpus", "valid_fraction")),
     "finetune-lm": (cmd_finetune_lm, "fine-tune a pretrained LM on target text",
                     (*_TRAINING, "max_vocab", "checkpoint", "data", "stage1_lr")),
     "finetune-clf": (cmd_finetune_clf, "fine-tune a classifier from an LM",
@@ -314,7 +321,7 @@ COMMANDS = {
     "eval": (cmd_eval, "score a classifier on a labeled CSV", ("checkpoint", "data")),
     "predict": (cmd_predict, "classify one text", ("checkpoint", "text")),
     "degrade": (cmd_degrade, "run the low-resource degradation suite",
-                ("seed", "preset", "out", "batch_size", "max_vocab", "checkpoint", "data",
+                ("seed", "out", "batch_size", "max_vocab", "checkpoint", "data",
                  "test", "fractions", "repeats", "lm_epochs", "lm_lr", "stage1_lr",
                  "clf_epochs")),
     "top-losses": (cmd_top_losses, "rank examples by per-example loss",

@@ -81,6 +81,17 @@ def degradation_pct(metric_full: float, metric_reduced: float) -> float:
     return 100.0 * (metric_full - metric_reduced) / metric_full
 
 
+def _subsample_size(n: int, fraction: float) -> int:
+    """round(fraction * n), for a fraction in (0, 1] that leaves at least 2
+    of the n examples."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    k = round(fraction * n)
+    if k < 2:
+        raise ValueError(f"fraction {fraction} of {n} examples leaves {k} < 2")
+    return k
+
+
 def subsample_train(corpus: NumericalizedCorpus, fraction: float,
                     seed: int) -> NumericalizedCorpus:
     """Uniform subset without replacement of size round(fraction * n).
@@ -88,12 +99,8 @@ def subsample_train(corpus: NumericalizedCorpus, fraction: float,
     When the corpus is labeled, resamples (with derived seeds) until both
     classes are present; a one-class subsample makes training ill-posed.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     n = len(corpus.streams)
-    k = round(fraction * n)
-    if k < 2:
-        raise ValueError(f"fraction {fraction} of {n} examples leaves {k} < 2")
+    k = _subsample_size(n, fraction)
     if k == n:
         return corpus
     for attempt in range(SUBSAMPLE_TRIES):
@@ -127,11 +134,14 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     Every run starts from the same pretrained LM, fine-tunes the LM on the
     subsampled training text, fine-tunes a classifier on the same subsample,
     and scores on the shared test set. Degradation is computed from mean
-    accuracy against the largest fraction's mean accuracy.
+    accuracy against the largest fraction's mean accuracy. Every fraction is
+    checked, as subsample_train checks it, before the first run.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     fractions = sorted(set(fractions), reverse=True)
+    for fraction in fractions:
+        _subsample_size(len(train_corpus.streams), fraction)
     checksum = corpus_checksum(test_corpus)
     report = DegradationReport(rows=[], test_checksum=checksum)
     for fraction in fractions:

@@ -176,6 +176,15 @@ def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
 # phase configuration
 
 
+class PhaseSettingError(ValueError):
+    """A PhaseConfig field outside its range; the message begins with the
+    field's name, ``field``."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} {rule}, got {value}")
+        self.field = field
+
+
 @dataclass
 class PhaseConfig:
     """The hyperparameters one transfer-learning phase takes; the recipe's
@@ -197,19 +206,19 @@ class PhaseConfig:
     stage1_epochs: int = 1
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.bptt_len < 1:
-            raise ValueError("epochs, batch_size, and bptt_len must be >= 1")
-        # written as "not ... > 0" so that NaN is rejected too
-        for name in ("lr", "stage1_lr"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         # every site's rate, DROPOUT_RATES times the multiplier, stays below 1
         limit = 1.0 / max(DROPOUT_RATES.values())
-        if not 0 <= self.dropout_multiplier < limit:
-            raise ValueError(f"dropout_multiplier must be in [0, {limit:g}), "
-                             f"got {self.dropout_multiplier}")
+        checks = [(name, "must be >= 1", getattr(self, name) >= 1)
+                  for name in ("epochs", "batch_size", "bptt_len")]
+        checks += [(name, "must be positive", getattr(self, name) > 0)
+                   for name in ("lr", "stage1_lr")]
+        checks += [("weight_decay", "must be >= 0", self.weight_decay >= 0),
+                   ("dropout_multiplier", f"must be in [0, {limit:g})",
+                    0 <= self.dropout_multiplier < limit)]
+        # NaN fails every comparison, so it is refused too
+        for name, rule, ok in checks:
+            if not ok:
+                raise PhaseSettingError(name, rule, getattr(self, name))
 
 
 def pretrain_defaults(**overrides) -> PhaseConfig:

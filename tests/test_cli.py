@@ -3,6 +3,8 @@
 import argparse
 import csv
 import json
+import pathlib
+import re
 import struct
 import warnings
 import zlib
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 
 from ulmkit import checkpoint as ck
-from ulmkit import train
-from ulmkit.cli import Resolver, build_parser, main, read_config_file
+from ulmkit import evalbench, train
+from ulmkit.cli import COMMANDS, OPTIONS, Resolver, build_parser, main, read_config_file
 from ulmkit.model import AwdLstmLM, TextClassifier, build_lm
 from ulmkit.textpipe import SPECIALS, Vocabulary
 
@@ -30,7 +32,7 @@ def test_lm_checkpoint_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "lm.ckpt"
     ck.save_checkpoint(path, lm, vocab, config={"seed": 3}, provenance=["pretrain"])
     loaded = ck.load_checkpoint(path)
-    assert loaded.kind == "lm" and loaded.preset == "tiny"
+    assert loaded.kind == "lm"
     assert loaded.vocab.id_to_token == vocab.id_to_token
     assert loaded.config == {"seed": 3} and loaded.provenance == ["pretrain"]
     model = loaded.build_model()
@@ -103,6 +105,13 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ck.CheckpointError, match="version 99"):
         ck.load_checkpoint(bad)
+
+
+def read_header(path):
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, len(ck.MAGIC) + 4)
+    off = len(ck.MAGIC) + 12
+    return json.loads(blob[off : off + header_len])
 
 
 def rewrite_header(src, dst, edit, replacement=None):
@@ -202,19 +211,35 @@ def test_checkpoint_build_rejects_array_names_other_than_the_models(tmp_path):
         ck.load_checkpoint(relabeled).build_model()
 
 
-def test_checkpoint_with_a_dropout_multiplier_in_its_dims_still_loads(tmp_path):
-    # files written before the multiplier left the dims carry it; it is ignored
-    lm, path = saved_lm(tmp_path)
+@pytest.mark.parametrize("kind, keys", [
+    ("lm", {"dims.dropout_multiplier": 0.7}),
+    ("lm", {"preset": "tiny"}),
+    ("classifier", {"preset": "tiny", "dims.n_classes": 3, "dims.head_hidden": 7}),
+], ids=["dropout_multiplier", "preset", "classifier_head_sizes"])
+def test_checkpoint_with_keys_of_earlier_versions_still_loads(tmp_path, kind, keys):
+    # files written by earlier versions carry these keys; each is ignored,
+    # even where its value disagrees with the model
+    vocab = small_vocab()
+    lm = build_lm(len(vocab.id_to_token), "tiny", seed=0)
+    model = lm if kind == "lm" else TextClassifier(lm, seed=0)
+    path = tmp_path / "new.ckpt"
+    ck.save_checkpoint(path, model, vocab)
+
+    def add_keys(header):
+        for key, value in keys.items():
+            *section, name = key.split(".")
+            (header[section[0]] if section else header)[name] = value
+
     old = tmp_path / "old.ckpt"
-    rewrite_header(path, old, lambda h: h["dims"].__setitem__("dropout_multiplier", 0.7))
-    model = ck.load_checkpoint(old).build_model()
-    state = model.state_dict()
-    for name, arr in lm.state_dict().items():
+    rewrite_header(path, old, add_keys)
+    built = ck.load_checkpoint(old).build_model()
+    state = built.state_dict()
+    for name, arr in model.state_dict().items():
         assert np.array_equal(state[name], arr), name
-    assert model.dropout_multiplier == 1.0
+    assert (built if kind == "lm" else built.encoder).dropout_multiplier == 1.0
 
 
-def test_checkpoint_preset_is_read_off_the_dims(tmp_path):
+def test_checkpoint_header_holds_no_derived_or_unread_keys(tmp_path):
     vocab = small_vocab()
     v = len(vocab.id_to_token)
     models = {"tiny": build_lm(v, "tiny", seed=0),
@@ -222,11 +247,10 @@ def test_checkpoint_preset_is_read_off_the_dims(tmp_path):
     models["clf"] = TextClassifier(models["tiny"])
     for name, model in models.items():
         ck.save_checkpoint(tmp_path / name, model, vocab)
-    assert ck.load_checkpoint(tmp_path / "tiny").preset == "tiny"
-    assert ck.load_checkpoint(tmp_path / "clf").preset == "tiny"
-    custom = ck.load_checkpoint(tmp_path / "custom")
-    assert custom.preset == "custom"
-    assert "dropout_multiplier" not in custom.dims
+        header = read_header(tmp_path / name)
+        assert list(header) == list(ck.HEADER_TYPES), name
+        assert list(header["dims"]) == list(ck.MODEL_DIMS), name
+    assert read_header(tmp_path / "custom")["dims"]["n_layers"] == 2
 
 
 def test_failed_writes_leave_the_earlier_file_and_no_temporary(tmp_path, monkeypatch):
@@ -448,19 +472,25 @@ def test_cli_malformed_checkpoint_header_exits_1(tmp_path, capsys, edit, replace
     (["pretrain", "--dropout-multiplier", "4"], "dropout_multiplier"),
     (["finetune-lm", "--stage1-lr", "-1"], "stage1_lr"),
     (["finetune-clf", "--weight-decay", "-5"], "weight_decay"),
+    (["degrade", "--lm-lr", "-1"], "lm_lr"),
+    (["degrade", "--lm-epochs", "0"], "lm_epochs"),
 ])
 def test_cli_out_of_range_phase_settings_exit_1(cli_artifacts, tmp_path, capsys, argv, option):
+    # ``option`` is the config key; the error names the flag that supplied
+    # the value, also where it sets a field of another name (lm_lr sets lr)
     _, corpus, labeled, lm_ckpt, _ = cli_artifacts
-    inputs = {"pretrain": ["--corpus", str(corpus)],
-              "finetune-lm": ["--checkpoint", str(lm_ckpt), "--data", str(corpus)],
-              "finetune-clf": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)]}[argv[0]]
+    epochs = ["--epochs", "1"]
+    inputs = {"pretrain": ["--corpus", str(corpus), *epochs],
+              "finetune-lm": ["--checkpoint", str(lm_ckpt), "--data", str(corpus), *epochs],
+              "finetune-clf": ["--checkpoint", str(lm_ckpt), "--data", str(labeled), *epochs],
+              "degrade": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)]}[argv[0]]
     out = tmp_path / "out.ckpt"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(argv + inputs + ["--out", str(out), "--epochs", "1", "--batch-size", "2"])
+        rc = main(argv + inputs + ["--out", str(out), "--batch-size", "2"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and option in err and "Traceback" not in err
+    assert err.startswith(f"error: {OPTIONS[option].flag} ") and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert list(tmp_path.iterdir()) == []
 
@@ -474,12 +504,36 @@ def test_cli_kind_mismatch_exits_2(cli_artifacts, capsys):
     assert rc == 2
 
 
-def test_cli_preset_mismatch_exits_1(cli_artifacts, capsys):
+@pytest.mark.parametrize("fractions, code, message", [
+    ("1.0,0", 1, "fraction must be in (0, 1], got 0.0"),
+    ("nan,1.0", 1, "fraction must be in (0, 1], got nan"),
+    ("1.0,0.01", 1, "fraction 0.01 of 19 examples leaves 0 < 2"),
+    ("1.0,x", 2, "--fractions takes comma-separated numbers, got '1.0,x'"),
+])
+def test_cli_degrade_checks_every_fraction_before_the_first_run(
+        cli_artifacts, tmp_path, capsys, monkeypatch, fractions, code, message):
     _, _, labeled, lm_ckpt, _ = cli_artifacts
-    rc = main(["finetune-clf", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
-               "--preset", "full"])
-    assert rc == 1
-    assert "preset" in capsys.readouterr().err
+    runs = []
+    monkeypatch.setattr(evalbench, "finetune_lm", lambda *args: runs.append(args))
+    rc = main(["degrade", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+               "--out", str(tmp_path / "report.csv"), "--fractions", fractions,
+               "--repeats", "3"])
+    assert rc == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == [] and list(tmp_path.iterdir()) == []
+
+
+def test_cli_preset_is_an_option_of_pretrain_only(cli_artifacts, tmp_path, capsys):
+    # a loaded model's architecture is read off its checkpoint
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    inputs = ["--checkpoint", str(lm_ckpt), "--data", str(labeled)]
+    for command in ("finetune-lm", "finetune-clf", "degrade"):
+        assert main([command, *inputs, "--preset", "tiny"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments: --preset tiny") == 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=tiny\n", encoding="utf-8")
+    assert main(["finetune-lm", "--config", str(cfg), *inputs]) == 2
+    assert "unknown key 'preset'" in capsys.readouterr().err
 
 
 def test_cli_bad_subcommand_exits_2():
@@ -592,3 +646,12 @@ def test_cli_rejects_options_a_subcommand_does_not_read(cli_artifacts, tmp_path,
     assert main(["finetune-lm", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
                  "--stage", "0.5"]) == 2
     assert capsys.readouterr().err.count("unrecognized arguments") == 6
+
+
+def test_readme_cli_table_matches_the_parser():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    rows = re.findall(r"^\| `([\w-]+)` \| `([^`]*)` \|$", readme, flags=re.M)
+    assert sorted(name for name, _ in rows) == sorted(COMMANDS)
+    for name, flags in rows:
+        assert sorted(flags.split()) == sorted(OPTIONS[k].flag for k in COMMANDS[name][2]), name

@@ -149,15 +149,22 @@ def test_degradation_suite_rerun_identical():
     assert r1.to_csv() == r2.to_csv()
 
 
-def test_degradation_suite_failure_carries_partial_report():
+def test_degradation_suite_failure_carries_partial_report(monkeypatch):
     lm, vocab, corpus, test, lm_cfg, clf_cfg = suite_inputs()
-    # fraction 0.02 of 40 examples rounds to 1 < 2 and must abort
+    real = evalbench.finetune_classifier
+
+    def finetune_classifier(encoder, sub, valid, cfg):  # fails on the subsample only
+        if len(sub.streams) < len(corpus.streams):
+            raise FloatingPointError("NaN gradient in parameter head.W1")
+        return real(encoder, sub, valid, cfg)
+
+    monkeypatch.setattr(evalbench, "finetune_classifier", finetune_classifier)
     with pytest.raises(evalbench.DegradationSuiteError) as exc:
         evalbench.run_degradation_suite(lm, vocab, vocab, corpus, test,
-                                        lm_cfg, clf_cfg, fractions=(1.0, 0.02),
+                                        lm_cfg, clf_cfg, fractions=(1.0, 0.5),
                                         repeats=1, base_seed=0)
     message = str(exc.value)
-    assert "fraction=0.02" in message
+    assert "fraction=0.5 repeat=0: NaN gradient" in message
     partial = message.split("partial report:\n", 1)[1].splitlines()
     assert partial[0] == evalbench.DegradationReport.CSV_HEADER
     assert [row.split(",")[0] for row in partial[1:]] == ["1.0"]

@@ -10,6 +10,7 @@ metrics log) embeds the resolved config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -18,8 +19,9 @@ from typing import NamedTuple
 from . import evalbench, train
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .model import PRESETS
-from .textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_corpus_lines,
-                       load_labeled_csv, numericalize, preprocess, split_corpus)
+from .textpipe import (NumericalizedCorpus, SettingError, Vocabulary, build_vocab,
+                       load_corpus_lines, load_labeled_csv, numericalize, preprocess,
+                       split_corpus)
 
 
 class UsageError(ValueError):
@@ -130,9 +132,22 @@ def _vocab_and_streams(res: Resolver, texts) -> tuple[Vocabulary, list[list[int]
     """Tokenize texts, build the ``max_vocab``-capped vocabulary over them,
     and numericalize them with it."""
     token_lists = [preprocess(t) for t in texts]
-    vocab = build_vocab((t for toks in token_lists for t in toks),
-                        max_size=res.get("max_vocab", 60000))
+    max_vocab = res.get("max_vocab", 60000)
+    with _refusal_of("max_vocab", max_vocab, "max_size"):
+        vocab = build_vocab((t for toks in token_lists for t in toks), max_size=max_vocab)
     return vocab, [numericalize(toks, vocab) for toks in token_lists]
+
+
+@contextlib.contextmanager
+def _refusal_of(key: str, value, field: str):
+    """Report a SettingError about the parameter ``field``, raised in the
+    body, as a refusal of the ``value`` given to the option ``key``."""
+    try:
+        yield
+    except SettingError as exc:
+        if exc.field != field:
+            raise
+        raise ValueError(f"{OPTIONS[key].flag} {value}: {exc}") from None
 
 
 def _phase_config(res: Resolver, defaults: train.PhaseConfig, keys: dict | None = None,
@@ -145,7 +160,7 @@ def _phase_config(res: Resolver, defaults: train.PhaseConfig, keys: dict | None 
     values = {field: res.get(key, getattr(defaults, field)) for field, key in keys.items()}
     try:
         return replace(defaults, **fixed, **values)
-    except train.PhaseSettingError as exc:
+    except SettingError as exc:
         flag = OPTIONS[keys.get(exc.field, exc.field)].flag
         raise ValueError(str(exc).replace(exc.field, flag, 1)) from None
 
@@ -169,7 +184,9 @@ def cmd_pretrain(args) -> int:
     valid_frac = res.get("valid_fraction", 0.1)
 
     vocab, streams = _vocab_and_streams(res, load_corpus_lines(corpus_path))
-    train_streams, valid_streams = split_corpus(streams, (1.0 - valid_frac, valid_frac), cfg.seed)
+    with _refusal_of("valid_fraction", valid_frac, "fractions"):
+        train_streams, valid_streams = split_corpus(streams, (1.0 - valid_frac, valid_frac),
+                                                    cfg.seed)
     model, metrics = train.pretrain_lm(
         NumericalizedCorpus(train_streams),
         NumericalizedCorpus(valid_streams) if valid_streams else None,
@@ -178,19 +195,14 @@ def cmd_pretrain(args) -> int:
 
 
 def _load(path: str, kind: str):
-    """The checkpoint at ``path``, which must hold a model of ``kind``."""
+    """The model built from the checkpoint at ``path``, which must hold a
+    model of ``kind``, with its vocabulary and provenance. The checkpoint,
+    whose arrays are views of the whole file, is not kept."""
     ckpt = load_checkpoint(_require_file(path, "checkpoint"))
     if ckpt.kind != kind:
         expected = {"lm": "a language model", "classifier": "a classifier"}[kind]
         raise UsageError(f"{path} holds a {ckpt.kind} checkpoint, expected {expected}")
-    return ckpt
-
-
-def _load_classifier(path: str):
-    """The built classifier at ``path`` and its vocabulary. The checkpoint,
-    whose arrays are views of the whole file, is not kept while it scores."""
-    ckpt = _load(path, "classifier")
-    return ckpt.build_model(), ckpt.vocab
+    return ckpt.build_model(), ckpt.vocab, ckpt.provenance
 
 
 def _labeled_corpus(path: str, vocab: Vocabulary):
@@ -201,7 +213,7 @@ def _labeled_corpus(path: str, vocab: Vocabulary):
 
 def cmd_finetune_lm(args) -> int:
     res = Resolver(args)
-    ckpt = _load(res.get("checkpoint"), "lm")
+    lm, vocab, provenance = _load(res.get("checkpoint"), "lm")
     cfg = _phase_config(res, train.lm_finetune_defaults())
     data_path = _require_file(res.get("data"), "dataset")
     if data_path.endswith(".csv"):
@@ -211,30 +223,28 @@ def cmd_finetune_lm(args) -> int:
     target_vocab, streams = _vocab_and_streams(res, texts)
     train_s, valid_s = split_corpus(streams, (0.9, 0.1), cfg.seed)
     model, metrics = train.finetune_lm(
-        ckpt.build_model(), ckpt.vocab, target_vocab,
-        NumericalizedCorpus(train_s),
+        lm, vocab, target_vocab, NumericalizedCorpus(train_s),
         NumericalizedCorpus(valid_s) if valid_s else None, cfg)
     return _write_outputs(res, "lm-finetuned.ckpt", model, target_vocab,
-                          ckpt.provenance + ["finetune-lm"], metrics)
+                          provenance + ["finetune-lm"], metrics)
 
 
 def cmd_finetune_clf(args) -> int:
     res = Resolver(args)
-    ckpt = _load(res.get("checkpoint"), "lm")
+    lm, vocab, provenance = _load(res.get("checkpoint"), "lm")
     cfg = _phase_config(res, train.clf_finetune_defaults())
-    corpus, _ = _labeled_corpus(res.get("data"), ckpt.vocab)
+    corpus, _ = _labeled_corpus(res.get("data"), vocab)
     valid = None
     valid_path = res.get("valid")
     if valid_path:
-        valid, _ = _labeled_corpus(valid_path, ckpt.vocab)
-    clf, metrics = train.finetune_classifier(ckpt.build_model(), corpus, valid, cfg)
-    return _write_outputs(res, "clf.ckpt", clf, ckpt.vocab,
-                          ckpt.provenance + ["finetune-clf"], metrics)
+        valid, _ = _labeled_corpus(valid_path, vocab)
+    clf, metrics = train.finetune_classifier(lm, corpus, valid, cfg)
+    return _write_outputs(res, "clf.ckpt", clf, vocab, provenance + ["finetune-clf"], metrics)
 
 
 def cmd_eval(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_classifier(res.get("checkpoint"))
+    clf, vocab, _ = _load(res.get("checkpoint"), "classifier")
     corpus, _ = _labeled_corpus(res.get("data"), vocab)
     result = evalbench.evaluate(clf, corpus)
     print(f"accuracy={result.accuracy:.4f}, loss={result.mean_loss:.6f}, n={result.n}")
@@ -243,7 +253,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_classifier(res.get("checkpoint"))
+    clf, vocab, _ = _load(res.get("checkpoint"), "classifier")
     text = res.get("text")
     if text is None:
         raise UsageError("missing --text")
@@ -255,7 +265,7 @@ def cmd_predict(args) -> int:
 
 def cmd_degrade(args) -> int:
     res = Resolver(args)
-    ckpt = _load(res.get("checkpoint"), "lm")
+    lm, vocab, _ = _load(res.get("checkpoint"), "lm")
     seed = res.get("seed", 0)
     text = res.get("fractions", "1.0,0.5,0.1")
     try:
@@ -280,11 +290,12 @@ def cmd_degrade(args) -> int:
                            seed=seed, batch_size=batch_size)
     clf_cfg = _phase_config(res, train.clf_finetune_defaults(), {"epochs": "clf_epochs"},
                             seed=seed, batch_size=batch_size)
-    report = evalbench.run_degradation_suite(
-        ckpt.build_model(), ckpt.vocab, target_vocab,
-        NumericalizedCorpus(train_streams, [l for _, l in train_records]),
-        NumericalizedCorpus(test_streams, [l for _, l in test_records]),
-        lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
+    with _refusal_of("repeats", repeats, "repeats"):
+        report = evalbench.run_degradation_suite(
+            lm, vocab, target_vocab,
+            NumericalizedCorpus(train_streams, [l for _, l in train_records]),
+            NumericalizedCorpus(test_streams, [l for _, l in test_records]),
+            lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
     out = res.get("out") or "degradation.csv"
     with atomic_open(out, encoding="utf-8") as f:
         f.write(train.config_header(res.snapshot))
@@ -297,10 +308,12 @@ def cmd_degrade(args) -> int:
 
 def cmd_top_losses(args) -> int:
     res = Resolver(args)
-    clf, vocab = _load_classifier(res.get("checkpoint"))
+    clf, vocab, _ = _load(res.get("checkpoint"), "classifier")
     corpus, texts = _labeled_corpus(res.get("data"), vocab)
     k = res.get("k", 10)
-    for ex in evalbench.top_losses(clf, corpus, min(k, len(corpus.streams)), texts):
+    with _refusal_of("k", k, "k"):
+        examples = evalbench.top_losses(clf, corpus, min(k, len(corpus.streams)), texts)
+    for ex in examples:
         print(f"loss={ex.loss:.4f} target={ex.target} predicted={ex.predicted} "
               f"p={ex.probability:.4f} text={ex.text!r}")
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import TextClassifier
-from .textpipe import NumericalizedCorpus
+from .textpipe import NumericalizedCorpus, SettingError
 from .train import evaluate, finetune_classifier, finetune_lm, per_example_losses
 
 # Draws subsample_train makes before it gives up on a two-class subsample.
@@ -138,7 +138,7 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     checked, as subsample_train checks it, before the first run.
     """
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise SettingError("repeats", "must be >= 1", repeats)
     fractions = sorted(set(fractions), reverse=True)
     for fraction in fractions:
         _subsample_size(len(train_corpus.streams), fraction)
@@ -178,7 +178,7 @@ def top_losses(clf: TextClassifier, corpus: NumericalizedCorpus, k: int,
                texts: list[str] | None = None) -> list[LossRankedExample]:
     """The k examples the model gets most confidently wrong, loss-descending."""
     if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+        raise SettingError("k", "must be positive", k)
     if k > len(corpus.streams):
         raise ValueError(f"k={k} exceeds corpus size {len(corpus.streams)}")
     if corpus.labels is None:

@@ -35,6 +35,16 @@ _CHAR_REP = re.compile(r"(\S)\1{2,}")
 _WORD_OR_PUNCT = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 
+class SettingError(ValueError):
+    """A parameter outside its range. The message begins with the
+    parameter's name, ``field``, so that a caller can name the option that
+    supplied the value instead."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} {rule}, got {value}")
+        self.field = field
+
+
 class CorpusFormatError(ValueError):
     """Raised when an input file violates its documented format."""
 
@@ -112,7 +122,7 @@ def build_vocab(tokens, max_size: int = 60000) -> Vocabulary:
     stable). Reserved tokens never count as corpus tokens.
     """
     if max_size <= len(SPECIALS):
-        raise ValueError(f"max_size must exceed {len(SPECIALS)} reserved tokens, got {max_size}")
+        raise SettingError("max_size", f"must exceed {len(SPECIALS)} reserved tokens", max_size)
     counts = Counter(t for t in tokens if t not in SPECIALS)
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])
     kept = [t for t, _ in ranked[: max_size - len(SPECIALS)]]
@@ -184,10 +194,10 @@ def split_corpus(records: list, fractions, seed: int) -> tuple[list, ...]:
     Deterministic for a fixed seed.
     """
     fractions = list(fractions)
-    if any(f <= 0 for f in fractions):
-        raise ValueError(f"fractions must be positive, got {fractions}")
+    if not all(f > 0 for f in fractions):  # NaN fails the comparison, so it is refused too
+        raise SettingError("fractions", "must be positive", fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+        raise SettingError("fractions", "must sum to 1", fractions)
     n = len(records)
     order = np.random.default_rng(seed).permutation(n)
     bounds = [0] + [round(sum(fractions[: i + 1]) * n) for i in range(len(fractions))]

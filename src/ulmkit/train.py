@@ -1,10 +1,11 @@
 """Optimizers, 1cycle schedule, discriminative learning rates, and the
-three transfer-learning phase drivers (pretrain, LM fine-tune, classifier
-fine-tune).
+three transfer-learning phases (pretrain, LM fine-tune, classifier
+fine-tune), which share one stage loop.
 
 All stochastic choices (shuffles, dropout masks, init) flow from explicit
 seeds, so a (seed, data, config) triple reproduces its metric trajectory
-exactly.
+exactly at a fixed BLAS thread count; another thread count may round the
+matrix products differently.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import tensor as T
 from .checkpoint import atomic_open
 from .model import DROPOUT_RATES, AwdLstmLM, TextClassifier, build_lm
 from .tensor import Rng, Tensor
-from .textpipe import PAD_ID, NumericalizedCorpus, Vocabulary
+from .textpipe import PAD_ID, NumericalizedCorpus, SettingError, Vocabulary
 
 METRICS_HEADER = "phase,stage,epoch,train_loss,valid_loss,valid_accuracy,seconds"
 
@@ -173,16 +174,7 @@ def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
 
 
 # ---------------------------------------------------------------------------
-# phase configuration
-
-
-class PhaseSettingError(ValueError):
-    """A PhaseConfig field outside its range; the message begins with the
-    field's name, ``field``."""
-
-    def __init__(self, field: str, rule: str, value):
-        super().__init__(f"{field} {rule}, got {value}")
-        self.field = field
+# phase configuration and the stage loop
 
 
 @dataclass
@@ -218,7 +210,7 @@ class PhaseConfig:
         # NaN fails every comparison, so it is refused too
         for name, rule, ok in checks:
             if not ok:
-                raise PhaseSettingError(name, rule, getattr(self, name))
+                raise SettingError(name, rule, getattr(self, name))
 
 
 def pretrain_defaults(**overrides) -> PhaseConfig:
@@ -258,6 +250,45 @@ class EpochMetrics:
                 f"{vl},{va},{self.seconds:.3f}")
 
 
+def _fit_stages(model, cfg: PhaseConfig, stages, steps_per_epoch: int, run_epoch, validate,
+                groups_of) -> list[EpochMetrics]:
+    """Train ``model`` through ``stages``, each a (``freeze_to`` index, epochs,
+    peak rate) triple run under 1cycle with a fresh Adam state; returns one
+    EpochMetrics per epoch. ``run_epoch(step)`` hands each batch's loss to
+    ``step`` and returns the mean; ``validate()`` returns (loss, accuracy),
+    either may be None; ``groups_of()`` gives the trainable groups, lowest
+    first. A non-finite loss (before backward) or gradient raises
+    FloatingPointError naming the phase, stage and step."""
+    metrics: list[EpochMetrics] = []
+    for stage, (freeze, epochs, lr) in enumerate(stages, 1):
+        model.freeze_to(freeze)
+        groups = groups_of()
+        cycle = OneCycleConfig(lr, max(epochs * steps_per_epoch, 1))
+        adam_state: dict = {}
+        done = 0
+
+        def step(loss: Tensor) -> None:
+            nonlocal done
+            try:
+                if not math.isfinite(loss.item()):
+                    raise FloatingPointError(f"loss is {loss.item()}")
+                lr_t, mom = one_cycle(min(done, cycle.total_steps), cycle)
+                optimizer_step(loss, groups, discriminative_lrs(lr_t, len(groups)), mom,
+                               adam_state, cfg.weight_decay)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{cfg.phase} stage {stage} step {done + 1}: {exc}") from exc
+            done += 1
+
+        for epoch in range(1, epochs + 1):
+            t0 = time.perf_counter()
+            train_loss = run_epoch(step)
+            valid_loss, valid_acc = validate()
+            metrics.append(EpochMetrics(cfg.phase, stage, epoch, train_loss, valid_loss,
+                                        valid_acc, time.perf_counter() - t0))
+    model.eval()
+    return metrics
+
+
 # ---------------------------------------------------------------------------
 # language-model training
 
@@ -267,9 +298,8 @@ def batchify(streams: list[list[int]], batch_size: int) -> np.ndarray:
     flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in streams if s])
     n = len(flat) // batch_size
     if n < 2:
-        raise ValueError(
-            f"corpus too small: {len(flat)} tokens cannot fill batch_size {batch_size}"
-        )
+        raise ValueError(f"corpus too small: {len(flat)} tokens cannot fill "
+                         f"batch_size {batch_size}")
     return flat[: n * batch_size].reshape(batch_size, n)
 
 
@@ -295,48 +325,44 @@ def lm_loss_terms(model: AwdLstmLM, x: np.ndarray, y: np.ndarray, state, cfg: Ph
 
 
 def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: bool,
-             optimizer_state: dict | None = None, cycle: OneCycleConfig | None = None,
-             step_offset: int = 0) -> tuple[float, int]:
-    """One pass over the token ribbon; returns (mean token loss, steps run).
-    Without ``train`` it runs under ``no_grad``: the loss alone, no
-    gradient work."""
+             step=None) -> tuple[float, int]:
+    """One pass over the token ribbon; returns (mean token loss, windows run).
+    In training each window's loss goes to ``step``, which takes the
+    optimizer step. Without ``train`` it runs under ``no_grad``: the loss
+    alone, no gradient work."""
     model.train() if train else model.eval()
     state = model.init_state(data.shape[0])
     total_ce, total_tokens, steps = 0.0, 0, 0
-    trainable = [p for _, p in model.named_parameters() if p.requires_grad]
     with contextlib.nullcontext() if train else T.no_grad():
         for x, y in _lm_windows(data, cfg.bptt_len):
             loss, ce, state = lm_loss_terms(model, x, y, state, cfg)
             if train:
-                lr, mom = one_cycle(min(step_offset + steps, cycle.total_steps), cycle)
-                optimizer_step(loss, [trainable], [lr], mom, optimizer_state, cfg.weight_decay)
+                step(loss)
             total_ce += ce.item() * y.size
             total_tokens += y.size
             steps += 1
     return total_ce / total_tokens, steps
 
 
-def _run_lm_stage(model: AwdLstmLM, train_data, valid_data, cfg: PhaseConfig, *,
-                  stage: int, epochs: int, lr: float, metrics: list[EpochMetrics],
-                  track_best: dict | None = None) -> None:
-    steps_per_epoch = lm_windows_per_epoch(train_data, cfg.bptt_len)
-    cycle = OneCycleConfig(lr, max(epochs * steps_per_epoch, 1))
-    opt_state: dict = {}
-    done = 0
-    for epoch in range(1, epochs + 1):
-        t0 = time.perf_counter()
-        train_loss, steps = lm_epoch(model, train_data, cfg, train=True,
-                                     optimizer_state=opt_state, cycle=cycle, step_offset=done)
-        done += steps
-        valid_loss = None
-        if valid_data is not None:
-            valid_loss, _ = lm_epoch(model, valid_data, cfg, train=False)
-            if track_best is not None and valid_loss < track_best.get("loss", math.inf):
-                track_best["loss"] = valid_loss
-                track_best["state"] = model.state_dict()
-        metrics.append(EpochMetrics(cfg.phase, stage, epoch, train_loss, valid_loss,
-                                    None, time.perf_counter() - t0))
-    model.eval()
+def _fit_lm(model: AwdLstmLM, train_corpus, valid_corpus, cfg: PhaseConfig, stages,
+            on_valid=lambda loss: None) -> list[EpochMetrics]:
+    """The stage loop over the corpora's token ribbons, with one optimizer
+    group of the trainable parameters in ``named_parameters`` order;
+    ``on_valid`` sees each validation loss."""
+    train_data = batchify(train_corpus.streams, cfg.batch_size)
+    valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
+
+    def validate():
+        if valid_data is None:
+            return None, None
+        loss, _ = lm_epoch(model, valid_data, cfg, train=False)
+        on_valid(loss)
+        return loss, None
+
+    return _fit_stages(
+        model, cfg, stages, lm_windows_per_epoch(train_data, cfg.bptt_len),
+        lambda step: lm_epoch(model, train_data, cfg, train=True, step=step)[0], validate,
+        lambda: [[p for _, p in model.named_parameters() if p.requires_grad]])
 
 
 def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCorpus | None,
@@ -350,13 +376,14 @@ def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCo
         raise ValueError("pretrain_lm: empty corpus")
     model = build_lm(vocab_size, preset=cfg.preset,
                      dropout_multiplier=cfg.dropout_multiplier, seed=cfg.seed)
-    train_data = batchify(train_corpus.streams, cfg.batch_size)
-    valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
-    metrics: list[EpochMetrics] = []
-    best: dict = {}
-    _run_lm_stage(model, train_data, valid_data, cfg, stage=1, epochs=cfg.epochs,
-                  lr=cfg.lr, metrics=metrics, track_best=best if valid_data is not None else None)
-    if best.get("state") is not None:
+    best = {"loss": math.inf, "state": None}
+
+    def keep_best(loss):
+        if loss < best["loss"]:
+            best.update(loss=loss, state=model.state_dict())
+
+    metrics = _fit_lm(model, train_corpus, valid_corpus, cfg, [(0, cfg.epochs, cfg.lr)], keep_best)
+    if best["state"] is not None:
         model.load_state_dict(best["state"])
     return model, metrics
 
@@ -369,21 +396,15 @@ def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabular
     embedding (and mean bias).
     """
     new = AwdLstmLM(len(new_vocab), pretrained.emb_dim, pretrained.hid_dim, pretrained.n_layers)
-    old_emb = pretrained.embedding.data
-    old_bias = pretrained.decoder_bias.data
-    mean_row = old_emb.mean(axis=0)
-    mean_bias = old_bias.mean()
-    emb = np.tile(mean_row, (len(new_vocab), 1))
-    bias = np.full(len(new_vocab), mean_bias)
+    old_emb, old_bias = pretrained.embedding.data, pretrained.decoder_bias.data
+    emb = np.tile(old_emb.mean(axis=0), (len(new_vocab), 1))
+    bias = np.full(len(new_vocab), old_bias.mean())
     for new_id, token in enumerate(new_vocab.id_to_token):
         old_id = old_vocab.token_to_id.get(token)
         if old_id is not None:
             emb[new_id] = old_emb[old_id]
             bias[new_id] = old_bias[old_id]
-    state = pretrained.state_dict()
-    state["embedding"] = emb
-    state["decoder_bias"] = bias
-    new.load_state_dict(state)
+    new.load_state_dict({**pretrained.state_dict(), "embedding": emb, "decoder_bias": bias})
     return new
 
 
@@ -395,16 +416,9 @@ def finetune_lm(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabul
     group at a lower rate."""
     model = map_vocab(pretrained, old_vocab, new_vocab)
     model.reset_dropout(cfg.dropout_multiplier, cfg.seed)
-    train_data = batchify(train_corpus.streams, cfg.batch_size)
-    valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
-    metrics: list[EpochMetrics] = []
-    model.freeze_to(len(model.layer_groups()) - 1)
-    _run_lm_stage(model, train_data, valid_data, cfg, stage=1,
-                  epochs=cfg.stage1_epochs, lr=cfg.stage1_lr, metrics=metrics)
-    model.freeze_to(0)
-    _run_lm_stage(model, train_data, valid_data, cfg, stage=2, epochs=cfg.epochs,
-                  lr=cfg.lr, metrics=metrics)
-    return model, metrics
+    last = len(model.layer_groups()) - 1
+    stages = [(last, cfg.stage1_epochs, cfg.stage1_lr), (0, cfg.epochs, cfg.lr)]
+    return model, _fit_lm(model, train_corpus, valid_corpus, cfg, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +435,7 @@ def make_clf_batches(corpus: NumericalizedCorpus, batch_size: int, max_len: int,
         chunk = idx[lo : lo + batch_size]
         seqs = [corpus.streams[i][:max_len] for i in chunk]
         lengths = np.array([max(len(s), 1) for s in seqs])
-        width = lengths.max()
-        ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
+        ids = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
         for r, s in enumerate(seqs):
             ids[r, : len(s)] = s
         labels = np.array([corpus.labels[i] for i in chunk]) if corpus.labels is not None else None
@@ -495,42 +508,29 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     clf = TextClassifier(encoder, seed=cfg.seed)
     encoder.reset_dropout(cfg.dropout_multiplier, cfg.seed)
     shuffle_rng = Rng(cfg.seed).child("clf-shuffle")
-    n_groups = len(clf.layer_groups())
-    metrics: list[EpochMetrics] = []
-    for stage in range(n_groups):
-        clf.freeze_to(n_groups - 1 - stage)
-        groups = clf.trainable_groups()
-        stage_lr = cfg.lr / STAGE_LR_DECAY ** stage
-        epochs = cfg.epochs if stage == n_groups - 1 else 1
-        steps_per_epoch = math.ceil(len(train_corpus.streams) / cfg.batch_size)
-        cycle = OneCycleConfig(stage_lr, max(epochs * steps_per_epoch, 1))
-        ladder = discriminative_lrs(stage_lr, len(groups))
-        opt_state: dict = {}
-        step = 0
-        for epoch in range(1, epochs + 1):
-            t0 = time.perf_counter()
-            clf.train()
-            order = shuffle_rng.permutation(len(train_corpus.streams))
-            total_loss, n = 0.0, 0
-            for ids, lengths, labels in make_clf_batches(train_corpus, cfg.batch_size,
-                                                         MAX_LEN, order):
-                logits = clf.forward(ids, lengths)
-                loss = T.cross_entropy(logits, labels)
-                lr_t, mom = one_cycle(min(step, cycle.total_steps), cycle)
-                scale = lr_t / stage_lr
-                optimizer_step(loss, groups, [base * scale for base in ladder], mom,
-                               opt_state, cfg.weight_decay)
-                total_loss += loss.item() * len(labels)
-                n += len(labels)
-                step += 1
-            valid_loss = valid_acc = None
-            if valid_corpus is not None and len(valid_corpus.streams):
-                result = evaluate(clf, valid_corpus, cfg.batch_size)
-                valid_loss, valid_acc = result.mean_loss, result.accuracy
-            metrics.append(EpochMetrics(cfg.phase, stage + 1, epoch, total_loss / n,
-                                        valid_loss, valid_acc, time.perf_counter() - t0))
-    clf.eval()
-    return clf, metrics
+    n = len(train_corpus.streams)
+
+    def run_epoch(step) -> float:
+        clf.train()
+        total_loss = 0.0
+        for ids, lengths, labels in make_clf_batches(train_corpus, cfg.batch_size, MAX_LEN,
+                                                     shuffle_rng.permutation(n)):
+            loss = T.cross_entropy(clf.forward(ids, lengths), labels)
+            step(loss)
+            total_loss += loss.item() * len(labels)
+        return total_loss / n
+
+    def validate():
+        if valid_corpus is None or not valid_corpus.streams:
+            return None, None
+        result = evaluate(clf, valid_corpus, cfg.batch_size)
+        return result.mean_loss, result.accuracy
+
+    last = len(clf.layer_groups()) - 1
+    stages = [(last - s, cfg.epochs if s == last else 1, cfg.lr / STAGE_LR_DECAY ** s)
+              for s in range(last + 1)]
+    return clf, _fit_stages(clf, cfg, stages, math.ceil(n / cfg.batch_size), run_epoch,
+                            validate, clf.trainable_groups)
 
 
 def config_header(snapshot: dict) -> str:

@@ -2,18 +2,20 @@
 
 import argparse
 import csv
+import gc
 import json
 import pathlib
 import re
 import struct
 import warnings
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from ulmkit import checkpoint as ck
-from ulmkit import evalbench, train
+from ulmkit import cli, evalbench, train
 from ulmkit.cli import COMMANDS, OPTIONS, Resolver, build_parser, main, read_config_file
 from ulmkit.model import AwdLstmLM, TextClassifier, build_lm
 from ulmkit.textpipe import SPECIALS, Vocabulary
@@ -493,6 +495,79 @@ def test_cli_out_of_range_phase_settings_exit_1(cli_artifacts, tmp_path, capsys,
     assert err.startswith(f"error: {OPTIONS[option].flag} ") and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pretrain", "--valid-fraction", "0"], "--valid-fraction 0.0"),
+    (["pretrain", "--valid-fraction", "nan"], "--valid-fraction nan"),
+    (["pretrain", "--max-vocab", "5"], "--max-vocab 5"),
+    (["degrade", "--repeats", "0"], "--repeats 0"),
+    (["top-losses", "-k", "0"], "-k 0"),
+], ids=["valid-fraction", "valid-fraction-nan", "max-vocab", "repeats", "k"])
+def test_cli_values_refused_by_the_called_function_name_their_flag(
+        cli_artifacts, tmp_path, capsys, argv, flag):
+    _, corpus, labeled, lm_ckpt, clf_ckpt = cli_artifacts
+    out = ["--out", str(tmp_path / "out")]
+    inputs = {"pretrain": ["--corpus", str(corpus), "--epochs", "1", *out],
+              "degrade": ["--checkpoint", str(lm_ckpt), "--data", str(labeled), *out],
+              "top-losses": ["--checkpoint", str(clf_ckpt), "--data", str(labeled)]}[argv[0]]
+    rc = main(argv + inputs)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: ") and "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, owner, entry", [
+    ("finetune-lm", train, "finetune_lm"),
+    ("finetune-clf", train, "finetune_classifier"),
+    ("degrade", evalbench, "finetune_lm"),
+])
+def test_cli_drops_the_loaded_checkpoint_before_training(
+        cli_artifacts, tmp_path, monkeypatch, command, owner, entry):
+    # a checkpoint's arrays are views of the whole file's bytes
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    loaded, alive_at_entry = [], []
+    load, enter = cli.load_checkpoint, getattr(owner, entry)
+
+    def load_checkpoint(path):
+        ckpt = load(path)
+        loaded.append(weakref.ref(ckpt))
+        return ckpt
+
+    def entered(*args, **kwargs):
+        gc.collect()
+        alive_at_entry.append(loaded[0]() is not None)
+        return enter(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_checkpoint)
+    monkeypatch.setattr(owner, entry, entered)
+    rc = main([command, "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+               "--out", str(tmp_path / "out"), "--batch-size", "4",
+               *(["--fractions", "1.0", "--repeats", "1", "--lm-epochs", "1", "--clf-epochs",
+                  "1"] if command == "degrade" else ["--epochs", "1"])])
+    assert rc == 0
+    assert alive_at_entry == [False]
+
+
+def test_cli_non_finite_loss_exits_1_naming_phase_stage_and_step(cli_artifacts, tmp_path,
+                                                                capsys):
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    ckpt = ck.load_checkpoint(lm_ckpt)
+    lm = ckpt.build_model()
+    lm.layers[0].W_hh.data[0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    ck.save_checkpoint(bad, lm, ckpt.vocab)
+    inputs = ["--checkpoint", str(bad), "--data", str(labeled), "--batch-size", "4"]
+    for argv, message in [
+            (["finetune-lm", "--epochs", "1"], "lm-finetune stage 1 step 1: loss is nan"),
+            (["finetune-clf", "--epochs", "1"], "clf-finetune stage 1 step 1: loss is nan"),
+            (["degrade", "--fractions", "1.0", "--repeats", "1"],
+             "run failed at fraction=1.0 repeat=0: lm-finetune stage 1 step 1: loss is nan")]:
+        assert main(argv + inputs + ["--out", str(tmp_path / "out")]) == 1
+        # degrade also prints its partial report
+        assert capsys.readouterr().err.startswith(f"error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["nan.ckpt"]
 
 
 def test_cli_kind_mismatch_exits_2(cli_artifacts, capsys):

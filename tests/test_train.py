@@ -9,7 +9,8 @@ from ulmkit import tensor as T
 from ulmkit import train
 from ulmkit.model import build_lm
 from ulmkit.tensor import Rng
-from ulmkit.textpipe import NumericalizedCorpus, Vocabulary
+from ulmkit.textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_corpus_lines,
+                              load_labeled_csv, numericalize, preprocess)
 
 
 # -- schedules ----------------------------------------------------------------
@@ -482,3 +483,118 @@ def test_per_example_losses_on_unlabeled_corpus():
     assert [(pred, prob) for pred, _, prob in unlabeled] == \
         [(pred, prob) for pred, _, prob in labeled]
     assert all(math.isnan(loss) for _, loss, _ in unlabeled)
+
+
+# -- the stage loop -------------------------------------------------------------
+
+
+def fixture_corpora(corpus_path, labeled_path):
+    """The vocabulary of the two fixtures, the plain-text fixture and the
+    labeled one, numericalized with it."""
+    lines = [preprocess(t) for t in load_corpus_lines(corpus_path)]
+    records = load_labeled_csv(labeled_path)
+    labeled = [preprocess(t) for t, _ in records]
+    vocab = build_vocab(t for toks in lines + labeled for t in toks)
+    return (vocab, NumericalizedCorpus([numericalize(t, vocab) for t in lines]),
+            NumericalizedCorpus([numericalize(t, vocab) for t in labeled],
+                                [label for _, label in records]))
+
+
+def record_optimizer_steps(monkeypatch):
+    """Per optimizer_step call: (Adam state, its size at the call, the groups,
+    the rates)."""
+    calls = []
+    real = train.optimizer_step
+
+    def recording(loss, groups, lrs, momentum, state, weight_decay):
+        calls.append((state, len(state), groups, list(lrs)))
+        real(loss, groups, lrs, momentum, state, weight_decay)
+
+    monkeypatch.setattr(train, "optimizer_step", recording)
+    return calls
+
+
+def assert_schedule(calls, expected):
+    """``expected`` holds per stage (steps, peak rate, number of groups); a
+    stage is the run of calls that share one Adam state."""
+    stages: dict[int, list] = {}
+    for state, size, groups, lrs in calls:
+        stages.setdefault(id(state), []).append((size, len(groups), lrs))
+    assert len(stages) == len(expected)
+    for stage, (steps, peak, n_groups) in zip(stages.values(), expected):
+        assert len(stage) == steps
+        assert stage[0][0] == 0  # a new, empty Adam state at its first step
+        assert {n for _, n, _ in stage} == {n_groups}
+        ladder = train.discriminative_lrs(peak / train.DIV_START, n_groups)
+        assert stage[0][2] == pytest.approx(ladder, rel=1e-12, abs=0)
+
+
+def test_each_phase_hands_the_optimizer_its_stage_schedule(monkeypatch, corpus_path,
+                                                           labeled_path):
+    vocab, text, labeled = fixture_corpora(corpus_path, labeled_path)
+    calls = record_optimizer_steps(monkeypatch)
+
+    cfg = train.pretrain_defaults(epochs=2, batch_size=8, bptt_len=35, seed=0)
+    lm, _ = train.pretrain_lm(text, None, len(vocab), cfg)
+    per_epoch = train.lm_windows_per_epoch(train.batchify(text.streams, 8), 35)
+    assert_schedule(calls, [(2 * per_epoch, cfg.lr, 1)])
+    # the one group holds every parameter, in named_parameters order
+    assert calls[0][2][0] == [p for _, p in lm.named_parameters()]
+
+    calls.clear()
+    cfg = train.lm_finetune_defaults(epochs=2, batch_size=4, bptt_len=20, seed=0)
+    target = NumericalizedCorpus(labeled.streams)
+    tuned, _ = train.finetune_lm(lm, vocab, vocab, target, None, cfg)
+    per_epoch = train.lm_windows_per_epoch(train.batchify(target.streams, 4), 20)
+    assert_schedule(calls, [(cfg.stage1_epochs * per_epoch, cfg.stage1_lr, 1),
+                            (cfg.epochs * per_epoch, cfg.lr, 1)])
+    assert calls[0][2][0] == [tuned.embedding, tuned.decoder_bias]
+
+    calls.clear()
+    cfg = train.clf_finetune_defaults(epochs=2, batch_size=8, seed=0)
+    train.finetune_classifier(tuned, labeled, None, cfg)
+    per_epoch = math.ceil(len(labeled.streams) / 8)
+    last = tuned.n_layers
+    assert_schedule(calls, [((cfg.epochs if s == last else 1) * per_epoch,
+                             cfg.lr / train.STAGE_LR_DECAY ** s, s + 1)
+                            for s in range(last + 1)])
+
+
+def nan_in_a_recurrent_weight(model):
+    model.layers[1].W_hh.data[0, 0] = np.nan
+    return model
+
+
+def test_a_non_finite_loss_stops_pretraining_before_backward(monkeypatch):
+    built = train.build_lm
+    monkeypatch.setattr(train, "build_lm",
+                        lambda *args, **kw: nan_in_a_recurrent_weight(built(*args, **kw)))
+    monkeypatch.setattr(T, "backward", lambda loss: pytest.fail("backward ran"))
+    cfg = train.pretrain_defaults(epochs=1, batch_size=2, bptt_len=10, seed=0)
+    with pytest.raises(FloatingPointError, match=r"^pretrain stage 1 step 1: loss is nan$"):
+        train.pretrain_lm(toy_corpus(), None, 20, cfg)
+
+
+def test_a_non_finite_loss_stops_the_classifier_fine_tune():
+    lm = nan_in_a_recurrent_weight(build_lm(20, "tiny", seed=0))
+    cfg = train.clf_finetune_defaults(epochs=1, batch_size=4, seed=0)
+    with pytest.raises(FloatingPointError, match=r"^clf-finetune stage 1 step 1: loss is nan$"):
+        train.finetune_classifier(lm, labeled_toy(), None, cfg)
+
+
+def test_a_non_finite_gradient_names_phase_stage_step_and_parameter(monkeypatch):
+    # labeled_toy at batch 4 runs 3 steps a stage, so call 5 is stage 2 step 2
+    clipped = train.clip_gradients
+    calls = []
+
+    def clip(params, max_norm):
+        calls.append(max_norm)
+        if len(calls) == 5:
+            raise FloatingPointError("NaN gradient in parameter lstm2.W_hh")
+        return clipped(params, max_norm)
+
+    monkeypatch.setattr(train, "clip_gradients", clip)
+    cfg = train.clf_finetune_defaults(epochs=1, batch_size=4, seed=0)
+    with pytest.raises(FloatingPointError, match=r"^clf-finetune stage 2 step 2: NaN gradient "
+                                                 r"in parameter lstm2\.W_hh$"):
+        train.finetune_classifier(build_lm(20, "tiny", seed=0), labeled_toy(), None, cfg)

@@ -4,7 +4,8 @@ Subcommands: pretrain, finetune-lm, finetune-clf, eval, predict, degrade,
 top-losses. Exit codes: 0 success, 1 runtime contract failure, 2 usage
 error. A flat key=value config file can preseed any option of that
 subcommand; explicit flags win. Every artifact written (checkpoint, report,
-metrics log) embeds the resolved config and seed.
+metrics log) embeds the resolved config and seed. A command runs numpy's
+BLAS on one thread, whatever the host's setting.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import NamedTuple
 from . import evalbench, train
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .model import PRESETS
+from .tensor import single_blas_thread
 from .textpipe import (NumericalizedCorpus, SettingError, Vocabulary, build_vocab,
                        load_corpus_lines, load_labeled_csv, numericalize, preprocess,
                        split_corpus)
@@ -290,7 +292,7 @@ def cmd_degrade(args) -> int:
                            seed=seed, batch_size=batch_size)
     clf_cfg = _phase_config(res, train.clf_finetune_defaults(), {"epochs": "clf_epochs"},
                             seed=seed, batch_size=batch_size)
-    with _refusal_of("repeats", repeats, "repeats"):
+    with _refusal_of("repeats", repeats, "repeats"), _refusal_of("fractions", text, "fraction"):
         report = evalbench.run_degradation_suite(
             lm, vocab, target_vocab,
             NumericalizedCorpus(train_streams, [l for _, l in train_records]),
@@ -364,7 +366,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # one BLAS thread: a seeded run gives the same bytes at any host
+        # setting, and the tied decoder's threads have the cores
+        with single_blas_thread():
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

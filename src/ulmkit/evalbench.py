@@ -85,10 +85,10 @@ def _subsample_size(n: int, fraction: float) -> int:
     """round(fraction * n), for a fraction in (0, 1] that leaves at least 2
     of the n examples."""
     if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        raise SettingError("fraction", "must be in (0, 1]", fraction)
     k = round(fraction * n)
     if k < 2:
-        raise ValueError(f"fraction {fraction} of {n} examples leaves {k} < 2")
+        raise SettingError("fraction", f"must keep at least 2 of {n} examples", fraction)
     return k
 
 

@@ -9,15 +9,30 @@ which truncated BPTT relies on.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import glob
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
-# Rows of logits the tied decoder forms at a time: the fastest of 64 to 1,120
-# rows at 10,008 classes and 64 features, where a chunk of logits is 20 MB.
+# Rows of logits the tied decoder forms at a time. Measured serially at
+# 10,008 classes and 64 features, where a chunk of logits is 20 MB, 256 was
+# the fastest of 64 to 1,120 rows. Split over two threads it was again among
+# the fastest, within the host's run-to-run noise.
 DECODER_CHUNK = 256
+# A chunk with fewer logits than this stays on the calling thread. At 64
+# features and 1 BLAS thread on 2 cores, a 256-row chunk took as long split
+# in two as serial at 256 classes (65,536 logits, 1.2 ms), 1.3-1.5x as long
+# at 64 classes and below, and 1.4-1.9x less from 512 classes up.
+DECODER_SPLIT_MIN = 1 << 16
+# Classes per block of the weight gradient, which bounds its temporary.
+_DW_BLOCK = 1024
 _grad_enabled = True
+_pool: ThreadPoolExecutor | None = None
 
 
 class ShapeError(ValueError):
@@ -318,15 +333,108 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _make(out_data, (logits,), bwd)
 
 
+@functools.cache
+def _openblas():
+    """The get and set thread-count calls of numpy's bundled OpenBLAS, or
+    None where that library or its calls cannot be found."""
+    numpy_dir = os.path.dirname(np.__file__)
+    for path in glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """The threads numpy's OpenBLAS runs a product on, or None if unknown."""
+    calls = _openblas()
+    return None if calls is None else calls[0]()
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Within this block numpy's OpenBLAS runs every product on the calling
+    thread, so that its results do not depend on the host's thread setting;
+    the previous setting is restored after. A no-op where the thread count
+    cannot be set."""
+    calls = _openblas()
+    if calls is None:
+        yield
+        return
+    previous = calls[0]()
+    calls[1](1)
+    try:
+        yield
+    finally:
+        calls[1](previous)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def decoder_workers() -> int:
+    """Threads the tied decoder splits a chunk over: the CPUs this process
+    may use, shared among the threads each BLAS product runs on. 1 (serial)
+    where the BLAS thread count cannot be read."""
+    threads = blas_threads()
+    return 1 if threads is None else max(1, _cpus() // threads)
+
+
+def _reset_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _split(task, n: int, parts: int) -> None:
+    """Cut range(n) into at most ``parts`` slices, run task(start, stop) for
+    each, the first on the calling thread and the others on the pool, and
+    return once all are done. Every slice holds at least 2 (one slice when
+    n < 4): numpy hands a one-row product to gemv, whose sums are not those
+    of gemm."""
+    global _pool
+    parts = max(1, min(parts, n // 2))
+    cuts = [n * k // parts for k in range(parts + 1)]
+    if parts > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(thread_name_prefix="ulmkit-decoder")
+    futures = [_pool.submit(task, cuts[k], cuts[k + 1]) for k in range(1, parts)]
+    try:
+        task(cuts[0], cuts[1])
+    finally:
+        for f in futures:
+            f.result()
+
+
 def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of targets under softmax(h @ weight.T +
     bias), for (..., features) h, a (classes, features) weight (the tied
     embedding), a (classes,) bias and targets of h's leading shape.
 
-    One graph node that never holds more than DECODER_CHUNK rows of logits.
-    When a parent needs a gradient, the forward pass forms each chunk's
-    share of it (the fused linear cross-entropy of Liger Kernel and Cut
-    Cross-Entropy), and backward only scales by the upstream gradient."""
+    One graph node that never holds more than DECODER_CHUNK rows of logits,
+    in one buffer reused for every chunk. When a parent needs a gradient,
+    the forward pass forms each chunk's share of it (the fused linear
+    cross-entropy of Liger Kernel and Cut Cross-Entropy), and backward only
+    scales by the upstream gradient.
+
+    A chunk of at least DECODER_SPLIT_MIN logits is split over
+    ``decoder_workers()`` threads in two phases. In the row phase each
+    thread forms the logits, softmax, loss terms, logits gradient and ``h``
+    gradient of a slice of the chunk's rows; in the column phase, run only
+    for a weight or bias gradient, each thread adds the chunk's share to a
+    slice of the classes. Every output element gets the same arithmetic at
+    any thread count, so results are bit-identical to the serial op."""
     targets = np.asarray(targets)
     if (h.data.ndim < 2 or weight.data.ndim != 2 or h.shape[-1] != weight.shape[1]
             or bias.shape != weight.shape[:1] or targets.shape != h.shape[:-1]):
@@ -343,24 +451,39 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     dw = np.zeros((c, e)) if track and weight.requires_grad else None
     db = np.zeros(c) if track and bias.requires_grad else None
     picked = np.empty(n)  # log-probability of each target
-    for lo in range(0, n, DECODER_CHUNK):
-        hc, tc = h2d[lo : lo + DECODER_CHUNK], targets[lo : lo + DECODER_CHUNK]
-        rows = np.arange(len(tc))
-        z = hc @ weight.data.T
+    logits = np.empty((min(n, DECODER_CHUNK), c))
+    parts = decoder_workers() if logits.size >= DECODER_SPLIT_MIN else 1
+
+    def row_phase(lo, r0, r1):
+        hc, tc, z = h2d[lo + r0 : lo + r1], targets[lo + r0 : lo + r1], logits[r0:r1]
+        rows = np.arange(r1 - r0)
+        np.matmul(hc, weight.data.T, out=z)
         z += bias.data
         z -= z.max(axis=1, keepdims=True)
         zt = z[rows, tc]
         s = np.exp(z, out=z).sum(axis=1, keepdims=True)
-        picked[lo : lo + len(tc)] = zt - np.log(s[:, 0])
+        picked[lo + r0 : lo + r1] = zt - np.log(s[:, 0])
         if track:
             dz = np.divide(z, s * n, out=z)  # (softmax - one-hot) / n
             dz[rows, tc] -= 1.0 / n
             if dh is not None:
-                np.matmul(dz, weight.data, out=dh[lo : lo + len(tc)])
+                np.matmul(dz, weight.data, out=dh[lo + r0 : lo + r1])
+
+    def column_phase(hc, dz, c0, c1):
+        a = c0
+        while a < c1:
+            b = c1 if c1 - a < _DW_BLOCK + 2 else a + _DW_BLOCK  # no one-class block (gemv)
             if dw is not None:
-                dw += dz.T @ hc
+                dw[a:b] += dz[:, a:b].T @ hc
             if db is not None:
-                db += dz.sum(axis=0)
+                db[a:b] += dz[:, a:b].sum(axis=0)
+            a = b
+
+    for lo in range(0, n, DECODER_CHUNK):
+        m = min(DECODER_CHUNK, n - lo)
+        _split(functools.partial(row_phase, lo), m, parts)
+        if dw is not None or db is not None:
+            _split(functools.partial(column_phase, h2d[lo : lo + m], logits[:m]), c, parts)
     out_data = -picked.mean()
 
     def bwd(g):

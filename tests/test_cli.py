@@ -4,9 +4,12 @@ import argparse
 import csv
 import gc
 import json
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import weakref
 import zlib
@@ -344,6 +347,25 @@ def cli_artifacts(tmp_path_factory):
     return root, corpus, labeled, lm_ckpt, clf_ckpt
 
 
+def test_cli_pretrain_checkpoint_does_not_depend_on_the_blas_thread_setting(
+        corpus_path, tmp_path):
+    # each run in its own process, so that OpenBLAS reads the setting at start
+    src = pathlib.Path(ck.__file__).resolve().parent.parent
+    ckpts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"lm-{threads}.ckpt"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ulmkit.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "pretrain", "--corpus", str(corpus_path),
+             "--out", str(out), "--epochs", "2", "--batch-size", "16", "--bptt", "70",
+             "--seed", "0"], env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        ckpts.append(out.read_bytes())
+    assert ckpts[0] == ckpts[1]
+
+
 def test_cli_pretrain_writes_artifacts(cli_artifacts):
     root, _, _, lm_ckpt, _ = cli_artifacts
     assert lm_ckpt.exists()
@@ -580,9 +602,10 @@ def test_cli_kind_mismatch_exits_2(cli_artifacts, capsys):
 
 
 @pytest.mark.parametrize("fractions, code, message", [
-    ("1.0,0", 1, "fraction must be in (0, 1], got 0.0"),
-    ("nan,1.0", 1, "fraction must be in (0, 1], got nan"),
-    ("1.0,0.01", 1, "fraction 0.01 of 19 examples leaves 0 < 2"),
+    ("1.0,0", 1, "--fractions 1.0,0: fraction must be in (0, 1], got 0.0"),
+    ("nan,1.0", 1, "--fractions nan,1.0: fraction must be in (0, 1], got nan"),
+    ("1.0,0.01", 1, "--fractions 1.0,0.01: fraction must keep at least 2 of 19 examples, "
+                    "got 0.01"),
     ("1.0,x", 2, "--fractions takes comma-separated numbers, got '1.0,x'"),
 ])
 def test_cli_degrade_checks_every_fraction_before_the_first_run(

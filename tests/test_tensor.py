@@ -1,5 +1,6 @@
 """Autodiff engine tests: finite-difference oracles and graph mechanics."""
 
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -293,21 +294,31 @@ def decoder_ce_inputs(rows, feats, classes, seed):
     return h, w, b, targets.reshape(lead)
 
 
-# rows below, equal to and above a chunk of 3, and k·chunk + 1
+def split_decoder(workers, split_min=0, dw_block=T._DW_BLOCK):
+    """Patch tied_decoder_ce to split a chunk of at least ``split_min``
+    logits over ``workers`` threads, in weight-gradient blocks of
+    ``dw_block`` classes."""
+    return mock.patch.multiple(T, decoder_workers=lambda: workers,
+                               DECODER_SPLIT_MIN=split_min, _DW_BLOCK=dw_block)
+
+
+# rows below, equal to and above a chunk of 3, and k·chunk + 1; serial, and
+# split over more threads than the two-row slices a chunk of 3 allows
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 7])
 @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_tied_decoder_ce_finite_differences(rows, feats, classes, seed):
     h, w, b, targets = decoder_ce_inputs(rows, feats, classes, seed)
-    with mock.patch.object(T, "DECODER_CHUNK", 3):
 
-        def build():
-            for p in (h, w, b):
-                p.zero_grad()
-            return T.tied_decoder_ce(h, w, b, targets)
+    def build():
+        for p in (h, w, b):
+            p.zero_grad()
+        return T.tied_decoder_ce(h, w, b, targets)
 
-        assert abs(build().item() - decoder_ce_reference(h.data, w.data, b.data, targets)) < 1e-12
-        check_grad(build, h, w, b)
+    for workers in (1, 3):
+        with mock.patch.object(T, "DECODER_CHUNK", 3), split_decoder(workers, dw_block=2):
+            assert abs(build().item() - decoder_ce_reference(h.data, w.data, b.data, targets)) < 1e-12
+            check_grad(build, h, w, b)
 
 
 def test_tied_decoder_ce_matches_log_softmax_reference():
@@ -340,6 +351,64 @@ def test_tied_decoder_ce_under_no_grad_is_a_leaf_with_no_gradient_work():
     assert not loss.requires_grad and loss._parents == () and loss._backward is None
     assert peak < w.data.nbytes  # no weight-sized gradient was formed
     assert tracked.requires_grad and T._tracked(h)  # the switch is off again
+
+
+def decoder_ce_results(h, w, b, targets):
+    """Loss and gradients of tied_decoder_ce, tracked and under no_grad."""
+    for p in (h, w, b):
+        p.zero_grad()
+    loss = T.tied_decoder_ce(h, w, b, targets)
+    T.backward(loss)
+    with T.no_grad():
+        untracked = T.tied_decoder_ce(h, w, b, targets).data
+    return loss.data, h.grad, w.grad, b.grad, untracked
+
+
+@pytest.mark.parametrize("dw_block", [T._DW_BLOCK, 5], ids=["one-block", "blocks-of-5"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tied_decoder_ce_is_bit_identical_at_any_worker_count(workers, dw_block):
+    # 2 chunks of 7 rows and a last of 2, fewer than the workers; 23 classes,
+    # so a third of them is 7 and blocks of 5 leave one of 2, never of 1
+    h, w, b, targets = decoder_ce_inputs(16, 6, 23, 3)
+    interval = sys.getswitchinterval()
+    with mock.patch.object(T, "DECODER_CHUNK", 7):
+        serial = decoder_ce_results(h, w, b, targets)
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+        try:
+            with split_decoder(workers, dw_block=dw_block):
+                split = decoder_ce_results(h, w, b, targets)
+        finally:
+            sys.setswitchinterval(interval)
+    for want, got in zip(serial, split):
+        assert np.array_equal(want, got)
+
+
+def test_tied_decoder_ce_split_holds_one_chunk_of_logits():
+    # an lm-pretrain-10k step: one chunk of logits is shared by the workers,
+    # and the weight gradient is formed block by block
+    rng = np.random.default_rng(0)
+    h = T.param(rng.normal(size=(16, 70, 64)))
+    w = T.param(rng.normal(size=(10_008, 64)) * 0.1)
+    b = T.param(np.zeros(10_008))
+    targets = rng.integers(0, 10_008, size=(16, 70))
+    chunk = T.DECODER_CHUNK * 10_008 * 8
+    with split_decoder(2, split_min=T.DECODER_SPLIT_MIN), T.single_blas_thread():
+        tracemalloc.start()
+        try:
+            T.tied_decoder_ce(h, w, b, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < chunk + h.data.nbytes + w.data.nbytes + b.data.nbytes + (2 << 20)
+
+
+def test_single_blas_thread_pins_and_restores():
+    before = T.blas_threads()
+    if before is None:
+        pytest.skip("numpy's OpenBLAS thread calls are not reachable here")
+    with T.single_blas_thread():
+        assert T.blas_threads() == 1
+    assert T.blas_threads() == before
 
 
 def test_tied_decoder_ce_errors():

@@ -29,6 +29,13 @@ DECODER_CHUNK = 256
 # in two as serial at 256 classes (65,536 logits, 1.2 ms), 1.3-1.5x as long
 # at 64 classes and below, and 1.4-1.9x less from 512 classes up.
 DECODER_SPLIT_MIN = 1 << 16
+# A tracked call whose chunk buffer holds at least this many logits (256
+# rows x 4,096 classes) forms its products, softmax and logits gradient in
+# float32: half the buffer, and at B16 S70 V10,008 E64 with its gradients
+# 74-77 ms against 129-148 ms in float64 (1 BLAS thread, split over 2
+# cores). Smaller decoders, the fixtures' and the tests' among them, and
+# every untracked call stay float64 throughout.
+DECODER_F32_MIN = 1 << 20
 # Classes per block of the weight gradient, which bounds its temporary.
 _DW_BLOCK = 1024
 _grad_enabled = True
@@ -80,7 +87,8 @@ def param(data, name=None) -> Tensor:
 def no_grad():
     """Within this block no op records a graph node: every result is a leaf
     with no parents, and fused ops skip their gradient work. Values are
-    unchanged."""
+    unchanged, except that a ``tied_decoder_ce`` large enough for float32
+    when tracked is float64 here (see its docstring)."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -159,7 +167,9 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
 
     Gates are packed [input, forget, cell, output] along the 4·hidden axis.
     The input projection of every step is one matmul; the recurrence runs in
-    numpy and keeps each step's gates and cell; backward is hand-written BPTT.
+    numpy and, when the op records a gradient, keeps each step's gates and
+    cell for the hand-written BPTT backward; otherwise it keeps only the
+    current step's gates and the last two cells, with the same arithmetic.
     ``h0``/``c0`` are plain arrays (the carried state is never
     differentiated). Returns the outputs (batch, steps, hidden) and fresh
     copies of the final hidden and cell state.
@@ -175,20 +185,22 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
                          f"c0 {np.shape(c0)}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}")
     x2d = x.data.reshape(bsz * steps, n_in)
     proj = (x2d @ w_ih.data).reshape(bsz, steps, 4 * hs)
-    gates = np.empty((steps, bsz, 4 * hs))  # activated: sigmoid i, f, o; tanh g
-    cells = np.empty((steps + 1, bsz, hs))  # cells[0] = c0, cells[t + 1] = c_t
-    tanh_c = np.empty((steps, bsz, hs))
+    kept = steps if _tracked(x, w_ih, w_hh, b) else 1  # steps whose state is kept
+    gates = np.empty((kept, bsz, 4 * hs))  # activated: sigmoid i, f, o; tanh g
+    cells = np.empty((kept + 1, bsz, hs))  # tracked: cells[0] = c0, cells[t + 1] = c_t
+    tanh_c = np.empty((kept, bsz, hs))
     out = np.empty((bsz, steps, hs))
     cells[0] = c0
     h = h0
     for t in range(steps):
+        s, c_prev, c_t = t % kept, cells[t % (kept + 1)], cells[(t + 1) % (kept + 1)]
         z = proj[:, t] + h @ w_hh.data + b.data
-        np.divide(1.0, 1.0 + np.exp(-z), out=gates[t])
-        i, f, gc, o = (gates[t, :, k * hs : (k + 1) * hs] for k in range(4))
+        np.divide(1.0, 1.0 + np.exp(-z), out=gates[s])
+        i, f, gc, o = (gates[s, :, k * hs : (k + 1) * hs] for k in range(4))
         np.tanh(z[:, 2 * hs : 3 * hs], out=gc)
-        np.add(f * cells[t], i * gc, out=cells[t + 1])
-        np.tanh(cells[t + 1], out=tanh_c[t])
-        h = out[:, t] = o * tanh_c[t]
+        np.add(f * c_prev, i * gc, out=c_t)
+        np.tanh(c_t, out=tanh_c[s])
+        h = out[:, t] = o * tanh_c[s]
 
     def bwd(g):
         dz = np.empty((bsz, steps, 4 * hs))
@@ -217,7 +229,7 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
         if b.requires_grad:
             b.accumulate(dz2d.sum(axis=0))
 
-    return _make(out, (x, w_ih, w_hh, b), bwd), out[:, -1].copy(), cells[-1].copy()
+    return _make(out, (x, w_ih, w_hh, b), bwd), out[:, -1].copy(), c_t.copy()
 
 
 def relu(x: Tensor) -> Tensor:
@@ -434,7 +446,16 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     gradient of a slice of the chunk's rows; in the column phase, run only
     for a weight or bias gradient, each thread adds the chunk's share to a
     slice of the classes. Every output element gets the same arithmetic at
-    any thread count, so results are bit-identical to the serial op."""
+    any thread count, so results are bit-identical to the serial op.
+
+    Precision: a call that records a gradient, and whose chunk buffer holds
+    at least DECODER_F32_MIN logits, casts h, the weight and the bias to
+    float32 once and forms the logits, softmax, logits gradient and the
+    products for the ``h`` and weight gradients in float32 (Micikevicius et
+    al. 2018). The softmax denominators, the loss and the sums of the weight
+    and bias gradients over chunks are float64, as are the gradients handed
+    to the graph. Every other call, and so every score taken under
+    ``no_grad``, is float64 throughout."""
     targets = np.asarray(targets)
     if (h.data.ndim < 2 or weight.data.ndim != 2 or h.shape[-1] != weight.shape[1]
             or bias.shape != weight.shape[:1] or targets.shape != h.shape[:-1]):
@@ -445,29 +466,33 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     n = len(targets)
     if targets.size and (targets.min() < 0 or targets.max() >= c):
         raise IndexError(f"tied_decoder_ce: target out of range for {c} classes")
-    h2d = h.data.reshape(n, e)
+    h2d, w, bvec = h.data.reshape(n, e), weight.data, bias.data
     track = _tracked(h, weight, bias)
     dh = np.empty((n, e)) if track and h.requires_grad else None
     dw = np.zeros((c, e)) if track and weight.requires_grad else None
     db = np.zeros(c) if track and bias.requires_grad else None
     picked = np.empty(n)  # log-probability of each target
-    logits = np.empty((min(n, DECODER_CHUNK), c))
+    rows_per_chunk = min(n, DECODER_CHUNK)
+    if track and rows_per_chunk * c >= DECODER_F32_MIN:
+        h2d, w, bvec = h2d.astype(np.float32), w.astype(np.float32), bvec.astype(np.float32)
+    logits = np.empty((rows_per_chunk, c), dtype=w.dtype)
     parts = decoder_workers() if logits.size >= DECODER_SPLIT_MIN else 1
 
     def row_phase(lo, r0, r1):
         hc, tc, z = h2d[lo + r0 : lo + r1], targets[lo + r0 : lo + r1], logits[r0:r1]
         rows = np.arange(r1 - r0)
-        np.matmul(hc, weight.data.T, out=z)
-        z += bias.data
+        np.matmul(hc, w.T, out=z)
+        z += bvec
         z -= z.max(axis=1, keepdims=True)
         zt = z[rows, tc]
-        s = np.exp(z, out=z).sum(axis=1, keepdims=True)
+        s = np.exp(z, out=z).sum(axis=1, keepdims=True, dtype=np.float64)
         picked[lo + r0 : lo + r1] = zt - np.log(s[:, 0])
         if track:
-            dz = np.divide(z, s * n, out=z)  # (softmax - one-hot) / n
+            # (softmax - one-hot) / n
+            dz = np.divide(z, (s * n).astype(z.dtype, copy=False), out=z)
             dz[rows, tc] -= 1.0 / n
             if dh is not None:
-                np.matmul(dz, weight.data, out=dh[lo + r0 : lo + r1])
+                np.matmul(dz, w, out=dh[lo + r0 : lo + r1])
 
     def column_phase(hc, dz, c0, c1):
         a = c0

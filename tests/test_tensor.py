@@ -240,6 +240,37 @@ def test_lstm_shape_errors():
         T.lstm(T.Tensor(np.zeros((2, 0, 4))), h0, c0, w_ih, w_hh, b)
 
 
+@pytest.mark.parametrize("bsz,steps", [(3, 6), (2, 1), (1, 5), (4, 2)])
+def test_lstm_under_no_grad_matches_the_tracked_op(bsz, steps):
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(bsz, steps, 5, 7, seed=bsz + 10 * steps)
+    tracked = T.lstm(x, h0, c0, w_ih, w_hh, b)
+    with T.no_grad():
+        scored = T.lstm(x, h0, c0, w_ih, w_hh, b)
+    assert tracked[0].requires_grad and not scored[0].requires_grad
+    for got, want in zip((scored[0].data, *scored[1:]), (tracked[0].data, *tracked[1:])):
+        assert np.array_equal(got, want)
+
+
+def test_lstm_under_no_grad_keeps_no_per_step_state():
+    bsz, steps, hs = 8, 200, 32
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(bsz, steps, 16, hs, seed=4)
+    stepwise = bsz * steps * 4 * hs * 8  # bytes of the input projection, or of all the gates
+    bound = stepwise + bsz * steps * hs * 8 + stepwise // 4  # projection, outputs, slack
+
+    def peak():
+        tracemalloc.start()
+        try:
+            T.lstm(x, h0, c0, w_ih, w_hh, b)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tracked = peak()
+    with T.no_grad():
+        untracked = peak()
+    assert untracked < bound < tracked
+
+
 def test_cross_entropy_matches_manual():
     rng = np.random.default_rng(5)
     logits = T.param(rng.normal(size=(4, 3)), "logits")
@@ -400,6 +431,60 @@ def test_tied_decoder_ce_split_holds_one_chunk_of_logits():
         finally:
             tracemalloc.stop()
     assert peak < chunk + h.data.nbytes + w.data.nbytes + b.data.nbytes + (2 << 20)
+
+
+def pretrain_decoder_inputs(rows, classes, seed=0):
+    """h, weight and bias parameters and targets of an lm-pretrain-10k-like
+    decoder call: 64 features, a small tied weight."""
+    rng = np.random.default_rng(seed)
+    return (T.param(rng.normal(size=(rows, 64))), T.param(rng.normal(size=(classes, 64)) * 0.1),
+            T.param(rng.normal(size=classes) * 0.1), rng.integers(0, classes, size=rows))
+
+
+def test_tied_decoder_ce_float32_path_stays_near_the_float64_op():
+    # an lm-pretrain-10k step: 256 rows x 10,008 classes per chunk is past
+    # DECODER_F32_MIN, so the tracked op forms its products in float32
+    h, w, b, targets = pretrain_decoder_inputs(16 * 70, 10_008)
+    mixed = decoder_ce_results(h, w, b, targets)
+    with mock.patch.object(T, "DECODER_F32_MIN", np.inf):
+        exact = decoder_ce_results(h, w, b, targets)
+    assert mixed[0] != exact[0]  # the float32 path ran
+    assert abs(mixed[0] - exact[0]) <= 1e-6 * abs(exact[0])
+    for name, got, want in zip(("dh", "dW", "db"), mixed[1:4], exact[1:4]):
+        assert got.dtype == np.float64, name
+        assert rel_err(got, want) <= 1e-5, name
+    assert mixed[4] == exact[4]  # scoring under no_grad is float64 either way
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tied_decoder_ce_float32_path_is_bit_identical_at_any_worker_count(workers):
+    # as the float64 test above, on the float32 path; and one chunk of
+    # 70 rows x 10,008 classes at the module's chunk size
+    interval = sys.getswitchinterval()
+    for inputs, chunk in ((decoder_ce_inputs(16, 6, 23, 3), 7),
+                          (pretrain_decoder_inputs(70, 10_008), T.DECODER_CHUNK)):
+        with mock.patch.multiple(T, DECODER_CHUNK=chunk, DECODER_F32_MIN=0):
+            serial = decoder_ce_results(*inputs)
+            sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+            try:
+                with split_decoder(workers, dw_block=5):
+                    split = decoder_ce_results(*inputs)
+            finally:
+                sys.setswitchinterval(interval)
+        for want, got in zip(serial, split):
+            assert np.array_equal(want, got)
+
+
+def test_tied_decoder_ce_scores_above_the_float32_threshold_in_float64():
+    # 256 rows x 4,097 classes is just past DECODER_F32_MIN
+    h, w, b, targets = pretrain_decoder_inputs(300, 4097, seed=1)
+    assert T.DECODER_CHUNK * 4097 >= T.DECODER_F32_MIN
+    tracked = T.tied_decoder_ce(h, w, b, targets)
+    with T.no_grad():
+        scored = T.tied_decoder_ce(h, w, b, targets)
+    want = decoder_ce_reference(h.data, w.data, b.data, targets)
+    assert abs(scored.item() - want) <= 1e-12 * abs(want)
+    assert tracked.item() != scored.item()  # the tracked call ran in float32
 
 
 def test_single_blas_thread_pins_and_restores():

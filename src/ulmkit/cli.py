@@ -177,8 +177,7 @@ def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    res = Resolver(args)
+def cmd_pretrain(res: Resolver) -> int:
     corpus_path = _require_file(res.get("corpus"), "corpus")
     cfg = _phase_config(res, train.pretrain_defaults())
     if cfg.preset not in PRESETS:
@@ -213,8 +212,7 @@ def _labeled_corpus(path: str, vocab: Vocabulary):
     return NumericalizedCorpus(streams, [l for _, l in records]), [t for t, _ in records]
 
 
-def cmd_finetune_lm(args) -> int:
-    res = Resolver(args)
+def cmd_finetune_lm(res: Resolver) -> int:
     lm, vocab, provenance = _load(res.get("checkpoint"), "lm")
     cfg = _phase_config(res, train.lm_finetune_defaults())
     data_path = _require_file(res.get("data"), "dataset")
@@ -231,8 +229,7 @@ def cmd_finetune_lm(args) -> int:
                           provenance + ["finetune-lm"], metrics)
 
 
-def cmd_finetune_clf(args) -> int:
-    res = Resolver(args)
+def cmd_finetune_clf(res: Resolver) -> int:
     lm, vocab, provenance = _load(res.get("checkpoint"), "lm")
     cfg = _phase_config(res, train.clf_finetune_defaults())
     corpus, _ = _labeled_corpus(res.get("data"), vocab)
@@ -244,8 +241,7 @@ def cmd_finetune_clf(args) -> int:
     return _write_outputs(res, "clf.ckpt", clf, vocab, provenance + ["finetune-clf"], metrics)
 
 
-def cmd_eval(args) -> int:
-    res = Resolver(args)
+def cmd_eval(res: Resolver) -> int:
     clf, vocab, _ = _load(res.get("checkpoint"), "classifier")
     corpus, _ = _labeled_corpus(res.get("data"), vocab)
     result = evalbench.evaluate(clf, corpus)
@@ -253,8 +249,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    res = Resolver(args)
+def cmd_predict(res: Resolver) -> int:
     clf, vocab, _ = _load(res.get("checkpoint"), "classifier")
     text = res.get("text")
     if text is None:
@@ -265,8 +260,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_degrade(args) -> int:
-    res = Resolver(args)
+def cmd_degrade(res: Resolver) -> int:
     lm, vocab, _ = _load(res.get("checkpoint"), "lm")
     seed = res.get("seed", 0)
     text = res.get("fractions", "1.0,0.5,0.1")
@@ -289,9 +283,9 @@ def cmd_degrade(args) -> int:
     batch_size = res.get("batch_size", 16)
     lm_cfg = _phase_config(res, train.lm_finetune_defaults(epochs=2),
                            {"epochs": "lm_epochs", "lr": "lm_lr", "stage1_lr": "stage1_lr"},
-                           seed=seed, batch_size=batch_size)
+                           batch_size=batch_size)
     clf_cfg = _phase_config(res, train.clf_finetune_defaults(), {"epochs": "clf_epochs"},
-                            seed=seed, batch_size=batch_size)
+                            batch_size=batch_size)
     with _refusal_of("repeats", repeats, "repeats"), _refusal_of("fractions", text, "fraction"):
         report = evalbench.run_degradation_suite(
             lm, vocab, target_vocab,
@@ -308,8 +302,7 @@ def cmd_degrade(args) -> int:
     return 0
 
 
-def cmd_top_losses(args) -> int:
-    res = Resolver(args)
+def cmd_top_losses(res: Resolver) -> int:
     clf, vocab, _ = _load(res.get("checkpoint"), "classifier")
     corpus, texts = _labeled_corpus(res.get("data"), vocab)
     k = res.get("k", 10)
@@ -369,7 +362,7 @@ def main(argv=None) -> int:
         # one BLAS thread: a seeded run gives the same bytes at any host
         # setting, and the tied decoder's threads have the cores
         with single_blas_thread():
-            return args.func(args)
+            return args.func(Resolver(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,16 +126,17 @@ def corpus_checksum(corpus: NumericalizedCorpus) -> str:
 def run_degradation_suite(pretrained, old_vocab, target_vocab,
                           train_corpus: NumericalizedCorpus,
                           test_corpus: NumericalizedCorpus,
-                          lm_cfg, clf_cfg,
-                          fractions=(1.0, 0.5, 0.1), repeats: int = 5,
-                          base_seed: int = 0) -> DegradationReport:
+                          lm_cfg, clf_cfg, *, fractions, repeats: int,
+                          base_seed: int) -> DegradationReport:
     """Run the full fine-tuning pipeline per (fraction, repeat) and average.
 
     Every run starts from the same pretrained LM, fine-tunes the LM on the
     subsampled training text, fine-tunes a classifier on the same subsample,
-    and scores on the shared test set. Degradation is computed from mean
-    accuracy against the largest fraction's mean accuracy. Every fraction is
-    checked, as subsample_train checks it, before the first run.
+    and scores on the shared test set. Repeat r of every fraction runs at
+    seed ``base_seed + r``, which replaces the seed of both phase configs.
+    Degradation is computed from mean accuracy against the largest
+    fraction's mean accuracy. Every fraction is checked, as subsample_train
+    checks it, before the first run.
     """
     if repeats < 1:
         raise SettingError("repeats", "must be >= 1", repeats)
@@ -177,6 +178,8 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
 def top_losses(clf: TextClassifier, corpus: NumericalizedCorpus, k: int,
                texts: list[str] | None = None) -> list[LossRankedExample]:
     """The k examples the model gets most confidently wrong, loss-descending."""
+    if not corpus.streams:
+        raise ValueError("top_losses: empty corpus")
     if k <= 0:
         raise SettingError("k", "must be positive", k)
     if k > len(corpus.streams):

@@ -3,8 +3,9 @@
 Regularization sites follow the AWD-LSTM recipe: DropConnect on the
 hidden-to-hidden matrices only (one mask per batch), variational dropout on
 layer inputs/outputs (one mask per sequence, locked across time), and
-row-wise embedding dropout. The decoder weight is the embedding matrix
-itself (tying), so a single storage receives both gradients.
+row-wise embedding dropout. Train mode is the one switch: in eval mode
+every site's rate is 0, so no site draws a mask. The decoder weight is the
+embedding matrix itself (tying), so a single storage receives both gradients.
 """
 
 from __future__ import annotations
@@ -30,21 +31,27 @@ DROPOUT_RATES = {"p_emb": 0.02, "p_input": 0.25, "p_hidden": 0.15, "p_weight": 0
                  "p_output": 0.1, "p_head": 0.1}
 
 
-def variational_dropout(x: Tensor, p: float, rng: Rng, training: bool = True) -> Tensor:
+def dropout(x: Tensor, p: float, rng: Rng) -> Tensor:
+    """x times one keep mask of x's whole shape (the weight drop on W_hh and
+    the head's dropout); at p = 0, x itself, with nothing drawn."""
+    if p <= 0.0:
+        return x
+    return T.mul(x, Tensor(rng.keep_mask(x.shape, p)))
+
+
+def variational_dropout(x: Tensor, p: float, rng: Rng) -> Tensor:
     """Locked dropout: one (batch, feature) mask reused at every timestep."""
-    if not training or p <= 0.0:
+    if p <= 0.0:
         return x
     b, _, f = x.shape
-    mask = rng.keep_mask((b, 1, f), p)
-    return T.mul(x, Tensor(mask))
+    return T.mul(x, Tensor(rng.keep_mask((b, 1, f), p)))
 
 
-def embedding_dropout(emb: Tensor, ids: np.ndarray, p: float, rng: Rng,
-                      training: bool = True) -> Tensor:
+def embedding_dropout(emb: Tensor, ids: np.ndarray, p: float, rng: Rng) -> Tensor:
     """Look ids up in the embedding with whole vocabulary rows dropped for
     one batch: one (vocab, 1) keep mask is drawn, and only the rows that ids
     gather are scaled by it."""
-    if not training or p <= 0.0:
+    if p <= 0.0:
         return T.embedding_lookup(emb, ids)
     return T.embedding_lookup(emb, ids, rng.keep_mask((emb.shape[0], 1), p))
 
@@ -74,17 +81,6 @@ class LstmLayer:
         """
         out, h, c = T.lstm(x, *state, self.W_ih, w_hh, self.b)
         return out, (h, c)
-
-
-def apply_weight_drop(layer: LstmLayer, p: float, rng: Rng, training: bool = True) -> Tensor:
-    """DropConnect on the hidden->hidden matrix, one mask per batch.
-
-    Survivors are scaled by 1/(1-p); eval mode is the identity.
-    """
-    if not training or p == 0.0:
-        return layer.W_hh
-    mask = rng.keep_mask(layer.W_hh.shape, p)
-    return T.mul(layer.W_hh, Tensor(mask))
 
 
 class Module:
@@ -162,7 +158,8 @@ class AwdLstmLM(Module):
         self.drop_rng = Rng(seed).child("dropout")
 
     def rate(self, site: str) -> float:
-        return DROPOUT_RATES[site] * self.dropout_multiplier
+        """A site's dropout rate in training; 0 in eval mode."""
+        return DROPOUT_RATES[site] * self.dropout_multiplier if self.training else 0.0
 
     # -- parameters -------------------------------------------------------
 
@@ -195,18 +192,18 @@ class AwdLstmLM(Module):
         if state is None:
             state = self.init_state(b)
         rng = self.drop_rng
-        x = embedding_dropout(self.embedding, ids, self.rate("p_emb"), rng, self.training)
-        x = variational_dropout(x, self.rate("p_input"), rng, self.training)
+        x = embedding_dropout(self.embedding, ids, self.rate("p_emb"), rng)
+        x = variational_dropout(x, self.rate("p_input"), rng)
         new_state = []
         raw = x
         for i, layer in enumerate(self.layers):
-            w_hh = apply_weight_drop(layer, self.rate("p_weight"), rng, self.training)
+            w_hh = dropout(layer.W_hh, self.rate("p_weight"), rng)
             raw, layer_state = layer.forward(x, state[i], w_hh)
             new_state.append(layer_state)
             x = raw
             if i < self.n_layers - 1:
-                x = variational_dropout(x, self.rate("p_hidden"), rng, self.training)
-        dropped = variational_dropout(raw, self.rate("p_output"), rng, self.training)
+                x = variational_dropout(x, self.rate("p_hidden"), rng)
+        dropped = variational_dropout(raw, self.rate("p_output"), rng)
         return raw, dropped, new_state
 
     def forward(self, ids: np.ndarray, state=None, targets=None):
@@ -261,14 +258,11 @@ class TextClassifier(Module):
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
             raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
-        self.encoder.training = self.training
+        self.encoder.training = self.training  # every rate, the head's too, follows it
         raw, dropped, _ = self.encoder.encode(ids)
         pooled = T.concat_pool(dropped, lengths)
         hid = T.relu(T.add(T.matmul(pooled, self.W1), self.b1))
-        if self.training:
-            p = self.encoder.rate("p_head")
-            if p > 0:
-                hid = T.mul(hid, Tensor(self._drop_rng.keep_mask(hid.shape, p)))
+        hid = dropout(hid, self.encoder.rate("p_head"), self._drop_rng)
         return T.add(T.matmul(hid, self.W2), self.b2)
 
 

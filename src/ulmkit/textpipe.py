@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
+from .tensor import Rng
 
 # Reserved tokens, lowest ids first. UNK and PAD ids are part of the
 # checkpoint format and must never move.
@@ -29,7 +29,6 @@ SPECIALS = (UNK, PAD, BOS, UP, MAJ, REP, WREP)
 
 UNK_ID = 0
 PAD_ID = 1
-BOS_ID = 2
 
 _CHAR_REP = re.compile(r"(\S)\1{2,}")
 _WORD_OR_PUNCT = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -191,7 +190,7 @@ def split_corpus(records: list, fractions, seed: int) -> tuple[list, ...]:
 
     Split sizes come from cumulative rounding, so they are exhaustive and
     exact for clean fractions (100 records at (0.9, 0.1) gives 90/10).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, which ``Rng`` takes modulo 2^64.
     """
     fractions = list(fractions)
     if not all(f > 0 for f in fractions):  # NaN fails the comparison, so it is refused too
@@ -199,7 +198,7 @@ def split_corpus(records: list, fractions, seed: int) -> tuple[list, ...]:
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise SettingError("fractions", "must sum to 1", fractions)
     n = len(records)
-    order = np.random.default_rng(seed).permutation(n)
+    order = Rng(seed).permutation(n)
     bounds = [0] + [round(sum(fractions[: i + 1]) * n) for i in range(len(fractions))]
     bounds[-1] = n
     return tuple(

@@ -11,6 +11,7 @@ matrix products differently.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -295,7 +296,7 @@ def _fit_stages(model, cfg: PhaseConfig, stages, steps_per_epoch: int, run_epoch
 
 def batchify(streams: list[list[int]], batch_size: int) -> np.ndarray:
     """Concatenate streams into one token ribbon cut into batch_size rows."""
-    flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in streams if s])
+    flat = np.fromiter(itertools.chain.from_iterable(streams), dtype=np.int64)
     n = len(flat) // batch_size
     if n < 2:
         raise ValueError(f"corpus too small: {len(flat)} tokens cannot fill "
@@ -372,8 +373,6 @@ def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCo
     Returns the model restored to its best-validation-loss epoch (or the
     final epoch when no validation corpus is given) plus per-epoch metrics.
     """
-    if not train_corpus.streams:
-        raise ValueError("pretrain_lm: empty corpus")
     model = build_lm(vocab_size, preset=cfg.preset,
                      dropout_multiplier=cfg.dropout_multiplier, seed=cfg.seed)
     best = {"loss": math.inf, "state": None}

@@ -415,6 +415,52 @@ def test_cli_top_losses(cli_artifacts, capsys):
     assert all(line.startswith("loss=") for line in lines)
 
 
+def test_cli_top_losses_on_a_dataset_with_no_rows_exits_1_naming_the_corpus(
+        cli_artifacts, tmp_path, capsys):
+    _, _, _, _, clf_ckpt = cli_artifacts
+    empty = tmp_path / "empty.csv"
+    empty.write_text("text,label\n", encoding="utf-8")
+    rc = main(["top-losses", "--checkpoint", str(clf_ckpt), "--data", str(empty), "-k", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: top_losses: empty corpus\n"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune-lm"])
+def test_cli_lm_training_on_empty_input_exits_1_corpus_too_small(
+        cli_artifacts, tmp_path, capsys, command):
+    _, _, _, lm_ckpt, _ = cli_artifacts
+    if command == "pretrain":
+        data = tmp_path / "empty.txt"
+        data.write_text("", encoding="utf-8")
+        inputs = ["--corpus", str(data)]
+    else:
+        data = tmp_path / "empty.csv"
+        data.write_text("text,label\n", encoding="utf-8")
+        inputs = ["--checkpoint", str(lm_ckpt), "--data", str(data)]
+    out = tmp_path / "out.ckpt"
+    rc = main([command, *inputs, "--out", str(out), "--epochs", "1", "--batch-size", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: corpus too small: 0 tokens cannot fill batch_size 4\n")
+    assert not out.exists()
+
+
+def test_cli_negative_seed_is_taken_modulo_2_to_the_64(cli_artifacts, tmp_path):
+    _, corpus, labeled, _, _ = cli_artifacts
+    states = []
+    for seed in ("-1", str(2**64 - 1)):
+        lm = tmp_path / f"lm{seed}.ckpt"
+        assert main(["pretrain", "--corpus", str(corpus), "--out", str(lm), "--epochs", "1",
+                     "--batch-size", "2", "--bptt", "10", "--seed", seed]) == 0
+        clf = tmp_path / f"clf{seed}.ckpt"
+        assert main(["finetune-clf", "--checkpoint", str(lm), "--data", str(labeled),
+                     "--out", str(clf), "--epochs", "1", "--batch-size", "8",
+                     "--seed", seed]) == 0
+        states.append(ck.load_checkpoint(clf).build_model().state_dict())
+    assert states[0].keys() == states[1].keys()
+    assert all(np.array_equal(states[0][k], states[1][k]) for k in states[0])
+
+
 def test_cli_predict_scores_a_long_text_like_top_losses(tmp_path, capsys):
     vocab = small_vocab()
     clf = TextClassifier(build_lm(len(vocab.id_to_token), "tiny", seed=1), seed=1)

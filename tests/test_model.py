@@ -5,13 +5,14 @@ import pytest
 
 from ulmkit import tensor as T
 from ulmkit.model import (
+    DROPOUT_RATES,
     HEAD_HIDDEN,
     PRESETS,
     AwdLstmLM,
     LstmLayer,
     TextClassifier,
-    apply_weight_drop,
     build_lm,
+    dropout,
     embedding_dropout,
     variational_dropout,
 )
@@ -27,7 +28,7 @@ def tiny_lm(vocab=13, emb=8, hid=12, layers=2, mult=1.0, seed=0):
 
 def test_weight_drop_monte_carlo():
     layer = LstmLayer(100, 250, Rng(0), "l")  # W_hh has 250 * 1000 entries
-    dropped = apply_weight_drop(layer, 0.5, Rng(1), training=True)
+    dropped = dropout(layer.W_hh, 0.5, Rng(1))
     zero_frac = (dropped.data == 0).mean()
     assert abs(zero_frac - 0.5) < 0.01
     survivors = dropped.data[dropped.data != 0]
@@ -37,13 +38,12 @@ def test_weight_drop_monte_carlo():
 
 def test_weight_drop_eval_and_zero_rate_identity():
     layer = LstmLayer(4, 6, Rng(0), "l")
-    assert apply_weight_drop(layer, 0.5, Rng(1), training=False) is layer.W_hh
-    assert apply_weight_drop(layer, 0.0, Rng(1), training=True) is layer.W_hh
+    assert dropout(layer.W_hh, 0.0, Rng(1)) is layer.W_hh
 
 
 def test_variational_dropout_locked_across_time():
     x = Tensor(np.ones((3, 7, 40)))
-    out = variational_dropout(x, 0.4, Rng(0), training=True).data
+    out = variational_dropout(x, 0.4, Rng(0)).data
     # one (batch, feature) mask reused at every timestep
     for t in range(1, 7):
         assert np.array_equal(out[:, t, :], out[:, 0, :])
@@ -53,15 +53,14 @@ def test_variational_dropout_locked_across_time():
 
 def test_variational_dropout_preserves_expectation():
     x = Tensor(np.ones((64, 1, 500)))
-    out = variational_dropout(x, 0.25, Rng(3), training=True).data
+    out = variational_dropout(x, 0.25, Rng(3)).data
     assert abs(out.mean() - 1.0) < 0.02
-    assert variational_dropout(x, 0.25, Rng(3), training=False) is x
 
 
 def test_embedding_dropout_whole_rows():
     emb = T.param(np.random.default_rng(0).normal(size=(1000, 6)), "emb")
     ids = np.random.default_rng(1).integers(0, 1000, size=(50, 40))
-    out = embedding_dropout(emb, ids, 0.2, Rng(0), training=True)
+    out = embedding_dropout(emb, ids, 0.2, Rng(0))
     # the same (vocab, 1) mask as one drawn for the whole matrix
     keep = Rng(0).keep_mask((1000, 1), 0.2)[:, 0] > 0
     dropped, kept = ~keep[ids], keep[ids]
@@ -75,9 +74,8 @@ def test_embedding_dropout_whole_rows():
     np.add.at(expect, ids, g * (keep[ids] / (1.0 - 0.2))[..., None])
     np.testing.assert_allclose(emb.grad, expect, rtol=1e-13, atol=1e-13)
     assert (emb.grad[~keep] == 0.0).all()
-    for p, training in ((0.0, True), (0.2, False)):
-        plain = embedding_dropout(emb, ids, p, Rng(0), training=training)
-        assert np.array_equal(plain.data, emb.data[ids])
+    plain = embedding_dropout(emb, ids, 0.0, Rng(0))
+    assert np.array_equal(plain.data, emb.data[ids])
 
 
 # -- LSTM and LM forward ----------------------------------------------------
@@ -143,6 +141,35 @@ def test_eval_mode_deterministic_train_mode_stochastic():
     c, _, _, _ = lm.forward(ids)
     d, _, _, _ = lm.forward(ids)
     assert not np.array_equal(c.data, d.data)
+
+
+def test_eval_mode_forward_draws_no_mask():
+    ids = np.random.default_rng(4).integers(0, 13, size=(3, 6))
+    lengths = np.array([6, 4, 1])
+    clf = TextClassifier(tiny_lm(mult=1.0, seed=2), seed=2)
+    lm = clf.encoder
+
+    def streams():
+        return (lm.drop_rng._gen.bit_generator.state, clf._drop_rng._gen.bit_generator.state)
+
+    lm.eval()
+    before = streams()
+    logits, _, _, _ = lm.forward(ids)
+    assert all(lm.rate(site) == 0.0 for site in DROPOUT_RATES)
+    out = clf.eval().forward(ids, lengths)
+    assert all(lm.rate(site) == 0.0 for site in DROPOUT_RATES)
+    assert streams() == before
+    # eval mode is the identity at every site: the outputs of a training-mode
+    # forward at dropout multiplier 0
+    lm.reset_dropout(0.0, 2)
+    lm.train()
+    assert np.array_equal(lm.forward(ids)[0].data, logits.data)
+    assert np.array_equal(clf.train().forward(ids, lengths).data, out.data)
+    # and training mode at a positive multiplier draws from both streams
+    lm.reset_dropout(1.0, 2)
+    fresh = streams()
+    clf.forward(ids, lengths)
+    assert all(a != b for a, b in zip(streams(), fresh))
 
 
 def test_reset_dropout_scales_every_site_and_restarts_the_stream():

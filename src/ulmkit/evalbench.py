@@ -17,7 +17,8 @@ import numpy as np
 from . import tensor as T
 from .model import TextClassifier
 from .textpipe import NumericalizedCorpus, SettingError
-from .train import evaluate, finetune_classifier, finetune_lm, per_example_losses
+from .train import (evaluate, finetune_classifier, finetune_lm, per_example_losses,
+                    require_both_labels)
 
 # Draws subsample_train makes before it gives up on a two-class subsample.
 SUBSAMPLE_TRIES = 100
@@ -135,9 +136,14 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     and scores on the shared test set. Repeat r of every fraction runs at
     seed ``base_seed + r``, which replaces the seed of both phase configs.
     Degradation is computed from mean accuracy against the largest
-    fraction's mean accuracy. Every fraction is checked, as subsample_train
-    checks it, before the first run.
+    fraction's mean accuracy. Before the first run it refuses an empty
+    training or test set, a training set without both labels, and every
+    fraction that subsample_train would refuse.
     """
+    for name, corpus in (("training", train_corpus), ("test", test_corpus)):
+        if not corpus.streams:
+            raise ValueError(f"run_degradation_suite: empty {name} set")
+    require_both_labels(train_corpus)
     if repeats < 1:
         raise SettingError("repeats", "must be >= 1", repeats)
     fractions = sorted(set(fractions), reverse=True)

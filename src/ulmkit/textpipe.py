@@ -10,6 +10,7 @@ markers, then whitespace/punctuation splitting.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -58,17 +59,9 @@ def _expand_char_repeats(text: str) -> str:
 
 def _collapse_word_repeats(words: list[str]) -> list[str]:
     out: list[str] = []
-    i = 0
-    while i < len(words):
-        j = i
-        while j < len(words) and words[j] == words[i]:
-            j += 1
-        run = j - i
-        if run >= 3:
-            out.extend([WREP, str(run), words[i]])
-        else:
-            out.extend(words[i:j])
-        i = j
+    for word, group in itertools.groupby(words):
+        run = list(group)
+        out += run if len(run) < 3 else (WREP, str(len(run)), word)
     return out
 
 
@@ -149,9 +142,6 @@ class NumericalizedCorpus:
             bad = [l for l in self.labels if l not in (0, 1)]
             if bad:
                 raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
-
-    def __len__(self) -> int:
-        return len(self.streams)
 
 
 def load_labeled_csv(path) -> list[tuple[str, int]]:

@@ -95,27 +95,21 @@ def discriminative_lrs(base_lr: float, n_groups: int, factor: float = LR_FACTOR)
 # optimizers
 
 
-def _check_grad(p: Tensor) -> np.ndarray:
-    g = p.grad if p.grad is not None else np.zeros_like(p.data)
-    if not np.isfinite(g).all():
-        kind = "NaN" if np.isnan(g).any() else "inf"
-        raise FloatingPointError(f"{kind} gradient in parameter {p.name or '<unnamed>'}")
-    return g
-
-
 def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: float) -> None:
     """One decoupled-weight-decay Adam update; ``momentum`` is beta1.
 
-    ``state`` maps parameter name to (m, v, step) and is owned by the
-    caller; frozen parameters must not be passed in. The moments are
-    updated in place and the step is formed in two scratch buffers shared
-    by all parameters, in the order of lr * m_hat / (sqrt(v_hat) + eps).
+    Each parameter's gradient is read unchecked, as ``clip_gradients`` has
+    already refused any that is not finite. ``state`` maps parameter name
+    to (m, v, step) and is owned by the caller; frozen parameters must not
+    be passed in. The moments are updated in place and the step is formed
+    in two scratch buffers shared by all parameters, in the order of
+    lr * m_hat / (sqrt(v_hat) + eps).
     """
     params = list(params)
     size = max((p.data.size for p in params), default=0)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for p in params:
-        g = _check_grad(p)
+        g = p.grad
         entry = state.get(p.name)
         m, v, t = entry if entry is not None else (np.zeros_like(p.data), np.zeros_like(p.data), 0)
         t += 1
@@ -142,7 +136,8 @@ def clip_gradients(params, max_norm: float) -> float:
     """Scale every gradient so that their global norm is at most max_norm,
     and return the norm before clipping. A norm that is not finite raises
     FloatingPointError before any gradient or parameter changes, naming the
-    first parameter whose gradient holds NaN or inf."""
+    first parameter whose gradient holds NaN or inf. It is a step's only
+    finiteness check: ``adam_step`` reads the gradients it passed unchecked."""
     total = 0.0
     for p in params:
         if p.grad is not None:
@@ -150,7 +145,9 @@ def clip_gradients(params, max_norm: float) -> float:
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         for p in params:
-            _check_grad(p)
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                kind = "NaN" if np.isnan(p.grad).any() else "inf"
+                raise FloatingPointError(f"{kind} gradient in parameter {p.name or '<unnamed>'}")
         raise FloatingPointError(f"gradient norm {norm} overflows; every gradient is finite")
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -490,6 +487,11 @@ def evaluate(clf: TextClassifier, corpus: NumericalizedCorpus,
                       mean_loss=float(np.mean([loss for _, loss, _ in stats])), n=len(stats))
 
 
+def require_both_labels(corpus: NumericalizedCorpus) -> None:
+    if corpus.labels is None or len(set(corpus.labels)) < 2:
+        raise ValueError("classifier training needs both labels present in the corpus")
+
+
 def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
                         valid_corpus: NumericalizedCorpus | None, cfg: PhaseConfig,
                         ) -> tuple[TextClassifier, list[EpochMetrics]]:
@@ -502,8 +504,7 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     within each stage. Dropout masks, the encoder's included, are drawn
     from cfg.seed.
     """
-    if train_corpus.labels is None or len(set(train_corpus.labels)) < 2:
-        raise ValueError("classifier training needs both labels present in the corpus")
+    require_both_labels(train_corpus)
     clf = TextClassifier(encoder, seed=cfg.seed)
     encoder.reset_dropout(cfg.dropout_multiplier, cfg.seed)
     shuffle_rng = Rng(cfg.seed).child("clf-shuffle")

@@ -366,6 +366,34 @@ def test_cli_pretrain_checkpoint_does_not_depend_on_the_blas_thread_setting(
     assert ckpts[0] == ckpts[1]
 
 
+def test_cli_checkpoints_do_not_depend_on_the_hash_seed(corpus_path, labeled_path, tmp_path):
+    # a checkpoint records the resolved options in the order they are read;
+    # each run in its own process, which fixes its string-hash seed at start,
+    # and directory, so that the paths it records are the same
+    src = pathlib.Path(ck.__file__).resolve().parent.parent
+    ckpts = []
+    for hash_seed in ("1", "2"):
+        run = tmp_path / hash_seed
+        run.mkdir()
+        (run / "pretrain.cfg").write_text(
+            f"corpus={corpus_path}\nseed=0\nepochs=1\nbatch_size=8\nbptt_len=35\n"
+            f"dropout_multiplier=0.5\nweight_decay=0.01\nlr=0.01\npreset=tiny\n"
+            "out=lm.ckpt\n", encoding="utf-8")
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        for argv in (["pretrain", "--config", "pretrain.cfg"],
+                     ["finetune-lm", "--checkpoint", "lm.ckpt", "--data", str(labeled_path),
+                      "--out", "ft.ckpt", "--epochs", "1", "--batch-size", "8", "--bptt", "35",
+                      "--seed", "3"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from ulmkit.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                cwd=run, env=env, capture_output=True, text=True, check=False)
+            assert proc.returncode == 0, proc.stderr
+        ckpts.append([(run / name).read_bytes() for name in ("lm.ckpt", "ft.ckpt")])
+    assert ckpts[0] == ckpts[1]
+
+
 def test_cli_pretrain_writes_artifacts(cli_artifacts):
     root, _, _, lm_ckpt, _ = cli_artifacts
     assert lm_ckpt.exists()
@@ -571,7 +599,9 @@ def test_cli_out_of_range_phase_settings_exit_1(cli_artifacts, tmp_path, capsys,
     (["pretrain", "--max-vocab", "5"], "--max-vocab 5"),
     (["degrade", "--repeats", "0"], "--repeats 0"),
     (["top-losses", "-k", "0"], "-k 0"),
-], ids=["valid-fraction", "valid-fraction-nan", "max-vocab", "repeats", "k"])
+    (["degrade", "--lm-epochs", "0"], "--lm-epochs 0"),
+    (["pretrain", "--lr", "-1"], "--lr -1.0"),
+], ids=["valid-fraction", "valid-fraction-nan", "max-vocab", "repeats", "k", "lm-epochs", "lr"])
 def test_cli_values_refused_by_the_called_function_name_their_flag(
         cli_artifacts, tmp_path, capsys, argv, flag):
     _, corpus, labeled, lm_ckpt, clf_ckpt = cli_artifacts
@@ -667,6 +697,39 @@ def test_cli_degrade_checks_every_fraction_before_the_first_run(
     assert runs == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rows, test_rows, message", [
+    ([], None, "run_degradation_suite: empty training set"),
+    (None, [], "run_degradation_suite: empty test set"),
+    ([(f"mabait ang bata {i}", 0) for i in range(12)], None,
+     "classifier training needs both labels present in the corpus"),
+], ids=["empty-data", "empty-test", "one-label"])
+def test_cli_degrade_refuses_data_it_cannot_run_on_before_the_first_run(
+        cli_artifacts, tmp_path, capsys, monkeypatch, rows, test_rows, message):
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+
+    def csv_of(name, records):
+        if records is None:
+            return str(labeled)
+        path = inputs / name
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f).writerows([["text", "label"], *records])
+        return str(path)
+
+    runs = []
+    monkeypatch.setattr(evalbench, "finetune_lm", lambda *args: runs.append(args))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["degrade", "--checkpoint", str(lm_ckpt), "--data", csv_of("data.csv", rows),
+            "--out", str(out / "report.csv"), "--repeats", "2"]
+    if test_rows is not None:
+        argv += ["--test", csv_of("test.csv", test_rows)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == [] and list(out.iterdir()) == []
+
+
 def test_cli_preset_is_an_option_of_pretrain_only(cli_artifacts, tmp_path, capsys):
     # a loaded model's architecture is read off its checkpoint
     _, _, labeled, lm_ckpt, _ = cli_artifacts
@@ -713,6 +776,28 @@ def test_cli_config_file_seeds_flags(cli_artifacts, tmp_path, capsys):
     rc = main(["pretrain", "--config", str(cfg), "--seed", "9", "--out", str(out2)])
     assert rc == 0
     assert ck.load_checkpoint(out2).config.get("seed") == 9
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("pretrain", "epochs=abc", "epochs: invalid int value 'abc'"),
+    ("pretrain", "preset=huge", "preset: 'huge' is not one of full, tiny"),
+    ("degrade", "lm_epochs=abc", "lm_epochs: invalid int value 'abc'"),
+])
+def test_cli_config_file_value_of_the_wrong_type_exits_2_naming_file_and_key(
+        cli_artifacts, tmp_path, capsys, monkeypatch, command, line, message):
+    # checked as the config is read, before a checkpoint loads or any work starts
+    _, corpus, labeled, lm_ckpt, _ = cli_artifacts
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("checkpoint loaded"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = {"pretrain": ["--corpus", str(corpus)],
+              "degrade": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)]}[command]
+    assert main([command, "--config", str(cfg), *inputs, "--out", str(out / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: {message}\n" and captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_cli_config_file_rejects_unknown_keys(cli_artifacts, tmp_path, capsys):

@@ -1,0 +1,91 @@
+"""Run the fixture pipeline and print a SHA-256 digest of every artifact.
+
+Usage: python3 scripts/artifact_digests.py OUT_DIR
+
+Every command runs in-process through ``ulmkit.cli.main``, which runs BLAS on
+one thread, from inside OUT_DIR and with relative paths only, so that the
+config snapshots written into the artifacts name the same files from any
+checkout. The inputs are copies of ``fixtures/`` and the corpus that
+``perfbench/gen_inputs.py --seed 0`` generates, whose 10,008-token
+vocabulary takes the tied decoder's float32 path. ``ulmkit`` and
+``gen_inputs`` are imported from the checkout this script sits in.
+
+Each line printed is ``sha256  name``. A metrics log is digested with its
+seconds column cut, and ``eval``, ``top-losses`` and ``predict`` by their
+standard output. To check that a change keeps every artifact byte-identical,
+copy this script into the parent checkout's ``scripts/``, run it from each
+checkout into a fresh directory, and diff the two outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import shutil
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen_inputs  # noqa: E402
+from ulmkit.cli import main  # noqa: E402
+
+# (argv, the file its standard output is kept in, or None)
+PIPELINE = [
+    (["pretrain", "--corpus", "corpus.txt", "--seed", "0", "--epochs", "2",
+      "--batch-size", "8", "--bptt", "35", "--out", "lm.ckpt"], None),
+    (["finetune-lm", "--checkpoint", "lm.ckpt", "--data", "labeled.csv", "--seed", "3",
+      "--dropout-multiplier", "0.7", "--epochs", "2", "--batch-size", "8", "--bptt", "35",
+      "--out", "lm-ft.ckpt"], None),
+    (["finetune-clf", "--checkpoint", "lm-ft.ckpt", "--data", "labeled.csv",
+      "--valid", "labeled.csv", "--seed", "5", "--dropout-multiplier", "0.3",
+      "--epochs", "2", "--batch-size", "8", "--out", "clf.ckpt"], None),
+    (["eval", "--checkpoint", "clf.ckpt", "--data", "labeled.csv"], "eval.txt"),
+    (["top-losses", "--checkpoint", "clf.ckpt", "--data", "labeled.csv", "-k", "5"],
+     "top-losses.txt"),
+    (["predict", "--checkpoint", "clf.ckpt", "--text", "masarap ang kanin kahapon"],
+     "predict.txt"),
+    (["degrade", "--checkpoint", "lm.ckpt", "--data", "labeled.csv", "--fractions", "1.0,0.5",
+      "--repeats", "2", "--batch-size", "8", "--lm-epochs", "1", "--clf-epochs", "1",
+      "--seed", "0", "--out", "degradation.csv"], None),
+    (["pretrain", "--corpus", os.path.join("gen", "corpus.txt"), "--seed", "0", "--epochs", "1",
+      "--batch-size", "16", "--bptt", "70", "--out", "gen-lm.ckpt"], None),
+]
+
+
+def _digest(path: pathlib.Path) -> str:
+    data = path.read_bytes()
+    if path.suffix == ".log":
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        data = "".join(line if line.startswith("#") else line.rsplit(",", 1)[0] + "\n"
+                       for line in lines).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(out_dir: pathlib.Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("corpus.txt", "labeled.csv"):
+        shutil.copyfile(ROOT / "fixtures" / name, out_dir / name)
+    os.chdir(out_dir)
+    gen_inputs.write_inputs(0, "gen", labeled=False)
+    for argv, stdout_name in PIPELINE:
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"ulmkit {' '.join(argv)} exited {code}")
+        if stdout_name:
+            pathlib.Path(stdout_name).write_text(captured.getvalue(), encoding="utf-8")
+    for path in sorted(out_dir.iterdir()):
+        if path.is_file() and path.name not in ("corpus.txt", "labeled.csv"):
+            print(f"{_digest(path)}  {path.name}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__.splitlines()[2])
+    run(pathlib.Path(sys.argv[1]).resolve())

@@ -82,37 +82,37 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-def _model_dims(model) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """The kind, the dims of the LM (a classifier's encoder) and the arrays."""
+def _model_dims(model) -> tuple[str, dict]:
+    """The kind and the dims of the LM (a classifier's encoder)."""
     if isinstance(model, TextClassifier):
         kind, lm = "classifier", model.encoder
     elif isinstance(model, AwdLstmLM):
         kind, lm = "lm", model
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    return kind, {key: getattr(lm, key) for key in MODEL_DIMS}, model.state_dict()
+    return kind, {key: getattr(lm, key) for key in MODEL_DIMS}
 
 
 def save_checkpoint(path, model, vocab: Vocabulary, config: dict | None = None,
                     provenance: list[str] | None = None) -> None:
-    kind, dims, params = _model_dims(model)
-    manifest = []
-    payload = bytearray()
-    for name, arr in params.items():
-        arr = np.ascontiguousarray(arr)
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "dtype": le.dtype.str, "nbytes": le.nbytes})
-        payload += le.tobytes()
+    """Write ``model`` to ``path`` through ``atomic_open``: the header, then each
+    parameter's own array (copied only if not contiguous ``<f8``), CRC32 updated as it goes."""
+    kind, dims = _model_dims(model)
+    arrays = {name: np.ascontiguousarray(p.data, DTYPES[0]) for name, p in model.named_parameters()}
     header = json.dumps({
         "kind": kind, "dims": dims,
         "vocab": vocab.id_to_token, "config": config or {},
-        "provenance": provenance or [], "arrays": manifest,
+        "provenance": provenance or [],
+        "arrays": [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str,
+                    "nbytes": arr.nbytes} for name, arr in arrays.items()],
     }).encode("utf-8")
-    body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + bytes(payload)
+    crc = 0
     with atomic_open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+        for piece in (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header,
+                      *arrays.values()):
+            f.write(piece)
+            crc = zlib.crc32(piece, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def _check_header(path, header) -> None:
@@ -167,7 +167,7 @@ def load_checkpoint(path) -> Checkpoint:
     _check_header(path, header)
     off += header_len
     # Each array is a read-only view of the file's bytes; load_state_dict
-    # copies it into a model.
+    # copies it into a model's own arrays.
     params: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         n = entry["nbytes"]

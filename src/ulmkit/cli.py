@@ -215,8 +215,9 @@ def _labeled_corpus(path: str, vocab: Vocabulary):
 
 
 def cmd_finetune_lm(res: Resolver) -> int:
-    lm, vocab, provenance = _load(res.get("checkpoint"), "lm")
+    checkpoint = res.get("checkpoint")
     cfg = _phase_config(res, train.lm_finetune_defaults())
+    lm, vocab, provenance = _load(checkpoint, "lm")
     data_path = _require_file(res.get("data"), "dataset")
     if data_path.endswith(".csv"):
         texts = [t for t, _ in load_labeled_csv(data_path)]
@@ -232,8 +233,9 @@ def cmd_finetune_lm(res: Resolver) -> int:
 
 
 def cmd_finetune_clf(res: Resolver) -> int:
-    lm, vocab, provenance = _load(res.get("checkpoint"), "lm")
+    checkpoint = res.get("checkpoint")
     cfg = _phase_config(res, train.clf_finetune_defaults())
+    lm, vocab, provenance = _load(checkpoint, "lm")
     corpus, _ = _labeled_corpus(res.get("data"), vocab)
     valid = None
     valid_path = res.get("valid")
@@ -263,7 +265,7 @@ def cmd_predict(res: Resolver) -> int:
 
 
 def cmd_degrade(res: Resolver) -> int:
-    lm, vocab, _ = _load(res.get("checkpoint"), "lm")
+    checkpoint = res.get("checkpoint")
     seed = res.get("seed", 0)
     text = res.get("fractions", "1.0,0.5,0.1")
     try:
@@ -271,6 +273,12 @@ def cmd_degrade(res: Resolver) -> int:
     except ValueError:
         raise UsageError(f"--fractions takes comma-separated numbers, got {text!r}") from None
     repeats = res.get("repeats", 5)
+    lm_cfg = _phase_config(res, train.lm_finetune_defaults(epochs=2, batch_size=16),
+                           {"epochs": "lm_epochs", "lr": "lm_lr", "stage1_lr": "stage1_lr",
+                            "batch_size": "batch_size"})
+    clf_cfg = _phase_config(res, train.clf_finetune_defaults(batch_size=16),
+                            {"epochs": "clf_epochs", "batch_size": "batch_size"})
+    lm, vocab, _ = _load(checkpoint, "lm")
     records = load_labeled_csv(_require_file(res.get("data"), "dataset"))
     test_path = res.get("test")
     if test_path:
@@ -281,12 +289,6 @@ def cmd_degrade(res: Resolver) -> int:
 
     target_vocab, train_streams = _vocab_and_streams(res, [t for t, _ in train_records])
     test_streams = _numericalize_texts([t for t, _ in test_records], target_vocab)
-
-    lm_cfg = _phase_config(res, train.lm_finetune_defaults(epochs=2, batch_size=16),
-                           {"epochs": "lm_epochs", "lr": "lm_lr", "stage1_lr": "stage1_lr",
-                            "batch_size": "batch_size"})
-    clf_cfg = _phase_config(res, train.clf_finetune_defaults(batch_size=16),
-                            {"epochs": "clf_epochs", "batch_size": "batch_size"})
     with res.refusals(repeats="repeats", fraction="fractions"):
         report = evalbench.run_degradation_suite(
             lm, vocab, target_vocab,

@@ -103,6 +103,8 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy each array of ``state`` into its parameter's own array, in place,
+        so every holder of ``p.data`` sees the new values."""
         for name, p in self.named_parameters():
             if name not in state:
                 raise KeyError(f"checkpoint missing parameter {name}")
@@ -110,7 +112,7 @@ class Module:
                 raise ValueError(
                     f"parameter {name}: checkpoint shape {state[name].shape} != model shape {p.data.shape}"
                 )
-            p.data = state[name].astype(p.data.dtype)  # astype copies
+            p.data[...] = state[name]
 
     def freeze_to(self, group_index: int) -> None:
         """Freeze groups below group_index; freeze_to(0) unfreezes everything."""

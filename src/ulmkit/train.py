@@ -348,7 +348,10 @@ def _fit_lm(model: AwdLstmLM, train_corpus, valid_corpus, cfg: PhaseConfig, stag
     group of the trainable parameters in ``named_parameters`` order;
     ``on_valid`` sees each validation loss."""
     train_data = batchify(train_corpus.streams, cfg.batch_size)
-    valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
+    try:
+        valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
+    except ValueError as exc:
+        raise ValueError(f"validation split: {exc}") from None
 
     def validate():
         if valid_data is None:
@@ -389,7 +392,8 @@ def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabular
 
     Tokens present in both vocabularies keep their embedding rows and
     decoder bias entries; unseen tokens start at the mean pretrained
-    embedding (and mean bias).
+    embedding (and mean bias). Every other array is copied once, straight
+    from the pretrained model's own into the new model's.
     """
     new = AwdLstmLM(len(new_vocab), pretrained.emb_dim, pretrained.hid_dim, pretrained.n_layers)
     old_emb, old_bias = pretrained.embedding.data, pretrained.decoder_bias.data
@@ -400,7 +404,8 @@ def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabular
         if old_id is not None:
             emb[new_id] = old_emb[old_id]
             bias[new_id] = old_bias[old_id]
-    new.load_state_dict({**pretrained.state_dict(), "embedding": emb, "decoder_bias": bias})
+    new.load_state_dict({**{name: p.data for name, p in pretrained.named_parameters()},
+                         "embedding": emb, "decoder_bias": bias})
     return new
 
 
@@ -505,6 +510,8 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     from cfg.seed.
     """
     require_both_labels(train_corpus)
+    if valid_corpus is not None and not valid_corpus.streams:
+        raise ValueError("finetune_classifier: empty validation set")
     clf = TextClassifier(encoder, seed=cfg.seed)
     encoder.reset_dropout(cfg.dropout_multiplier, cfg.seed)
     shuffle_rng = Rng(cfg.seed).child("clf-shuffle")
@@ -521,7 +528,7 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
         return total_loss / n
 
     def validate():
-        if valid_corpus is None or not valid_corpus.streams:
+        if valid_corpus is None:
             return None, None
         result = evaluate(clf, valid_corpus, cfg.batch_size)
         return result.mean_loss, result.accuracy

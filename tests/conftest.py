@@ -1,6 +1,9 @@
 import pathlib
+import tracemalloc
 
 import pytest
+
+from ulmkit.textpipe import SPECIALS, Vocabulary
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -13,6 +16,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in VERDICTS:
             terminalreporter.write_line(line)
+
+
+def traced_peak(run) -> int:
+    """The most bytes that ``run()`` holds at once, as tracemalloc counts
+    them; numpy reports its arrays' buffers to it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def vocab_of(size: int) -> Vocabulary:
+    """A vocabulary of ``size`` tokens: the specials, then made-up words."""
+    return Vocabulary(list(SPECIALS) + [f"w{i}" for i in range(size - len(SPECIALS))])
+
+
 FIXTURES = ROOT / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 

@@ -17,6 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import traced_peak, vocab_of
 from ulmkit import checkpoint as ck
 from ulmkit import cli, evalbench, train
 from ulmkit.cli import COMMANDS, OPTIONS, Resolver, build_parser, main, read_config_file
@@ -300,6 +301,61 @@ def test_loaded_arrays_are_views_and_built_model_owns_its_parameters(tmp_path):
     for name, p in model.named_parameters():
         assert p.data.flags.writeable, name
         assert not np.shares_memory(p.data, loaded.params[name]), name
+
+
+def test_checkpoint_bytes_are_the_header_then_each_array_then_the_crc(tmp_path):
+    vocab = small_vocab()
+    clf = TextClassifier(build_lm(len(vocab.id_to_token), "tiny", seed=1), seed=1)
+    path = tmp_path / "clf.ckpt"
+    ck.save_checkpoint(path, clf, vocab, config={"seed": 1}, provenance=["pretrain"])
+    state = clf.state_dict()
+    manifest = [{"name": name, "shape": list(arr.shape), "dtype": "<f8", "nbytes": arr.nbytes}
+                for name, arr in state.items()]
+    header = json.dumps({
+        "kind": "classifier",
+        "dims": {"vocab_size": len(vocab.id_to_token), "emb_dim": 64, "hid_dim": 128,
+                 "n_layers": 3},
+        "vocab": vocab.id_to_token, "config": {"seed": 1}, "provenance": ["pretrain"],
+        "arrays": manifest}).encode("utf-8")
+    body = (ck.MAGIC + struct.pack("<IQ", ck.FORMAT_VERSION, len(header)) + header
+            + b"".join(arr.tobytes() for arr in state.values()))
+    assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_save_checkpoint_writes_the_models_arrays_without_copying_them(tmp_path):
+    clf = TextClassifier(build_lm(10_008, "tiny", seed=1), seed=1)
+    vocab = vocab_of(10_008)
+    # the weights take 7.4 MB
+    assert traced_peak(lambda: ck.save_checkpoint(tmp_path / "clf.ckpt", clf, vocab)) < 2e6
+
+
+def test_load_and_build_hold_the_file_and_one_model(tmp_path):
+    clf = TextClassifier(build_lm(10_008, "tiny", seed=1), seed=1)
+    path = tmp_path / "clf.ckpt"
+    ck.save_checkpoint(path, clf, vocab_of(10_008))
+    model_bytes = sum(p.data.nbytes for _, p in clf.named_parameters())
+    peak = traced_peak(lambda: ck.load_checkpoint(path).build_model())
+    assert peak < path.stat().st_size + model_bytes * 1.25
+
+
+def test_a_save_that_fails_between_arrays_leaves_the_earlier_file(tmp_path, monkeypatch):
+    _, path = saved_lm(tmp_path)
+    before = path.read_bytes()
+    other = build_lm(len(small_vocab().id_to_token), "tiny", seed=1)
+    crc32, pieces = ck.zlib.crc32, []
+
+    def fails_at_the_third_piece(data, value=0):  # after the header and one array
+        pieces.append(data)
+        if len(pieces) == 3:
+            raise OSError("no space left on device")
+        return crc32(data, value)
+
+    monkeypatch.setattr(ck.zlib, "crc32", fails_at_the_third_piece)
+    with pytest.raises(OSError, match="no space"):
+        ck.save_checkpoint(path, other, small_vocab())
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["lm.ckpt"]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -728,6 +784,64 @@ def test_cli_degrade_refuses_data_it_cannot_run_on_before_the_first_run(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert runs == [] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["degrade", "--lm-epochs", "0"], 1, "--lm-epochs 0: epochs must be >= 1, got 0"),
+    (["degrade", "--fractions", "abc"], 2,
+     "--fractions takes comma-separated numbers, got 'abc'"),
+    (["finetune-lm", "--lr", "-1"], 1, "--lr -1.0: lr must be positive, got -1.0"),
+    (["finetune-clf", "--epochs", "0"], 1, "--epochs 0: epochs must be >= 1, got 0"),
+], ids=["degrade-lm-epochs", "degrade-fractions", "finetune-lm-lr", "finetune-clf-epochs"])
+def test_cli_refuses_settings_before_loading_the_checkpoint(
+        cli_artifacts, tmp_path, capsys, monkeypatch, argv, code, message):
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    loads, reads = [], []
+    load, read = cli.load_checkpoint, cli.load_labeled_csv
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load(path))
+    monkeypatch.setattr(cli, "load_labeled_csv", lambda path: reads.append(path) or read(path))
+    rc = main(argv + ["--checkpoint", str(lm_ckpt), "--data", str(labeled),
+                      "--out", str(tmp_path / "out")])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert loads == [] and reads == [] and list(tmp_path.iterdir()) == []
+
+
+def test_cli_finetune_clf_refuses_an_empty_validation_file(cli_artifacts, tmp_path, capsys,
+                                                           monkeypatch):
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    valid = tmp_path / "valid.csv"
+    valid.write_text("text,label\n", encoding="utf-8")
+    steps = []
+    monkeypatch.setattr(train, "optimizer_step", lambda *args: steps.append(args))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["finetune-clf", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+               "--valid", str(valid), "--out", str(out / "clf.ckpt"), "--epochs", "1",
+               "--batch-size", "8"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: finetune_classifier: empty validation set\n"
+    assert steps == [] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, tokens, batch", [("finetune-lm", 46, 40), ("pretrain", 31, 64)])
+def test_cli_validation_split_too_small_for_the_batch_is_named(
+        cli_artifacts, corpus_path, labeled_path, tmp_path, capsys, monkeypatch, command,
+        tokens, batch):
+    # on the fixtures: the 10% split of the labeled texts, and a 1% split of
+    # the corpus; each training split fills its batch
+    lm_ckpt = cli_artifacts[3]
+    inputs = {"finetune-lm": ["--checkpoint", str(lm_ckpt), "--data", str(labeled_path)],
+              "pretrain": ["--corpus", str(corpus_path), "--valid-fraction", "0.01"]}[command]
+    steps = []
+    monkeypatch.setattr(train, "optimizer_step", lambda *args: steps.append(args))
+    rc = main([command, *inputs, "--batch-size", str(batch), "--epochs", "1",
+               "--out", str(tmp_path / "out.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: validation split: corpus too small: {tokens} "
+                                       f"tokens cannot fill batch_size {batch}\n")
+    assert steps == [] and list(tmp_path.iterdir()) == []
 
 
 def test_cli_preset_is_an_option_of_pretrain_only(cli_artifacts, tmp_path, capsys):

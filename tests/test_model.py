@@ -215,6 +215,14 @@ def test_state_dict_roundtrip_and_errors():
         lm.load_state_dict(bad)
 
 
+def test_load_state_dict_writes_into_each_parameters_own_array():
+    lm, other = tiny_lm(seed=1), tiny_lm(seed=2)
+    arrays = {name: p.data for name, p in other.named_parameters()}
+    other.load_state_dict(lm.state_dict())
+    for (name, a), (_, b) in zip(lm.named_parameters(), other.named_parameters()):
+        assert b.data is arrays[name] and np.array_equal(b.data, a.data), name
+
+
 def test_build_lm_presets():
     assert PRESETS["full"] == dict(emb_dim=400, hid_dim=1152, n_layers=3)
     assert PRESETS["tiny"] == dict(emb_dim=64, hid_dim=128, n_layers=3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak, vocab_of
 from ulmkit import tensor as T
 from ulmkit import train
 from ulmkit.model import build_lm
@@ -333,6 +334,16 @@ def test_map_vocab_row_transfer():
     assert np.allclose(mapped.embedding.data[di], old_emb.mean(axis=0), atol=1e-12)
     # recurrent weights carry over untouched
     assert np.array_equal(mapped.layers[0].W_hh.data, lm.layers[0].W_hh.data)
+
+
+def test_map_vocab_copies_each_pretrained_array_once():
+    vocab = vocab_of(10_008)
+    lm = build_lm(len(vocab.id_to_token), "tiny", seed=0)
+    model_bytes = sum(p.data.nbytes for _, p in lm.named_parameters())
+    # the new model, whose constructor draws its own weights, and the
+    # re-homed embedding built for it
+    peak = traced_peak(lambda: train.map_vocab(lm, vocab, vocab))
+    assert peak < model_bytes + lm.embedding.data.nbytes + 1e6
 
 
 def test_finetune_lm_dropout_follows_the_phase_seed():

@@ -4,17 +4,20 @@ Layout: magic, format version, a JSON header (kind, model dims, vocabulary,
 config snapshot, phase provenance, array manifest), the raw little-endian
 parameter arrays, and a trailing CRC32 of everything before it. Loading is
 strict: bad magic, truncation, checksum mismatch, a header without the keys,
-JSON types or array dtype that saving writes, a manifest entry whose byte
-count disagrees with its shape, a vocabulary whose size disagrees with the
-dims, array names other than the model's, or shape drift all fail with a
-named error and no partial model. Header keys beyond these, which files
-written by earlier versions carry, are ignored.
+JSON types or array dtype that saving writes, a shape with an entry below 1,
+a manifest entry whose byte count disagrees with its shape, a vocabulary
+whose size disagrees with the dims, and array names or shapes other than
+those the dims give all fail with a CheckpointError that names the file,
+before any model is built. Header keys beyond these, which files written by
+earlier versions carry, are ignored.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+import math
 import os
 import struct
 import zlib
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AwdLstmLM, TextClassifier
+from .model import AwdLstmLM, TextClassifier, param_shapes
 from .textpipe import Vocabulary
 
 MAGIC = b"ULMKCKPT"
@@ -50,15 +53,10 @@ class Checkpoint:
     provenance: list[str] = field(default_factory=list)
 
     def build_model(self):
-        """Reconstruct the model this checkpoint describes."""
-        d = self.dims
-        lm = AwdLstmLM(d["vocab_size"], d["emb_dim"], d["hid_dim"], d["n_layers"])
+        """Reconstruct the model this checkpoint describes; ``load_checkpoint``
+        has checked that its arrays are the ones its dims give."""
+        lm = AwdLstmLM(*(self.dims[key] for key in MODEL_DIMS))
         model = lm if self.kind == "lm" else TextClassifier(lm)
-        names = {name for name, _ in model.named_parameters()}
-        if names != self.params.keys():
-            raise CheckpointError(
-                f"arrays {sorted(self.params.keys() - names)} are not the model's, and "
-                f"{sorted(names - self.params.keys())} are missing")
         model.load_state_dict(self.params)
         return model.eval()
 
@@ -118,7 +116,8 @@ def save_checkpoint(path, model, vocab: Vocabulary, config: dict | None = None,
 def _check_header(path, header) -> None:
     """Raise CheckpointError unless the header holds what save_checkpoint
     writes: every key with its JSON type, the model dims as positive
-    integers, and array entries of a known dtype with a non-negative shape."""
+    integers, and array entries of a known dtype whose shape entries are
+    positive integers."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -139,8 +138,26 @@ def _check_header(path, header) -> None:
              f"array entry {entry!r} needs a name, shape, dtype and nbytes")
         need(entry["dtype"] in DTYPES,
              f"array {entry['name']!r} has dtype {entry['dtype']!r}, expected one of {DTYPES}")
-        need(all(type(n) is int and n >= 0 for n in entry["shape"]),
+        need(all(type(n) is int and n >= 1 for n in entry["shape"]),
              f"array {entry['name']!r} has shape {entry['shape']}")
+
+
+def _check_arrays_match_dims(path, kind: str, dims: dict, params: dict) -> None:
+    """Raise CheckpointError unless ``params`` holds exactly the arrays, by
+    name and shape, of the ``kind`` of model that ``dims`` give; a shape
+    that disagrees is named first, in ``named_parameters()`` order. At most
+    one more expected array than the file holds is drawn from
+    ``param_shapes``, so a huge ``n_layers`` costs nothing."""
+    dims = {key: dims[key] for key in MODEL_DIMS}
+    expected = dict(itertools.islice(param_shapes(kind, **dims), len(params) + 1))
+    for name, shape in expected.items():
+        if name in params and params[name].shape != shape:
+            raise CheckpointError(f"{path}: array {name!r} has shape {list(params[name].shape)}, "
+                                  f"but {kind} dims {dims} give {list(shape)}")
+    if expected.keys() != params.keys():
+        raise CheckpointError(
+            f"{path}: arrays {sorted(params.keys() - expected.keys())} are not the model's, "
+            f"and {sorted(expected.keys() - params.keys())} are missing, for {kind} dims {dims}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -162,7 +179,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated header section at offset {off}")
     try:
         header = json.loads(blob[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise CheckpointError(f"{path}: unreadable header section: {exc}") from exc
     _check_header(path, header)
     off += header_len
@@ -172,7 +189,7 @@ def load_checkpoint(path) -> Checkpoint:
     for entry in header["arrays"]:
         n = entry["nbytes"]
         dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"], dtype=int))
+        count = math.prod(entry["shape"])  # a Python int: never wraps
         if n != count * dtype.itemsize:
             raise CheckpointError(
                 f"{path}: array {entry['name']!r} declares {n} bytes, but shape "
@@ -192,6 +209,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(header["vocab"]) != header["dims"]["vocab_size"]:
         raise CheckpointError(f"{path}: vocabulary of {len(header['vocab'])} tokens, but "
                               f"dims give vocab_size {header['dims']['vocab_size']}")
+    _check_arrays_match_dims(path, header["kind"], header["dims"], params)
     return Checkpoint(kind=header["kind"], dims=header["dims"],
                       vocab=Vocabulary(header["vocab"]), params=params,
                       config=header["config"], provenance=header["provenance"])

@@ -21,7 +21,7 @@ from . import evalbench, train
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .model import PRESETS
 from .tensor import single_blas_thread
-from .textpipe import (NumericalizedCorpus, SettingError, Vocabulary, build_vocab,
+from .textpipe import (MAX_VOCAB, NumericalizedCorpus, SettingError, Vocabulary, build_vocab,
                        load_corpus_lines, load_labeled_csv, numericalize, preprocess,
                        split_corpus)
 
@@ -153,7 +153,7 @@ def _vocab_and_streams(res: Resolver, texts) -> tuple[Vocabulary, list[list[int]
     """Tokenize texts, build the ``max_vocab``-capped vocabulary over them,
     and numericalize them with it."""
     token_lists = [preprocess(t) for t in texts]
-    max_vocab = res.get("max_vocab", 60000)
+    max_vocab = res.get("max_vocab", MAX_VOCAB)
     with res.refusals(max_size="max_vocab"):
         vocab = build_vocab((t for toks in token_lists for t in toks), max_size=max_vocab)
     return vocab, [numericalize(toks, vocab) for toks in token_lists]
@@ -187,9 +187,8 @@ def cmd_pretrain(res: Resolver) -> int:
     valid_frac = res.get("valid_fraction", 0.1)
 
     vocab, streams = _vocab_and_streams(res, load_corpus_lines(corpus_path))
-    with res.refusals(fractions="valid_fraction"):
-        train_streams, valid_streams = split_corpus(streams, (1.0 - valid_frac, valid_frac),
-                                                    cfg.seed)
+    with res.refusals(held_out="valid_fraction"):
+        train_streams, valid_streams = split_corpus(streams, valid_frac, cfg.seed)
     model, metrics = train.pretrain_lm(
         NumericalizedCorpus(train_streams),
         NumericalizedCorpus(valid_streams) if valid_streams else None,
@@ -224,7 +223,7 @@ def cmd_finetune_lm(res: Resolver) -> int:
     else:
         texts = load_corpus_lines(data_path)
     target_vocab, streams = _vocab_and_streams(res, texts)
-    train_s, valid_s = split_corpus(streams, (0.9, 0.1), cfg.seed)
+    train_s, valid_s = split_corpus(streams, 0.1, cfg.seed)
     model, metrics = train.finetune_lm(
         lm, vocab, target_vocab, NumericalizedCorpus(train_s),
         NumericalizedCorpus(valid_s) if valid_s else None, cfg)
@@ -278,6 +277,8 @@ def cmd_degrade(res: Resolver) -> int:
                             "batch_size": "batch_size"})
     clf_cfg = _phase_config(res, train.clf_finetune_defaults(batch_size=16),
                             {"epochs": "clf_epochs", "batch_size": "batch_size"})
+    with res.refusals(repeats="repeats", fraction="fractions"):
+        evalbench.check_suite_settings(fractions, repeats)
     lm, vocab, _ = _load(checkpoint, "lm")
     records = load_labeled_csv(_require_file(res.get("data"), "dataset"))
     test_path = res.get("test")
@@ -285,11 +286,11 @@ def cmd_degrade(res: Resolver) -> int:
         train_records = records
         test_records = load_labeled_csv(_require_file(test_path, "test dataset"))
     else:
-        train_records, test_records = split_corpus(records, (0.8, 0.2), seed)
+        train_records, test_records = split_corpus(records, 0.2, seed)
 
     target_vocab, train_streams = _vocab_and_streams(res, [t for t, _ in train_records])
     test_streams = _numericalize_texts([t for t, _ in test_records], target_vocab)
-    with res.refusals(repeats="repeats", fraction="fractions"):
+    with res.refusals(fraction="fractions"):
         report = evalbench.run_degradation_suite(
             lm, vocab, target_vocab,
             NumericalizedCorpus(train_streams, [l for _, l in train_records]),

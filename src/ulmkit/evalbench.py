@@ -82,11 +82,25 @@ def degradation_pct(metric_full: float, metric_reduced: float) -> float:
     return 100.0 * (metric_full - metric_reduced) / metric_full
 
 
+def check_suite_settings(fractions, repeats: int) -> None:
+    """Refuse a repeats count below 1 and a fraction outside (0, 1]: the
+    checks of the suite's settings that need no data, so that a caller can
+    make them before it loads any."""
+    if repeats < 1:
+        raise SettingError("repeats", "must be >= 1", repeats)
+    for fraction in fractions:
+        _check_fraction(fraction)
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:  # NaN fails the comparison, so it is refused too
+        raise SettingError("fraction", "must be in (0, 1]", fraction)
+
+
 def _subsample_size(n: int, fraction: float) -> int:
     """round(fraction * n), for a fraction in (0, 1] that leaves at least 2
     of the n examples."""
-    if not 0.0 < fraction <= 1.0:
-        raise SettingError("fraction", "must be in (0, 1]", fraction)
+    _check_fraction(fraction)
     k = round(fraction * n)
     if k < 2:
         raise SettingError("fraction", f"must keep at least 2 of {n} examples", fraction)
@@ -137,15 +151,15 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     seed ``base_seed + r``, which replaces the seed of both phase configs.
     Degradation is computed from mean accuracy against the largest
     fraction's mean accuracy. Before the first run it refuses an empty
-    training or test set, a training set without both labels, and every
-    fraction that subsample_train would refuse.
+    training or test set, a training set without both labels, the settings
+    that ``check_suite_settings`` refuses, and every fraction that
+    subsample_train would refuse.
     """
     for name, corpus in (("training", train_corpus), ("test", test_corpus)):
         if not corpus.streams:
             raise ValueError(f"run_degradation_suite: empty {name} set")
     require_both_labels(train_corpus)
-    if repeats < 1:
-        raise SettingError("repeats", "must be >= 1", repeats)
+    check_suite_settings(fractions, repeats)
     fractions = sorted(set(fractions), reverse=True)
     for fraction in fractions:
         _subsample_size(len(train_corpus.streams), fraction)

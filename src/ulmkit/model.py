@@ -56,6 +56,30 @@ def embedding_dropout(emb: Tensor, ids: np.ndarray, p: float, rng: Rng) -> Tenso
     return T.embedding_lookup(emb, ids, rng.keep_mask((emb.shape[0], 1), p))
 
 
+def layer_sizes(emb_dim: int, hid_dim: int, n_layers: int):
+    """(input size, hidden size) of each LSTM layer, bottom first: the first
+    reads the embedding, and the last outputs ``emb_dim`` for the tied
+    decoder."""
+    for i in range(n_layers):
+        yield emb_dim if i == 0 else hid_dim, emb_dim if i == n_layers - 1 else hid_dim
+
+
+def param_shapes(kind: str, vocab_size: int, emb_dim: int, hid_dim: int, n_layers: int):
+    """(name, shape) of each parameter of an ``"lm"`` or a ``"classifier"``
+    of these dims, in ``named_parameters()`` order, without building either.
+    It is lazy, so a caller may stop early whatever ``n_layers`` says."""
+    yield "embedding", (vocab_size, emb_dim)
+    for i, (n_in, n_hid) in enumerate(layer_sizes(emb_dim, hid_dim, n_layers)):
+        yield f"lstm{i}.W_ih", (n_in, 4 * n_hid)
+        yield f"lstm{i}.W_hh", (n_hid, 4 * n_hid)
+        yield f"lstm{i}.b", (4 * n_hid,)
+    if kind == "lm":
+        yield "decoder_bias", (vocab_size,)
+    else:
+        yield from (("head.W1", (3 * emb_dim, HEAD_HIDDEN)), ("head.b1", (HEAD_HIDDEN,)),
+                    ("head.W2", (HEAD_HIDDEN, N_CLASSES)), ("head.b2", (N_CLASSES,)))
+
+
 class LstmLayer:
     """One LSTM layer; gates packed [input, forget, cell, output]."""
 
@@ -145,11 +169,8 @@ class AwdLstmLM(Module):
         self.n_layers = n_layers
         init = Rng(seed).child("init")
         self.embedding = T.param(init.uniform((vocab_size, emb_dim), -0.1, 0.1), "embedding")
-        self.layers = []
-        for i in range(n_layers):
-            in_size = emb_dim if i == 0 else hid_dim
-            out_size = emb_dim if i == n_layers - 1 else hid_dim
-            self.layers.append(LstmLayer(in_size, out_size, init, f"lstm{i}"))
+        self.layers = [LstmLayer(n_in, n_hid, init, f"lstm{i}")
+                       for i, (n_in, n_hid) in enumerate(layer_sizes(emb_dim, hid_dim, n_layers))]
         self.decoder_bias = T.param(np.zeros(vocab_size), "decoder_bias")
         self.reset_dropout(dropout_multiplier, seed)
 
@@ -166,12 +187,9 @@ class AwdLstmLM(Module):
     # -- parameters -------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("embedding", self.embedding)]
-        for layer in self.layers:
-            for p in layer.parameters():
-                out.append((p.name, p))
-        out.append(("decoder_bias", self.decoder_bias))
-        return out
+        params = [self.embedding, *(p for layer in self.layers for p in layer.parameters()),
+                  self.decoder_bias]
+        return [(p.name, p) for p in params]
 
     def layer_groups(self) -> list[list[Tensor]]:
         groups = [layer.parameters() for layer in self.layers]

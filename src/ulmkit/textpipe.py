@@ -30,6 +30,8 @@ SPECIALS = (UNK, PAD, BOS, UP, MAJ, REP, WREP)
 
 UNK_ID = 0
 PAD_ID = 1
+# The vocabulary's default size cap, reserved tokens included.
+MAX_VOCAB = 60000
 
 _CHAR_REP = re.compile(r"(\S)\1{2,}")
 _WORD_OR_PUNCT = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -78,17 +80,16 @@ def preprocess(text: str) -> list[str]:
     """Tokenize raw text into marker-annotated tokens.
 
     Always begins with the beginning-of-stream marker; deterministic and
-    stateless. Empty input yields ``[BOS]`` alone.
+    stateless. Empty input yields ``[BOS]`` alone. Every marked word,
+    markers included, is split into word and punctuation tokens; a marker
+    is one word token, so it stays whole.
     """
     words = _expand_char_repeats(text).split()
     words = _collapse_word_repeats(words)
     tokens = [BOS]
     for word in words:
         for marked in _mark_case(word):
-            if marked in SPECIALS:
-                tokens.append(marked)
-            else:
-                tokens.extend(_WORD_OR_PUNCT.findall(marked))
+            tokens.extend(_WORD_OR_PUNCT.findall(marked))
     return tokens
 
 
@@ -106,7 +107,7 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
-def build_vocab(tokens, max_size: int = 60000) -> Vocabulary:
+def build_vocab(tokens, max_size: int = MAX_VOCAB) -> Vocabulary:
     """Build a capped vocabulary from a token stream.
 
     Corpus tokens are admitted in non-increasing frequency order; ties break
@@ -175,22 +176,15 @@ def load_corpus_lines(path) -> list[str]:
         return [line.rstrip("\n") for line in f if line.strip()]
 
 
-def split_corpus(records: list, fractions, seed: int) -> tuple[list, ...]:
-    """Randomly partition records into len(fractions) disjoint splits.
-
-    Split sizes come from cumulative rounding, so they are exhaustive and
-    exact for clean fractions (100 records at (0.9, 0.1) gives 90/10).
-    Deterministic for a fixed seed, which ``Rng`` takes modulo 2^64.
+def split_corpus(records: list, held_out: float, seed: int) -> tuple[list, list]:
+    """Randomly partition records into a kept split of round((1 - held_out)
+    * n) records and a held-out split of the rest (100 records at 0.1 give
+    90/10), for ``held_out`` in (0, 1). Deterministic for a fixed seed,
+    which ``Rng`` takes modulo 2^64.
     """
-    fractions = list(fractions)
-    if not all(f > 0 for f in fractions):  # NaN fails the comparison, so it is refused too
-        raise SettingError("fractions", "must be positive", fractions)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise SettingError("fractions", "must sum to 1", fractions)
+    if not 0.0 < held_out < 1.0:  # NaN fails the comparison, so it is refused too
+        raise SettingError("held_out", "must be in (0, 1)", held_out)
     n = len(records)
-    order = Rng(seed).permutation(n)
-    bounds = [0] + [round(sum(fractions[: i + 1]) * n) for i in range(len(fractions))]
-    bounds[-1] = n
-    return tuple(
-        [records[k] for k in order[bounds[i] : bounds[i + 1]]] for i in range(len(fractions))
-    )
+    shuffled = [records[k] for k in Rng(seed).permutation(n)]
+    kept = round((1.0 - held_out) * n)
+    return shuffled[:kept], shuffled[kept:]

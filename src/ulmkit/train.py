@@ -48,16 +48,6 @@ STAGE_LR_DECAY = 2.0
 MAX_LEN = 400
 
 
-@dataclass
-class OneCycleConfig:
-    lr_max: float
-    total_steps: int
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-
-
 def _cos_interp(a: float, b: float, t: float) -> float:
     if t <= 0.0:
         return a
@@ -66,29 +56,28 @@ def _cos_interp(a: float, b: float, t: float) -> float:
     return a + (b - a) * (1.0 - math.cos(math.pi * t)) / 2.0
 
 
-def one_cycle(step: float, cfg: OneCycleConfig) -> tuple[float, float]:
-    """(lr, momentum) at a step: cosine warmup to lr_max over PCT_START of
-    the run, cosine anneal to lr_max/DIV_FINAL after; momentum moves
-    oppositely between MOM_HIGH and MOM_LOW."""
-    if step < 0 or step > cfg.total_steps:
-        raise ValueError(f"step {step} outside [0, {cfg.total_steps}]")
-    peak = PCT_START * cfg.total_steps
+def one_cycle(step: float, lr_max: float, total_steps: int) -> tuple[float, float]:
+    """(lr, momentum) at ``step`` of a ``total_steps``-step run: cosine warmup
+    to lr_max over PCT_START of the run, cosine anneal to lr_max/DIV_FINAL
+    after; momentum moves oppositely between MOM_HIGH and MOM_LOW."""
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    if step < 0 or step > total_steps:
+        raise ValueError(f"step {step} outside [0, {total_steps}]")
+    peak = PCT_START * total_steps
     if step <= peak:
         t = step / peak
-        return (_cos_interp(cfg.lr_max / DIV_START, cfg.lr_max, t),
-                _cos_interp(MOM_HIGH, MOM_LOW, t))
-    t = (step - peak) / (cfg.total_steps - peak)
-    return (_cos_interp(cfg.lr_max, cfg.lr_max / DIV_FINAL, t),
-            _cos_interp(MOM_LOW, MOM_HIGH, t))
+        return _cos_interp(lr_max / DIV_START, lr_max, t), _cos_interp(MOM_HIGH, MOM_LOW, t)
+    t = (step - peak) / (total_steps - peak)
+    return _cos_interp(lr_max, lr_max / DIV_FINAL, t), _cos_interp(MOM_LOW, MOM_HIGH, t)
 
 
-def discriminative_lrs(base_lr: float, n_groups: int, factor: float = LR_FACTOR) -> list[float]:
-    """Geometric learning-rate ladder, lowest layer group first."""
+def discriminative_lrs(base_lr: float, n_groups: int) -> list[float]:
+    """Geometric learning-rate ladder with ratio LR_FACTOR, lowest layer
+    group first; the top group takes ``base_lr``."""
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
-    if factor <= 1.0:
-        raise ValueError("factor must exceed 1")
-    return [base_lr / factor ** (n_groups - 1 - i) for i in range(n_groups)]
+    return [base_lr / LR_FACTOR ** (n_groups - 1 - i) for i in range(n_groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +121,8 @@ def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: flo
         state[p.name] = (m, v, t)
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale every gradient so that their global norm is at most max_norm,
+def clip_gradients(params) -> float:
+    """Scale every gradient so that their global norm is at most GRAD_CLIP,
     and return the norm before clipping. A norm that is not finite raises
     FloatingPointError before any gradient or parameter changes, naming the
     first parameter whose gradient holds NaN or inf. It is a step's only
@@ -149,8 +138,8 @@ def clip_gradients(params, max_norm: float) -> float:
                 kind = "NaN" if np.isnan(p.grad).any() else "inf"
                 raise FloatingPointError(f"{kind} gradient in parameter {p.name or '<unnamed>'}")
         raise FloatingPointError(f"gradient norm {norm} overflows; every gradient is finite")
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / norm
         for p in params:
             if p.grad is not None:
                 p.grad *= scale
@@ -166,7 +155,7 @@ def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
     for p in params:
         p.zero_grad()
     T.backward(loss)
-    clip_gradients(params, GRAD_CLIP)
+    clip_gradients(params)
     for g, lr in zip(groups, lrs):
         adam_step(g, state, lr, momentum, weight_decay)
 
@@ -212,16 +201,14 @@ class PhaseConfig:
 
 
 def pretrain_defaults(**overrides) -> PhaseConfig:
-    cfg = PhaseConfig(phase="pretrain", epochs=20, lr=1e-2, batch_size=128,
-                      dropout_multiplier=0.5)
+    cfg = PhaseConfig(phase="pretrain", epochs=20, lr=1e-2, batch_size=128)
     return replace(cfg, **overrides)
 
 
 def lm_finetune_defaults(**overrides) -> PhaseConfig:
     # stage 1 (last group only) runs 1 epoch at 4e-2; stage 2 (all groups)
     # runs `epochs` at `lr`
-    cfg = PhaseConfig(phase="lm-finetune", epochs=7, lr=4e-3, batch_size=128,
-                      dropout_multiplier=0.5)
+    cfg = PhaseConfig(phase="lm-finetune", epochs=7, lr=4e-3, batch_size=128)
     return replace(cfg, **overrides)
 
 
@@ -252,16 +239,16 @@ def _fit_stages(model, cfg: PhaseConfig, stages, steps_per_epoch: int, run_epoch
                 groups_of) -> list[EpochMetrics]:
     """Train ``model`` through ``stages``, each a (``freeze_to`` index, epochs,
     peak rate) triple run under 1cycle with a fresh Adam state; returns one
-    EpochMetrics per epoch. ``run_epoch(step)`` hands each batch's loss to
-    ``step`` and returns the mean; ``validate()`` returns (loss, accuracy),
-    either may be None; ``groups_of()`` gives the trainable groups, lowest
-    first. A non-finite loss (before backward) or gradient raises
-    FloatingPointError naming the phase, stage and step."""
+    EpochMetrics per epoch. ``run_epoch(step)`` hands each of its
+    ``steps_per_epoch`` batch losses to ``step`` and returns their mean;
+    ``validate()`` returns (loss, accuracy), either may be None;
+    ``groups_of()`` gives the trainable groups, lowest first. A non-finite
+    loss (before backward) or gradient raises FloatingPointError naming the
+    phase, stage and step."""
     metrics: list[EpochMetrics] = []
     for stage, (freeze, epochs, lr) in enumerate(stages, 1):
         model.freeze_to(freeze)
         groups = groups_of()
-        cycle = OneCycleConfig(lr, max(epochs * steps_per_epoch, 1))
         adam_state: dict = {}
         done = 0
 
@@ -270,7 +257,7 @@ def _fit_stages(model, cfg: PhaseConfig, stages, steps_per_epoch: int, run_epoch
             try:
                 if not math.isfinite(loss.item()):
                     raise FloatingPointError(f"loss is {loss.item()}")
-                lr_t, mom = one_cycle(min(done, cycle.total_steps), cycle)
+                lr_t, mom = one_cycle(done, lr, epochs * steps_per_epoch)
                 optimizer_step(loss, groups, discriminative_lrs(lr_t, len(groups)), mom,
                                adam_state, cfg.weight_decay)
             except FloatingPointError as exc:
@@ -426,15 +413,17 @@ def finetune_lm(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabul
 # classifier training
 
 
-def make_clf_batches(corpus: NumericalizedCorpus, batch_size: int, max_len: int,
+def make_clf_batches(corpus: NumericalizedCorpus, batch_size: int,
                      order: np.ndarray | None = None):
-    """Pad each batch to its longest sequence (capped at max_len)."""
+    """(ids, lengths, labels) per batch of ``batch_size`` examples, taken in
+    ``order`` (corpus order by default): each input is cut to its first
+    MAX_LEN tokens and padded to the batch's longest."""
     n = len(corpus.streams)
     idx = order if order is not None else np.arange(n)
     batches = []
     for lo in range(0, n, batch_size):
         chunk = idx[lo : lo + batch_size]
-        seqs = [corpus.streams[i][:max_len] for i in chunk]
+        seqs = [corpus.streams[i][:MAX_LEN] for i in chunk]
         lengths = np.array([max(len(s), 1) for s in seqs])
         ids = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
         for r, s in enumerate(seqs):
@@ -467,7 +456,7 @@ def per_example_losses(clf: TextClassifier, corpus: NumericalizedCorpus,
     loss = np.empty(len(order))
     prob = np.empty(len(order))
     for lo, (ids, lengths, labels) in zip(range(0, len(order), batch_size),
-                                          make_clf_batches(corpus, batch_size, MAX_LEN, order)):
+                                          make_clf_batches(corpus, batch_size, order)):
         rows = order[lo : lo + batch_size]
         with T.no_grad():
             logits = clf.forward(ids, lengths).data
@@ -520,7 +509,7 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
     def run_epoch(step) -> float:
         clf.train()
         total_loss = 0.0
-        for ids, lengths, labels in make_clf_batches(train_corpus, cfg.batch_size, MAX_LEN,
+        for ids, lengths, labels in make_clf_batches(train_corpus, cfg.batch_size,
                                                      shuffle_rng.permutation(n)):
             loss = T.cross_entropy(clf.forward(ids, lengths), labels)
             step(loss)

@@ -221,16 +221,15 @@ def test_transfer_benefit():
 
 
 def test_schedule_exactness():
-    cfg = train.OneCycleConfig(lr_max=5e-2, total_steps=400)
-    lr0, mom0 = train.one_cycle(0, cfg)
-    lr_peak, mom_peak = train.one_cycle(100, cfg)
-    lr_end, mom_end = train.one_cycle(400, cfg)
+    lr0, mom0 = train.one_cycle(0, 5e-2, 400)
+    lr_peak, mom_peak = train.one_cycle(100, 5e-2, 400)
+    lr_end, mom_end = train.one_cycle(400, 5e-2, 400)
     ok = (abs(lr0 - 5e-2 / 25.0) < 1e-12 and abs(lr_peak - 5e-2) < 1e-12
           and abs(lr_end - 5e-2 / 1e5) < 1e-12)
     ok = ok and abs(mom0 - 0.8) < 1e-12 and abs(mom_peak - 0.7) < 1e-12 \
         and abs(mom_end - 0.8) < 1e-12
 
-    lrs = train.discriminative_lrs(5e-2, 4, 2.6)
+    lrs = train.discriminative_lrs(5e-2, 4)
     expect = [5e-2 / 2.6**3, 5e-2 / 2.6**2, 5e-2 / 2.6, 5e-2]
     ok = ok and all(abs(g - w) / w < 1e-6 for g, w in zip(lrs, expect))
     verdict(ok, "schedule exactness: 1cycle endpoints and discriminative ladder",
@@ -247,7 +246,7 @@ def fixture_split(labeled_path):
     vocab = tp.build_vocab(t for tl in toks for t in tl)
     streams = [tp.numericalize(tl, vocab) for tl in toks]
     recs = list(zip(streams, [l for _, l in records]))
-    tr, te = tp.split_corpus(recs, (0.8, 0.2), 9)
+    tr, te = tp.split_corpus(recs, 0.2, 9)
     train_c = NumericalizedCorpus([s for s, _ in tr], [l for _, l in tr])
     test_c = NumericalizedCorpus([s for s, _ in te], [l for _, l in te])
     return vocab, train_c, test_c
@@ -310,7 +309,7 @@ def test_freezing_and_tying():
         before = checksums(frozen)
         trainable = [p for g in clf.trainable_groups() for p in g]
         clf.train()
-        for ids, lengths, labels in train.make_clf_batches(corpus, cfg.batch_size, 400):
+        for ids, lengths, labels in train.make_clf_batches(corpus, cfg.batch_size):
             loss = T.cross_entropy(clf.forward(ids, lengths), labels)
             for p in trainable:
                 p.zero_grad()

@@ -1,6 +1,7 @@
 """Checkpoint format and command-line behavior tests."""
 
 import argparse
+import copy
 import csv
 import gc
 import json
@@ -16,6 +17,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak, vocab_of
 from ulmkit import checkpoint as ck
@@ -122,15 +125,16 @@ def read_header(path):
 
 def rewrite_header(src, dst, edit, replacement=None):
     """Copy checkpoint src to dst with edit() applied to its JSON header (or
-    with the header replaced by ``replacement``), and a length field and
-    trailing CRC32 that match, so only the header's own consistency can
-    reject it."""
+    with the header replaced by ``replacement``, JSON or raw bytes), and a
+    length field and trailing CRC32 that match, so only the header's own
+    consistency can reject it."""
     blob = src.read_bytes()[:-4]
     off = len(ck.MAGIC) + 12
     version, header_len = struct.unpack_from("<IQ", blob, len(ck.MAGIC))
     header = json.loads(blob[off : off + header_len])
     edit(header)
-    raw = json.dumps(header if replacement is None else replacement).encode("utf-8")
+    raw = (replacement if isinstance(replacement, bytes)
+           else json.dumps(header if replacement is None else replacement).encode("utf-8"))
     body = ck.MAGIC + struct.pack("<IQ", version, len(raw)) + raw + blob[off + header_len :]
     dst.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
@@ -187,6 +191,12 @@ def set_dtype(header):
     (lambda header: header["arrays"][0].__setitem__("dtype", "<i8"), "dtype '<i8'"),
     (lambda header: header["arrays"][1].__setitem__("shape", [-1]), "shape"),
     (lambda header: header["arrays"][1].__setitem__("name", "embedding"), "appears twice"),
+    # each shape entry must be at least 1, and the element count never wraps
+    (lambda header: header["arrays"][-1].update(shape=[0], nbytes=0), r"has shape \[0\]"),
+    (lambda header: header["arrays"][1].__setitem__("shape", [0, 2**70]),
+     r"has shape \[0, 1180591620717411303424\]"),
+    (lambda header: header["arrays"][1].update(shape=[2**62, 4], nbytes=0),
+     "declares 0 bytes, but shape"),
 ])
 def test_checkpoint_rejects_malformed_headers(tmp_path, edit, match):
     _, path = saved_lm(tmp_path)
@@ -194,6 +204,131 @@ def test_checkpoint_rejects_malformed_headers(tmp_path, edit, match):
     rewrite_header(path, bad, edit)
     with pytest.raises(ck.CheckpointError, match=match):
         ck.load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_a_header_nested_too_deep_to_decode(tmp_path):
+    _, path = saved_lm(tmp_path)
+    bad = tmp_path / "deep.ckpt"
+    rewrite_header(path, bad, lambda header: None, replacement=b"[" * 100_000 + b"]" * 100_000)
+    with pytest.raises(ck.CheckpointError, match="unreadable header section"):
+        ck.load_checkpoint(bad)
+
+
+# -- fuzzed headers -------------------------------------------------------------
+
+# copied per draw: an edit may write into a value that an earlier one placed
+JSON_VALUES = st.sampled_from([None, True, 0, 7, -1, 1.5, "x", "<f8", [], [3], {}, {"a": 1}]
+                              ).map(copy.deepcopy)
+SHAPES = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 3), st.sampled_from([2**62, 2**63, 2**64 + 1, 2**70])),
+             max_size=3),
+    st.sampled_from([[2**62, 4], [0, 2**70], [2**32, 2**32]]))
+
+
+def _entry(header, index):
+    """The array entry at ``index`` (modulo their number), or None."""
+    arrays = header.get("arrays")
+    if type(arrays) is list and arrays and type(arrays[index % len(arrays)]) is dict:
+        return arrays[index % len(arrays)]
+    return None
+
+
+# values of each entry key's own JSON type; nbytes edits shift it by 8s instead
+ENTRY_VALUES = {"shape": SHAPES, "dtype": st.sampled_from(["<f4", "<i8", ">f8", "bogus"]),
+                "name": st.sampled_from(["unknown", "head.W1", "decoder_bias", "embedding"])}
+
+
+@st.composite
+def header_edits(draw):
+    """One edit of a checkpoint header, as a function that applies it in
+    place; an edit whose target an earlier edit removed does nothing."""
+    what = draw(st.sampled_from(["drop", "retype", "extra", "dims", "entry", "nbytes",
+                                 "entry-key"]))
+    value = draw(JSON_VALUES)
+    if what in ("drop", "retype"):
+        key = draw(st.sampled_from(list(ck.HEADER_TYPES)))
+        return lambda h: h.pop(key, None) if what == "drop" else h.__setitem__(key, value)
+    if what == "extra":  # ignored by design
+        return lambda h: h.__setitem__("extra", value)
+    if what == "dims":
+        key, delta = draw(st.sampled_from(ck.MODEL_DIMS)), draw(st.integers(-2, 2))
+
+        def edit(h):
+            if type(h.get("dims")) is dict and type(h["dims"].get(key)) is int:
+                h["dims"][key] += delta
+        return edit
+    index = draw(st.integers(0, 10))
+    if what == "entry":  # the entry itself becomes another JSON value
+        def edit(h):
+            if _entry(h, index) is not None:
+                h["arrays"][index % len(h["arrays"])] = value
+    elif what == "nbytes":
+        delta = 8 * draw(st.integers(-3, 3))
+
+        def edit(h):
+            entry = _entry(h, index)
+            if entry is not None and type(entry.get("nbytes")) is int:
+                entry["nbytes"] += delta
+    else:  # drop a key, or set it to a value of its own type or of any
+        key = draw(st.sampled_from([*ck.ENTRY_TYPES, "extra"]))
+        drop = draw(st.booleans())
+        if draw(st.booleans()):
+            value = draw(ENTRY_VALUES.get(key, JSON_VALUES))
+
+        def edit(h):
+            entry = _entry(h, index)
+            if entry is not None:
+                entry.pop(key, None) if drop else entry.__setitem__(key, value)
+    return edit
+
+
+@pytest.fixture(scope="module")
+def small_checkpoints(tmp_path_factory):
+    """A small LM's checkpoint and a classifier's over it, by kind."""
+    root = tmp_path_factory.mktemp("fuzz")
+    vocab = small_vocab()
+    lm = AwdLstmLM(len(vocab.id_to_token), emb_dim=4, hid_dim=6, n_layers=2, seed=0)
+    paths = {"lm": root / "lm.ckpt", "classifier": root / "clf.ckpt"}
+    ck.save_checkpoint(paths["lm"], lm, vocab)
+    ck.save_checkpoint(paths["classifier"], TextClassifier(lm), vocab)
+    return paths
+
+
+@given(kind=st.sampled_from(["lm", "classifier"]),
+       edits=st.lists(header_edits(), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_a_fuzzed_header_loads_or_raises_checkpoint_error(small_checkpoints, kind, edits):
+    src = small_checkpoints[kind]
+    fuzzed = src.parent / "fuzzed.ckpt"
+    rewrite_header(src, fuzzed, lambda header: [edit(header) for edit in edits])
+    try:
+        ck.load_checkpoint(fuzzed).build_model()
+    except ck.CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("kind, dims, first", [
+    ("classifier", {"hid_dim": 10**6}, "array 'lstm0.W_ih' has shape [64, 512]"),
+    ("classifier", {"hid_dim": 20000, "n_layers": 2}, "array 'lstm0.W_ih' has shape"),
+    ("lm", {"n_layers": 10**6}, "array 'lstm2.W_ih' has shape [128, 256]"),
+    ("lm", {"emb_dim": 5}, "array 'embedding' has shape [12, 64]"),
+], ids=["hid_dim-1e6", "hid_dim-20000", "n_layers-1e6", "emb_dim-5"])
+def test_checkpoint_refuses_dims_that_disagree_with_its_arrays_before_building(
+        tmp_path, monkeypatch, kind, dims, first):
+    vocab = small_vocab()
+    lm = build_lm(len(vocab.id_to_token), "tiny", seed=0)
+    path = tmp_path / "model.ckpt"
+    ck.save_checkpoint(path, lm if kind == "lm" else TextClassifier(lm), vocab)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(path, bad, lambda header: header["dims"].update(dims))
+    # a model of these dims would take gigabytes, or millions of layers
+    for name in ("AwdLstmLM", "TextClassifier"):
+        monkeypatch.setattr(ck, name, lambda *args, **kw: pytest.fail("a model was built"))
+    with pytest.raises(ck.CheckpointError) as refused:
+        ck.load_checkpoint(bad).build_model()
+    message = str(refused.value)
+    assert message.startswith(f"{bad}: ") and first in message
+    assert all(f"'{key}': {value}" in message for key, value in dims.items())
 
 
 def test_checkpoint_rejects_a_header_that_is_not_an_object(tmp_path):
@@ -274,13 +409,14 @@ def test_failed_writes_leave_the_earlier_file_and_no_temporary(tmp_path, monkeyp
     with pytest.raises(OSError, match="no space"):
         train.write_metrics_log(log, metrics + [Broken()], {"seed": 1})
 
-    def crc_fails(data):  # after the body, before the checksum
+    def crc_fails(data, crc=0):  # once the first piece is written
         raise OSError("no space left on device")
 
+    # built before the patch: Rng.child hashes its tag with zlib.crc32
+    replacement = build_lm(len(small_vocab().id_to_token), "tiny", seed=1)
     monkeypatch.setattr(ck.zlib, "crc32", crc_fails)
     with pytest.raises(OSError, match="no space"):
-        ck.save_checkpoint(path, build_lm(len(small_vocab().id_to_token), "tiny", seed=1),
-                           small_vocab())
+        ck.save_checkpoint(path, replacement, small_vocab())
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert log.read_text() == log_before
@@ -622,6 +758,20 @@ def test_cli_malformed_checkpoint_header_exits_1(tmp_path, capsys, edit, replace
     assert err.startswith("error:") and "malformed header" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda header: header["arrays"][1].__setitem__("shape", [0, 2**70]),
+    lambda header: header["arrays"][1].update(shape=[2**62, 4], nbytes=0),
+    lambda header: header["dims"].__setitem__("emb_dim", 5),
+], ids=["zero-and-2**70", "2**62-by-4", "emb_dim-5"])
+def test_cli_predict_refuses_a_crafted_header_with_an_error_line(cli_artifacts, tmp_path,
+                                                                 capsys, edit):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(cli_artifacts[4], bad, edit)
+    assert main(["predict", "--checkpoint", str(bad), "--text", "isang aso"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ") and captured.out == ""
+
+
 @pytest.mark.parametrize("argv, option", [
     (["pretrain", "--dropout-multiplier", "4"], "dropout_multiplier"),
     (["finetune-lm", "--stage1-lr", "-1"], "stage1_lr"),
@@ -790,9 +940,13 @@ def test_cli_degrade_refuses_data_it_cannot_run_on_before_the_first_run(
     (["degrade", "--lm-epochs", "0"], 1, "--lm-epochs 0: epochs must be >= 1, got 0"),
     (["degrade", "--fractions", "abc"], 2,
      "--fractions takes comma-separated numbers, got 'abc'"),
+    (["degrade", "--repeats", "0"], 1, "--repeats 0: repeats must be >= 1, got 0"),
+    (["degrade", "--fractions", "1.0,2"], 1,
+     "--fractions 1.0,2: fraction must be in (0, 1], got 2.0"),
     (["finetune-lm", "--lr", "-1"], 1, "--lr -1.0: lr must be positive, got -1.0"),
     (["finetune-clf", "--epochs", "0"], 1, "--epochs 0: epochs must be >= 1, got 0"),
-], ids=["degrade-lm-epochs", "degrade-fractions", "finetune-lm-lr", "finetune-clf-epochs"])
+], ids=["degrade-lm-epochs", "degrade-fractions", "degrade-repeats", "degrade-fraction-range",
+        "finetune-lm-lr", "finetune-clf-epochs"])
 def test_cli_refuses_settings_before_loading_the_checkpoint(
         cli_artifacts, tmp_path, capsys, monkeypatch, argv, code, message):
     _, _, labeled, lm_ckpt, _ = cli_artifacts

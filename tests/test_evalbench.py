@@ -199,7 +199,7 @@ def test_scoring_exact_on_saturated_logits():
     corpus = labeled_corpus(n=10)
     clf = train.TextClassifier(build_lm(20, "tiny", dropout_multiplier=0.0, seed=1), seed=1)
     clf.W2.data *= 1e7
-    (ids, lengths, labels), = train.make_clf_batches(corpus, 64, train.MAX_LEN)
+    (ids, lengths, labels), = train.make_clf_batches(corpus, 64)
     logits = clf.eval().forward(ids, lengths).data
     expected = np.logaddexp.reduce(logits, axis=1) - logits[np.arange(10), labels]
     assert expected.max() > 745.0

@@ -14,6 +14,7 @@ from ulmkit.model import (
     build_lm,
     dropout,
     embedding_dropout,
+    param_shapes,
     variational_dropout,
 )
 from ulmkit.tensor import Rng, Tensor
@@ -187,6 +188,14 @@ def test_reset_dropout_scales_every_site_and_restarts_the_stream():
     assert np.array_equal(a.data, b.data)
     reset.reset_dropout(0.0, 7)
     assert all(reset.rate(site) == 0.0 for site in ("p_emb", "p_hidden", "p_output", "p_head"))
+
+
+@pytest.mark.parametrize("dims", [(13, 8, 12, 1), (13, 8, 12, 2), (9, 5, 3, 3), (20, 4, 4, 4)])
+def test_param_shapes_are_the_built_models_names_and_shapes(dims):
+    lm = AwdLstmLM(*dims)
+    for kind, model in (("lm", lm), ("classifier", TextClassifier(lm))):
+        assert list(param_shapes(kind, *dims)) == [
+            (name, p.data.shape) for name, p in model.named_parameters()], kind
 
 
 def test_weight_tying_storage_identity():

@@ -137,34 +137,30 @@ def test_load_corpus_lines(corpus_path):
 
 def test_split_corpus_exact_sizes_and_partition():
     records = list(range(100))
-    train, valid = tp.split_corpus(records, (0.9, 0.1), seed=3)
+    train, valid = tp.split_corpus(records, 0.1, seed=3)
     assert len(train) == 90 and len(valid) == 10
     assert sorted(train + valid) == records
 
 
 def test_split_corpus_deterministic():
     records = list(range(57))
-    assert tp.split_corpus(records, (0.5, 0.5), seed=9) == tp.split_corpus(
-        records, (0.5, 0.5), seed=9
-    )
+    assert tp.split_corpus(records, 0.5, seed=9) == tp.split_corpus(records, 0.5, seed=9)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 60, 1000])
 def test_split_corpus_order_is_numpy_default_rng_permutation(n):
     # the benchmark's checks reproduce the split order this way
     for seed in range(10):
-        train, valid = tp.split_corpus(list(range(n)), (0.9, 0.1), seed=seed)
+        train, valid = tp.split_corpus(list(range(n)), 0.1, seed=seed)
         assert train + valid == np.random.default_rng(seed).permutation(n).tolist()
 
 
 def test_split_corpus_takes_a_negative_seed_modulo_2_to_the_64():
     records = list(range(50))
-    assert tp.split_corpus(records, (0.5, 0.5), seed=-1) == tp.split_corpus(
-        records, (0.5, 0.5), seed=2**64 - 1)
+    assert tp.split_corpus(records, 0.5, seed=-1) == tp.split_corpus(
+        records, 0.5, seed=2**64 - 1)
 
 
 def test_split_corpus_rejects_bad_fractions():
     with pytest.raises(ValueError):
-        tp.split_corpus([1, 2], (0.5, 0.6), seed=0)
-    with pytest.raises(ValueError):
-        tp.split_corpus([1, 2], (-0.5, 1.5), seed=0)
+        tp.split_corpus([1, 2], 1.5, seed=0)

@@ -18,46 +18,41 @@ from ulmkit.textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_
 
 
 def test_one_cycle_endpoints_exact():
-    cfg = train.OneCycleConfig(lr_max=5e-2, total_steps=1000)
-    lr0, mom0 = train.one_cycle(0, cfg)
+    lr0, mom0 = train.one_cycle(0, 5e-2, 1000)
     assert abs(lr0 - 5e-2 / 25.0) < 1e-12
     assert abs(mom0 - 0.8) < 1e-12
-    lr_peak, mom_peak = train.one_cycle(250, cfg)  # PCT_START * total
+    lr_peak, mom_peak = train.one_cycle(250, 5e-2, 1000)  # PCT_START * total
     assert abs(lr_peak - 5e-2) < 1e-12
     assert abs(mom_peak - 0.7) < 1e-12
-    lr_end, mom_end = train.one_cycle(1000, cfg)
+    lr_end, mom_end = train.one_cycle(1000, 5e-2, 1000)
     assert abs(lr_end - 5e-2 / 1e5) < 1e-12
     assert abs(mom_end - 0.8) < 1e-12
 
 
 def test_one_cycle_shape():
-    cfg = train.OneCycleConfig(lr_max=1e-2, total_steps=100)
-    lrs = [train.one_cycle(s, cfg)[0] for s in range(101)]
+    lrs = [train.one_cycle(s, 1e-2, 100)[0] for s in range(101)]
     peak = int(train.PCT_START * 100)
     assert all(a <= b + 1e-15 for a, b in zip(lrs[:peak], lrs[1 : peak + 1]))
     assert all(a >= b - 1e-15 for a, b in zip(lrs[peak:-1], lrs[peak + 1 :]))
-    moms = [train.one_cycle(s, cfg)[1] for s in range(101)]
+    moms = [train.one_cycle(s, 1e-2, 100)[1] for s in range(101)]
     assert min(moms) >= 0.7 - 1e-12 and max(moms) <= 0.8 + 1e-12
 
 
 def test_one_cycle_validation():
-    cfg = train.OneCycleConfig(lr_max=1e-2, total_steps=10)
     with pytest.raises(ValueError):
-        train.one_cycle(-1, cfg)
+        train.one_cycle(-1, 1e-2, 10)
     with pytest.raises(ValueError):
-        train.one_cycle(11, cfg)
+        train.one_cycle(11, 1e-2, 10)
 
 
 def test_discriminative_lrs_geometric_ladder():
-    lrs = train.discriminative_lrs(5e-2, 4, 2.6)
+    lrs = train.discriminative_lrs(5e-2, 4)
     expect = [5e-2 / 2.6**3, 5e-2 / 2.6**2, 5e-2 / 2.6, 5e-2]
     for got, want in zip(lrs, expect):
         assert abs(got - want) / want < 1e-6
     assert train.discriminative_lrs(1e-3, 1) == [1e-3]
     with pytest.raises(ValueError):
         train.discriminative_lrs(1e-3, 0)
-    with pytest.raises(ValueError):
-        train.discriminative_lrs(1e-3, 3, factor=1.0)
 
 
 # -- optimizers ---------------------------------------------------------------
@@ -96,7 +91,7 @@ def test_nan_gradient_raises_named_error():
     p = T.param(np.zeros(2), "lstm0.W_hh")
     p.grad = np.array([np.nan, 0.0])
     with pytest.raises(FloatingPointError, match="lstm0.W_hh"):
-        train.clip_gradients([p], max_norm=1.0)
+        train.clip_gradients([p])
 
 
 def adam_out_of_place(params, state, lr, momentum, weight_decay):
@@ -155,7 +150,7 @@ def test_overflowing_gradient_norm_raises():
     p = T.param(np.zeros(2), "p")
     p.grad = np.array([1e200, 1.0])
     with pytest.raises(FloatingPointError, match="overflows"), np.errstate(over="ignore"):
-        train.clip_gradients([p], max_norm=1.0)
+        train.clip_gradients([p])
     assert p.grad[0] == 1e200
 
 
@@ -176,14 +171,14 @@ def test_clip_gradients_global_norm():
     b = T.param(np.zeros(2), "b")
     a.grad = np.array([3.0, 0.0])
     b.grad = np.array([0.0, 4.0])
-    norm = train.clip_gradients([a, b], max_norm=1.0)
+    norm = train.clip_gradients([a, b])
     assert abs(norm - 5.0) < 1e-12
     clipped = math.sqrt((a.grad**2).sum() + (b.grad**2).sum())
-    assert abs(clipped - 1.0) < 1e-12
+    assert abs(clipped - train.GRAD_CLIP) < 1e-12
     # under the limit: untouched
     a.grad = np.array([0.1, 0.0])
     b.grad = np.array([0.0, 0.1])
-    train.clip_gradients([a, b], max_norm=1.0)
+    train.clip_gradients([a, b])
     assert np.allclose(a.grad, [0.1, 0.0])
 
 
@@ -417,7 +412,7 @@ def test_finetune_classifier_head_stage_freezes_encoder():
     n_groups = len(clf.layer_groups())
     clf.freeze_to(n_groups - 1)
     clf.train()
-    batches = train.make_clf_batches(corpus, 4, 400)
+    batches = train.make_clf_batches(corpus, 4)
     for ids, lengths, labels in batches:
         loss = T.cross_entropy(clf.forward(ids, lengths), labels)
         for p in clf.head_parameters():
@@ -450,7 +445,7 @@ def test_finetune_classifier_requires_both_labels():
 
 def test_make_clf_batches_padding():
     corpus = NumericalizedCorpus([[2, 7, 8], [2, 9]], [0, 1])
-    (ids, lengths, labels), = train.make_clf_batches(corpus, 4, 400)
+    (ids, lengths, labels), = train.make_clf_batches(corpus, 4)
     assert ids.shape == (2, 3)
     assert ids[1, 2] == 1  # PAD_ID
     assert lengths.tolist() == [3, 2]
@@ -459,7 +454,7 @@ def test_make_clf_batches_padding():
 
 def test_make_clf_batches_caps_length():
     corpus = NumericalizedCorpus([list(range(2, 500))], [0])
-    (ids, lengths, _), = train.make_clf_batches(corpus, 1, 400)
+    (ids, lengths, _), = train.make_clf_batches(corpus, 1)
     assert ids.shape == (1, 400) and lengths[0] == 400
 
 
@@ -599,11 +594,11 @@ def test_a_non_finite_gradient_names_phase_stage_step_and_parameter(monkeypatch)
     clipped = train.clip_gradients
     calls = []
 
-    def clip(params, max_norm):
-        calls.append(max_norm)
+    def clip(params):
+        calls.append(params)
         if len(calls) == 5:
             raise FloatingPointError("NaN gradient in parameter lstm2.W_hh")
-        return clipped(params, max_norm)
+        return clipped(params)
 
     monkeypatch.setattr(train, "clip_gradients", clip)
     cfg = train.clf_finetune_defaults(epochs=1, batch_size=4, seed=0)

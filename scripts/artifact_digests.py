@@ -7,7 +7,9 @@ one thread, from inside OUT_DIR and with relative paths only, so that the
 config snapshots written into the artifacts name the same files from any
 checkout. The inputs are copies of ``fixtures/`` and the corpus that
 ``perfbench/gen_inputs.py --seed 0`` generates, whose 10,008-token
-vocabulary takes the tied decoder's float32 path. ``ulmkit`` and
+vocabulary takes the float32 path of an LM training step, in the tied
+decoder and the LSTM layers; so of all the digests only ``gen-lm.ckpt``
+moves with a change to that path's arithmetic. ``ulmkit`` and
 ``gen_inputs`` are imported from the checkout this script sits in.
 
 Each line printed is ``sha256  name``. A metrics log is digested with its

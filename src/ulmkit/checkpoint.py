@@ -53,10 +53,11 @@ class Checkpoint:
     provenance: list[str] = field(default_factory=list)
 
     def build_model(self):
-        """Reconstruct the model this checkpoint describes; ``load_checkpoint``
-        has checked that its arrays are the ones its dims give."""
-        lm = AwdLstmLM(*(self.dims[key] for key in MODEL_DIMS))
-        model = lm if self.kind == "lm" else TextClassifier(lm)
+        """Reconstruct the model this checkpoint describes, drawing no
+        weights; ``load_checkpoint`` has checked that its arrays are the ones
+        its dims give."""
+        lm = AwdLstmLM(*(self.dims[key] for key in MODEL_DIMS), draw=False)
+        model = lm if self.kind == "lm" else TextClassifier(lm, draw=False)
         model.load_state_dict(self.params)
         return model.eval()
 

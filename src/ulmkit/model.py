@@ -80,14 +80,21 @@ def param_shapes(kind: str, vocab_size: int, emb_dim: int, hid_dim: int, n_layer
                     ("head.W2", (HEAD_HIDDEN, N_CLASSES)), ("head.b2", (N_CLASSES,)))
 
 
-class LstmLayer:
-    """One LSTM layer; gates packed [input, forget, cell, output]."""
+def init_uniform(rng: Rng | None, shape, bound: float) -> np.ndarray:
+    """Weights drawn from U(-bound, bound), or, where ``rng`` is None, an
+    array allocated and left unset for ``load_state_dict`` to fill."""
+    return np.empty(shape) if rng is None else rng.uniform(shape, -bound, bound)
 
-    def __init__(self, input_size: int, hidden_size: int, rng: Rng, name: str):
+
+class LstmLayer:
+    """One LSTM layer; gates packed [input, forget, cell, output]. With no
+    ``rng`` its weights are left unset (see ``init_uniform``)."""
+
+    def __init__(self, input_size: int, hidden_size: int, rng: Rng | None, name: str):
         self.hidden_size = hidden_size
         bound = 1.0 / math.sqrt(hidden_size)
-        self.W_ih = T.param(rng.uniform((input_size, 4 * hidden_size), -bound, bound), f"{name}.W_ih")
-        self.W_hh = T.param(rng.uniform((hidden_size, 4 * hidden_size), -bound, bound), f"{name}.W_hh")
+        self.W_ih = T.param(init_uniform(rng, (input_size, 4 * hidden_size), bound), f"{name}.W_ih")
+        self.W_hh = T.param(init_uniform(rng, (hidden_size, 4 * hidden_size), bound), f"{name}.W_hh")
         b = np.zeros(4 * hidden_size)
         b[hidden_size : 2 * hidden_size] = 1.0  # forget-gate bias
         self.b = T.param(b, f"{name}.b")
@@ -95,15 +102,16 @@ class LstmLayer:
     def parameters(self) -> list[Tensor]:
         return [self.W_ih, self.W_hh, self.b]
 
-    def forward(self, x: Tensor, state, w_hh: Tensor):
+    def forward(self, x: Tensor, state, w_hh: Tensor, float32: bool = False):
         """Run the layer over (batch, steps, input) from the ``(h, c)``
         arrays in ``state``; returns the outputs and the new state as fresh
         arrays.
 
         ``w_hh`` is passed explicitly so a weight-dropped matrix (fixed for
-        the whole sequence) can stand in for ``self.W_hh``.
+        the whole sequence) can stand in for ``self.W_hh``. ``float32`` is
+        the step's precision decision, passed to ``T.lstm``.
         """
-        out, h, c = T.lstm(x, *state, self.W_ih, w_hh, self.b)
+        out, h, c = T.lstm(x, *state, self.W_ih, w_hh, self.b, float32)
         return out, (h, c)
 
 
@@ -159,16 +167,20 @@ class AwdLstmLM(Module):
     The final LSTM layer outputs ``emb_dim`` so the decoder can share the
     embedding matrix. Layer groups (for gradual unfreezing) are one group
     per LSTM layer plus the embedding/decoder group on top.
+
+    ``draw=False`` allocates every weight and draws none, for a model that
+    ``load_state_dict`` fills at once: a checkpoint's, or a re-homed LM. It
+    refuses a missing name, so no weight is left unset.
     """
 
     def __init__(self, vocab_size: int, emb_dim: int, hid_dim: int, n_layers: int,
-                 dropout_multiplier: float = 1.0, seed: int = 0):
+                 dropout_multiplier: float = 1.0, seed: int = 0, draw: bool = True):
         self.vocab_size = vocab_size
         self.emb_dim = emb_dim
         self.hid_dim = hid_dim
         self.n_layers = n_layers
-        init = Rng(seed).child("init")
-        self.embedding = T.param(init.uniform((vocab_size, emb_dim), -0.1, 0.1), "embedding")
+        init = Rng(seed).child("init") if draw else None
+        self.embedding = T.param(init_uniform(init, (vocab_size, emb_dim), 0.1), "embedding")
         self.layers = [LstmLayer(n_in, n_hid, init, f"lstm{i}")
                        for i, (n_in, n_hid) in enumerate(layer_sizes(emb_dim, hid_dim, n_layers))]
         self.decoder_bias = T.param(np.zeros(vocab_size), "decoder_bias")
@@ -205,9 +217,10 @@ class AwdLstmLM(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def encode(self, ids: np.ndarray, state=None):
+    def encode(self, ids: np.ndarray, state=None, float32: bool = False):
         """Run embedding + LSTM stack; returns (raw final outputs, dropped
-        final outputs, detached new state)."""
+        final outputs, detached new state). ``float32`` is the step's
+        precision decision, passed to every layer."""
         b, _ = np.shape(ids)
         if state is None:
             state = self.init_state(b)
@@ -218,7 +231,7 @@ class AwdLstmLM(Module):
         raw = x
         for i, layer in enumerate(self.layers):
             w_hh = dropout(layer.W_hh, self.rate("p_weight"), rng)
-            raw, layer_state = layer.forward(x, state[i], w_hh)
+            raw, layer_state = layer.forward(x, state[i], w_hh, float32)
             new_state.append(layer_state)
             x = raw
             if i < self.n_layers - 1:
@@ -231,8 +244,15 @@ class AwdLstmLM(Module):
         through the tied decoder as one graph node; without, next-token
         logits (batch, steps, vocab) as a plain Tensor outside the graph.
         Either comes with the carried state and the raw/dropped final-layer
-        activations (for AR/TAR terms)."""
-        raw, dropped, new_state = self.encode(ids, state)
+        activations (for AR/TAR terms).
+
+        Precision: with targets, the step takes ``T.float32_step``'s
+        decision over its rows and vocabulary, the one the decoder takes.
+        When it holds (a tracked step from 4,096 vocabulary entries up),
+        every LSTM layer runs in float32 as well as the decoder."""
+        float32 = targets is not None and T.float32_step(
+            np.size(ids), self.vocab_size, *(p for _, p in self.named_parameters()))
+        raw, dropped, new_state = self.encode(ids, state, float32)
         if targets is not None:
             out = T.tied_decoder_ce(dropped, self.embedding, self.decoder_bias, targets)
         else:
@@ -247,15 +267,16 @@ class TextClassifier(Module):
 
     Groups, bottom to top: [embedding + first LSTM layer], each remaining
     LSTM layer, then the head. ``freeze_to(i)`` freezes all groups below i.
+    ``draw=False`` leaves the head's weights unset, as ``AwdLstmLM``'s.
     """
 
-    def __init__(self, encoder: AwdLstmLM, seed: int = 0):
+    def __init__(self, encoder: AwdLstmLM, seed: int = 0, draw: bool = True):
         self.encoder = encoder
-        rng = Rng(seed).child("head-init")
+        rng = Rng(seed).child("head-init") if draw else None
         in_w = 3 * encoder.emb_dim
-        self.W1 = T.param(rng.uniform((in_w, HEAD_HIDDEN), -1 / math.sqrt(in_w), 1 / math.sqrt(in_w)), "head.W1")
+        self.W1 = T.param(init_uniform(rng, (in_w, HEAD_HIDDEN), 1 / math.sqrt(in_w)), "head.W1")
         self.b1 = T.param(np.zeros(HEAD_HIDDEN), "head.b1")
-        self.W2 = T.param(rng.uniform((HEAD_HIDDEN, N_CLASSES), -1 / math.sqrt(HEAD_HIDDEN), 1 / math.sqrt(HEAD_HIDDEN)), "head.W2")
+        self.W2 = T.param(init_uniform(rng, (HEAD_HIDDEN, N_CLASSES), 1 / math.sqrt(HEAD_HIDDEN)), "head.W2")
         self.b2 = T.param(np.zeros(N_CLASSES), "head.b2")
         self._drop_rng = Rng(seed).child("head-dropout")
 

@@ -30,12 +30,15 @@ DECODER_CHUNK = 256
 # in two as serial at 256 classes (65,536 logits, 1.2 ms), 1.3-1.5x as long
 # at 64 classes and below, and 1.4-1.9x less from 512 classes up.
 DECODER_SPLIT_MIN = 1 << 16
-# A tracked call whose chunk buffer holds at least this many logits (256
-# rows x 4,096 classes) forms its products, softmax and logits gradient in
-# float32: half the buffer, and at B16 S70 V10,008 E64 with its gradients
-# 74-77 ms against 129-148 ms in float64 (1 BLAS thread, split over 2
-# cores). Smaller decoders, the fixtures' and the tests' among them, and
-# every untracked call stay float64 throughout.
+# A tracked LM step whose decoder chunk holds at least this many logits
+# (256 rows x 4,096 classes) runs in float32 (``float32_step``). Its decoder
+# forms the products, softmax and logits gradient in float32: half the
+# buffer, and at B16 S70 V10,008 E64 with its gradients 74-77 ms against
+# 129-148 ms in float64 (1 BLAS thread, split over 2 cores). Its LSTM
+# layers run forward and backward 1.55-1.66x faster at B16 S70 with hidden
+# 64-128, and 1.34x at the full preset's B8 S35 (1 BLAS thread).
+# Smaller vocabularies, the fixtures' and the tests' among them, classifier
+# steps and every untracked call stay float64 throughout.
 DECODER_F32_MIN = 1 << 20
 # Classes per block of the weight gradient, which bounds its temporary.
 _DW_BLOCK = 1024
@@ -91,8 +94,8 @@ def param(data, name=None) -> Tensor:
 def no_grad():
     """Within this block no op records a graph node: every result is a leaf
     with no parents, and fused ops skip their gradient work. Values are
-    unchanged, except that a ``tied_decoder_ce`` large enough for float32
-    when tracked is float64 here (see its docstring)."""
+    unchanged, except that an LM step large enough for float32 when tracked
+    (``float32_step``) is float64 here, in its LSTM layers and its decoder."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -103,6 +106,15 @@ def no_grad():
 
 def _tracked(*ts: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in ts)
+
+
+def float32_step(rows: int, classes: int, *ts: Tensor) -> bool:
+    """The one precision rule: True when a call over ``ts`` records a
+    gradient and its decoder chunk, ``min(rows, DECODER_CHUNK)`` rows of
+    ``classes`` logits, holds at least DECODER_F32_MIN of them. Then
+    ``tied_decoder_ce`` and, as ``AwdLstmLM.forward`` passes it on, each
+    ``lstm`` of that LM step form their products in float32."""
+    return _tracked(*ts) and min(rows, DECODER_CHUNK) * classes >= DECODER_F32_MIN
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -166,7 +178,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
-         b: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+         b: Tensor, float32: bool = False) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One LSTM layer over (batch, steps, input) as a single graph node.
 
     Gates are packed [input, forget, cell, output] along the 4·hidden axis.
@@ -177,6 +189,14 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     ``h0``/``c0`` are plain arrays (the carried state is never
     differentiated). Returns the outputs (batch, steps, hidden) and fresh
     copies of the final hidden and cell state.
+
+    Precision: ``float32`` is the LM step's decision under ``float32_step``.
+    When it is set and the op records a gradient, the op casts x, the
+    weights, the bias and the state to float32 once and runs the projection,
+    the recurrence, the BPTT loop and the gradient products in float32
+    (Micikevicius et al. 2018); the outputs, the state and the gradients it
+    hands back are float64, and the bias gradient is summed in float64.
+    Otherwise, and so always under ``no_grad``, it is float64 throughout.
     """
     if x.data.ndim != 3 or x.shape[1] < 1 or w_ih.data.ndim != 2 or w_hh.data.ndim != 2:
         raise ShapeError(f"lstm: expected (batch, steps >= 1, input) x and 2-d weights, got "
@@ -187,19 +207,28 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
             or np.shape(h0) != (bsz, hs) or np.shape(c0) != (bsz, hs)):
         raise ShapeError(f"lstm: incompatible shapes x {x.shape}, h0 {np.shape(h0)}, "
                          f"c0 {np.shape(c0)}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}")
-    x2d = x.data.reshape(bsz * steps, n_in)
-    proj = (x2d @ w_ih.data).reshape(bsz, steps, 4 * hs)
-    kept = steps if _tracked(x, w_ih, w_hh, b) else 1  # steps whose state is kept
-    gates = np.empty((kept, bsz, 4 * hs))  # activated: sigmoid i, f, o; tanh g
-    cells = np.empty((kept + 1, bsz, hs))  # tracked: cells[0] = c0, cells[t + 1] = c_t
-    tanh_c = np.empty((kept, bsz, hs))
-    out = np.empty((bsz, steps, hs))
+    track = _tracked(x, w_ih, w_hh, b)
+    dt = np.float32 if float32 and track else np.float64
+    # float32 exp(-z) overflows to inf once z < -88.7, and the sigmoid's
+    # 1 / (1 + inf) = 0 is then right: that overflow is not reported
+    quiet = (functools.partial(np.errstate, over="ignore") if dt is np.float32
+             else contextlib.nullcontext)
+    x2d, wi, wh, bd, h0 = (a.astype(dt, copy=False) for a in
+                           (x.data.reshape(bsz * steps, n_in), w_ih.data, w_hh.data, b.data, h0))
+    proj = (x2d @ wi).reshape(bsz, steps, 4 * hs)
+    kept = steps if track else 1  # steps whose state is kept
+    gates = np.empty((kept, bsz, 4 * hs), dt)  # activated: sigmoid i, f, o; tanh g
+    cells = np.empty((kept + 1, bsz, hs), dt)  # tracked: cells[0] = c0, cells[t + 1] = c_t
+    tanh_c = np.empty((kept, bsz, hs), dt)
+    out = np.empty((bsz, steps, hs), dt)
     cells[0] = c0
     h = h0
     for t in range(steps):
         s, c_prev, c_t = t % kept, cells[t % (kept + 1)], cells[(t + 1) % (kept + 1)]
-        z = proj[:, t] + h @ w_hh.data + b.data
-        np.divide(1.0, 1.0 + np.exp(-z), out=gates[s])
+        z = proj[:, t] + h @ wh + bd
+        with quiet():
+            e = np.exp(-z)
+        np.divide(1.0, 1.0 + e, out=gates[s])
         i, f, gc, o = (gates[s, :, k * hs : (k + 1) * hs] for k in range(4))
         np.tanh(z[:, 2 * hs : 3 * hs], out=gc)
         np.add(f * c_prev, i * gc, out=c_t)
@@ -207,9 +236,10 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
         h = out[:, t] = o * tanh_c[s]
 
     def bwd(g):
-        dz = np.empty((bsz, steps, 4 * hs))
-        dh = np.zeros((bsz, hs))
-        dc = np.zeros((bsz, hs))
+        g = g.astype(dt, copy=False)
+        dz = np.empty((bsz, steps, 4 * hs), dt)
+        dh = np.zeros((bsz, hs), dt)
+        dc = np.zeros((bsz, hs), dt)
         for t in reversed(range(steps)):
             i, f, gc, o = (gates[t, :, k * hs : (k + 1) * hs] for k in range(4))
             dh = dh + g[:, t]
@@ -221,19 +251,21 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
             d[:, 3 * hs :] = dh * tanh_c[t] * o * (1.0 - o)
             dc = dc * f
             if t:
-                dh = d @ w_hh.data.T
+                dh = d @ wh.T
         dz2d = dz.reshape(bsz * steps, 4 * hs)
+        # accumulate stores each float32 product as float64
         if x.requires_grad:
-            x.accumulate((dz2d @ w_ih.data.T).reshape(x.shape))
+            x.accumulate((dz2d @ wi.T).reshape(x.shape))
         if w_ih.requires_grad:
             w_ih.accumulate(x2d.T @ dz2d)
         if w_hh.requires_grad:
             h_prev = np.concatenate([h0[:, None, :], out[:, :-1]], axis=1)
             w_hh.accumulate(h_prev.reshape(bsz * steps, hs).T @ dz2d)
         if b.requires_grad:
-            b.accumulate(dz2d.sum(axis=0))
+            b.accumulate(dz2d.sum(axis=0, dtype=np.float64))
 
-    return _make(out, (x, w_ih, w_hh, b), bwd), out[:, -1].copy(), c_t.copy()
+    return (_make(out.astype(np.float64, copy=False), (x, w_ih, w_hh, b), bwd),
+            np.array(out[:, -1], np.float64), np.array(c_t, np.float64))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -452,11 +484,11 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     slice of the classes. Every output element gets the same arithmetic at
     any thread count, so results are bit-identical to the serial op.
 
-    Precision: a call that records a gradient, and whose chunk buffer holds
-    at least DECODER_F32_MIN logits, casts h, the weight and the bias to
-    float32 once and forms the logits, softmax, logits gradient and the
-    products for the ``h`` and weight gradients in float32 (Micikevicius et
-    al. 2018). The softmax denominators, the loss and the sums of the weight
+    Precision: a call for which ``float32_step`` holds, one that records a
+    gradient with at least DECODER_F32_MIN logits in its chunk buffer,
+    casts h, the weight and the bias to float32 once and forms the logits,
+    softmax, logits gradient and the products for the ``h`` and weight
+    gradients in float32 (Micikevicius et al. 2018). The softmax denominators, the loss and the sums of the weight
     and bias gradients over chunks are float64, as are the gradients handed
     to the graph. Every other call, and so every score taken under
     ``no_grad``, is float64 throughout."""
@@ -477,7 +509,7 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     db = np.zeros(c) if track and bias.requires_grad else None
     picked = np.empty(n)  # log-probability of each target
     rows_per_chunk = min(n, DECODER_CHUNK)
-    if track and rows_per_chunk * c >= DECODER_F32_MIN:
+    if float32_step(n, c, h, weight, bias):
         h2d, w, bvec = h2d.astype(np.float32), w.astype(np.float32), bvec.astype(np.float32)
     logits = np.empty((rows_per_chunk, c), dtype=w.dtype)
     parts = decoder_workers() if logits.size >= DECODER_SPLIT_MIN else 1

@@ -379,10 +379,12 @@ def map_vocab(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabular
 
     Tokens present in both vocabularies keep their embedding rows and
     decoder bias entries; unseen tokens start at the mean pretrained
-    embedding (and mean bias). Every other array is copied once, straight
-    from the pretrained model's own into the new model's.
+    embedding (and mean bias). The new model draws no weights, and every
+    other array is copied once, straight from the pretrained model's own
+    into the new model's.
     """
-    new = AwdLstmLM(len(new_vocab), pretrained.emb_dim, pretrained.hid_dim, pretrained.n_layers)
+    new = AwdLstmLM(len(new_vocab), pretrained.emb_dim, pretrained.hid_dim, pretrained.n_layers,
+                    draw=False)
     old_emb, old_bias = pretrained.embedding.data, pretrained.decoder_bias.data
     emb = np.tile(old_emb.mean(axis=0), (len(new_vocab), 1))
     bias = np.full(len(new_vocab), old_bias.mean())

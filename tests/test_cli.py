@@ -25,6 +25,7 @@ from ulmkit import checkpoint as ck
 from ulmkit import cli, evalbench, train
 from ulmkit.cli import COMMANDS, OPTIONS, Resolver, build_parser, main, read_config_file
 from ulmkit.model import AwdLstmLM, TextClassifier, build_lm
+from ulmkit.tensor import Rng
 from ulmkit.textpipe import SPECIALS, Vocabulary
 
 
@@ -472,6 +473,17 @@ def test_load_and_build_hold_the_file_and_one_model(tmp_path):
     model_bytes = sum(p.data.nbytes for _, p in clf.named_parameters())
     peak = traced_peak(lambda: ck.load_checkpoint(path).build_model())
     assert peak < path.stat().st_size + model_bytes * 1.25
+
+
+def test_build_model_draws_no_weight_and_scores_as_the_saved_model(tmp_path, monkeypatch):
+    clf = TextClassifier(build_lm(300, "tiny", seed=1), seed=1).eval()
+    path = tmp_path / "clf.ckpt"
+    ck.save_checkpoint(path, clf, vocab_of(300))
+    monkeypatch.setattr(Rng, "uniform", lambda *a, **k: pytest.fail("a weight was drawn"))
+    built = ck.load_checkpoint(path).build_model()
+    ids = np.random.default_rng(0).integers(0, 300, size=(4, 9))
+    lengths = np.array([9, 3, 7, 1])
+    assert np.array_equal(built.forward(ids, lengths).data, clf.forward(ids, lengths).data)
 
 
 def test_a_save_that_fails_between_arrays_leaves_the_earlier_file(tmp_path, monkeypatch):

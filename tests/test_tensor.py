@@ -271,6 +271,50 @@ def test_lstm_under_no_grad_keeps_no_per_step_state():
     assert untracked < bound < tracked
 
 
+def lstm_results(inputs, float32):
+    """out, h, c and the gradients of x, W_ih, W_hh and b of one tracked
+    lstm call, under a fixed upstream gradient."""
+    x, h0, c0, w_ih, w_hh, b = inputs
+    for p in (x, w_ih, w_hh, b):
+        p.zero_grad()
+    out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b, float32)
+    T.backward(total(T.mul(out, T.Tensor(np.random.default_rng(1).normal(size=out.shape)))))
+    return [out.data, h, c, x.grad, w_ih.grad, w_hh.grad, b.grad]
+
+
+@pytest.mark.parametrize("n_in,hs", [(64, 128), (128, 128), (128, 64)])
+def test_lstm_float32_path_stays_near_the_float64_op(n_in, hs):
+    # the three layers of an lm-pretrain-10k step at B16 S70
+    inputs = lstm_inputs(16, 70, n_in, hs, seed=n_in + hs)
+    mixed, exact = lstm_results(inputs, True), lstm_results(inputs, False)
+    for name, got, want in zip(("out", "h", "c", "dx", "dW_ih", "dW_hh", "db"), mixed, exact):
+        assert got.dtype == np.float64, name
+        assert not np.array_equal(got, want), name  # the float32 path ran
+        assert rel_err(got, want) <= 1e-5, name
+
+
+def test_lstm_float32_sigmoid_saturates_without_a_warning():
+    # a -100 output-gate pre-activation for unit 0: exp(100) overflows
+    # float32 (a warning fails the test), and the gate is exactly 0
+    inputs = lstm_inputs(3, 4, 5, 6, seed=2)
+    _, _, _, w_ih, w_hh, b = inputs
+    w_ih.data[:, 18] = w_hh.data[:, 18] = 0.0
+    b.data[18] = -100.0
+    out, h, _, *grads = lstm_results(inputs, True)
+    assert not np.array_equal(out, lstm_results(inputs, False)[0])  # the float32 path ran
+    assert (out[:, :, 0] == 0.0).all() and (h[:, 0] == 0.0).all()
+    assert all(np.isfinite(g).all() for g in grads)
+
+
+def test_lstm_float32_decision_is_ignored_under_no_grad():
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(16, 20, 64, 128, seed=5)
+    want = T.lstm(x, h0, c0, w_ih, w_hh, b)
+    with T.no_grad():
+        got = T.lstm(x, h0, c0, w_ih, w_hh, b, float32=True)
+    for a, e in zip((got[0].data, *got[1:]), (want[0].data, *want[1:])):
+        assert np.array_equal(a, e)
+
+
 def test_cross_entropy_matches_manual():
     rng = np.random.default_rng(5)
     logits = T.param(rng.normal(size=(4, 3)), "logits")

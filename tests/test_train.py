@@ -335,10 +335,82 @@ def test_map_vocab_copies_each_pretrained_array_once():
     vocab = vocab_of(10_008)
     lm = build_lm(len(vocab.id_to_token), "tiny", seed=0)
     model_bytes = sum(p.data.nbytes for _, p in lm.named_parameters())
-    # the new model, whose constructor draws its own weights, and the
-    # re-homed embedding built for it
+    # the new model's allocated weights and the re-homed embedding built
+    # for it
     peak = traced_peak(lambda: train.map_vocab(lm, vocab, vocab))
     assert peak < model_bytes + lm.embedding.data.nbytes + 1e6
+
+
+def test_map_vocab_draws_no_weight(monkeypatch):
+    old, new = make_vocabs()
+    lm = build_lm(len(old.id_to_token), "tiny", seed=0)
+    monkeypatch.setattr(Rng, "uniform", lambda *a, **k: pytest.fail("a weight was drawn"))
+    mapped = train.map_vocab(lm, old, new)
+    assert np.array_equal(mapped.layers[2].W_ih.data, lm.layers[2].W_ih.data)
+
+
+# -- the LM step's precision rule ---------------------------------------------
+
+
+def lm_step(model, ids, targets, f32_min=T.DECODER_F32_MIN):
+    """Loss, last LSTM layer outputs and every parameter's gradient of one
+    training step whose dropout masks are drawn from seed 7, at a patched
+    DECODER_F32_MIN."""
+    model.train().reset_dropout(1.0, 7)
+    for _, p in model.named_parameters():
+        p.zero_grad()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "DECODER_F32_MIN", f32_min)
+        loss, _, raw, _ = model.forward(ids, targets=targets)
+        T.backward(loss)
+    return [loss.data, raw.data] + [p.grad for _, p in model.named_parameters()]
+
+
+def step_inputs(vocab, rows=16, steps=70, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, vocab, size=(rows, steps)), rng.integers(0, vocab, size=(rows, steps))
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def test_lm_step_above_the_float32_threshold_stays_near_the_float64_step():
+    # an lm-pretrain-10k step: the decoder and every LSTM layer in float32
+    lm = build_lm(10_008, "tiny", seed=0)
+    ids, targets = step_inputs(10_008)
+    mixed, exact = lm_step(lm, ids, targets), lm_step(lm, ids, targets, np.inf)
+    names = ["loss", "raw"] + [name for name, _ in lm.named_parameters()]
+    for name, got, want in zip(names, mixed, exact):
+        assert got.dtype == np.float64, name
+        # the float32 path ran: in the LSTM layers too, since raw moved
+        assert not np.array_equal(got, want), name
+        assert rel_err(got, want) <= 1e-5, name
+
+
+def test_lm_step_below_the_float32_threshold_is_float64_throughout():
+    # a fixture-sized vocabulary: 256 rows x 300 classes is under the threshold
+    lm = build_lm(300, "tiny", seed=0)
+    ids, targets = step_inputs(300)
+    for got, want in zip(lm_step(lm, ids, targets), lm_step(lm, ids, targets, np.inf)):
+        assert np.array_equal(got, want)
+
+
+def test_lm_validation_above_the_float32_threshold_is_float64():
+    lm = build_lm(10_008, "tiny", seed=0)
+    data = np.random.default_rng(1).integers(0, 10_008, size=(16, 141))
+    cfg = train.pretrain_defaults(bptt_len=70)
+    scored = train.lm_epoch(lm, data, cfg, train=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "DECODER_F32_MIN", np.inf)
+        assert train.lm_epoch(lm, data, cfg, train=False) == scored
+
+
+def test_a_seeded_float32_lm_step_reproduces_bit_for_bit():
+    ids, targets = step_inputs(10_008, seed=3)
+    first, second = (lm_step(build_lm(10_008, "tiny", seed=0), ids, targets) for _ in range(2))
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_finetune_lm_dropout_follows_the_phase_seed():

@@ -6,10 +6,12 @@ Every command runs in-process through ``ulmkit.cli.main``, which runs BLAS on
 one thread, from inside OUT_DIR and with relative paths only, so that the
 config snapshots written into the artifacts name the same files from any
 checkout. The inputs are copies of ``fixtures/`` and the corpus that
-``perfbench/gen_inputs.py --seed 0`` generates, whose 10,008-token
-vocabulary takes the float32 path of an LM training step, in the tied
-decoder and the LSTM layers; so of all the digests only ``gen-lm.ckpt``
-moves with a change to that path's arithmetic. ``ulmkit`` and
+``perfbench/gen_inputs.py --seed 0`` generates. Every model trained here is
+of the ``tiny`` preset, whose training steps take the float32 path in the
+LSTM layers and, for the language model, the tied decoder; so a change to
+that path's arithmetic moves every trained checkpoint (``lm.ckpt``,
+``lm-ft.ckpt``, ``clf.ckpt``, ``gen-lm.ckpt``), while the logs, reports and
+scores, printed to 4-6 digits, may keep their digests. ``ulmkit`` and
 ``gen_inputs`` are imported from the checkout this script sits in.
 
 Each line printed is ``sha256  name``. A metrics log is digested with its

@@ -150,7 +150,8 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     and scores on the shared test set. Repeat r of every fraction runs at
     seed ``base_seed + r``, which replaces the seed of both phase configs.
     Degradation is computed from mean accuracy against the largest
-    fraction's mean accuracy. Before the first run it refuses an empty
+    fraction's mean accuracy. A run that changes the test set fails, and a
+    failed run stops the suite. Before the first run it refuses an empty
     training or test set, a training set without both labels, the settings
     that ``check_suite_settings`` refuses, and every fraction that
     subsample_train would refuse.
@@ -170,7 +171,6 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
         for rep in range(repeats):
             seed = base_seed + rep
             try:
-                assert corpus_checksum(test_corpus) == checksum, "test set mutated"
                 sub = subsample_train(train_corpus, fraction, seed)
                 n_train = len(sub.streams)
                 lm_text = NumericalizedCorpus(sub.streams)
@@ -178,6 +178,8 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
                                     None, replace(lm_cfg, seed=seed))
                 clf, _ = finetune_classifier(lm, sub, None, replace(clf_cfg, seed=seed))
                 result = evaluate(clf, test_corpus, clf_cfg.batch_size)
+                if corpus_checksum(test_corpus) != checksum:
+                    raise RuntimeError("test set mutated")
             except Exception as exc:  # noqa: BLE001 - abort with partial dump
                 raise DegradationSuiteError(
                     f"run failed at fraction={fraction} repeat={rep}: {exc}", report

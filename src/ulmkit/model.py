@@ -247,14 +247,13 @@ class AwdLstmLM(Module):
         activations (for AR/TAR terms).
 
         Precision: with targets, the step takes ``T.float32_step``'s
-        decision over its rows and vocabulary, the one the decoder takes.
-        When it holds (a tracked step from 4,096 vocabulary entries up),
-        every LSTM layer runs in float32 as well as the decoder."""
+        decision over the model's hidden width, mode and parameters, and
+        passes it to every LSTM layer and to the decoder."""
         float32 = targets is not None and T.float32_step(
-            np.size(ids), self.vocab_size, *(p for _, p in self.named_parameters()))
+            self.hid_dim, self.training, *(p for _, p in self.named_parameters()))
         raw, dropped, new_state = self.encode(ids, state, float32)
         if targets is not None:
-            out = T.tied_decoder_ce(dropped, self.embedding, self.decoder_bias, targets)
+            out = T.tied_decoder_ce(dropped, self.embedding, self.decoder_bias, targets, float32)
         else:
             b, s, e = dropped.shape
             logits = dropped.data.reshape(b * s, e) @ self.embedding.data.T + self.decoder_bias.data
@@ -296,11 +295,17 @@ class TextClassifier(Module):
         return groups
 
     def forward(self, ids: np.ndarray, lengths) -> Tensor:
+        """Logits (batch, 2) of (batch, steps) ids padded past ``lengths``.
+        The step takes ``T.float32_step``'s decision over the encoder's
+        hidden width, the mode and the parameters, and passes it to every
+        LSTM layer; the pool and the head stay float64."""
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
             raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
         self.encoder.training = self.training  # every rate, the head's too, follows it
-        raw, dropped, _ = self.encoder.encode(ids)
+        float32 = T.float32_step(self.encoder.hid_dim, self.training,
+                                 *(p for _, p in self.named_parameters()))
+        raw, dropped, _ = self.encoder.encode(ids, float32=float32)
         pooled = T.concat_pool(dropped, lengths)
         hid = T.relu(T.add(T.matmul(pooled, self.W1), self.b1))
         hid = dropout(hid, self.encoder.rate("p_head"), self._drop_rng)

@@ -30,16 +30,18 @@ DECODER_CHUNK = 256
 # in two as serial at 256 classes (65,536 logits, 1.2 ms), 1.3-1.5x as long
 # at 64 classes and below, and 1.4-1.9x less from 512 classes up.
 DECODER_SPLIT_MIN = 1 << 16
-# A tracked LM step whose decoder chunk holds at least this many logits
-# (256 rows x 4,096 classes) runs in float32 (``float32_step``). Its decoder
-# forms the products, softmax and logits gradient in float32: half the
-# buffer, and at B16 S70 V10,008 E64 with its gradients 74-77 ms against
-# 129-148 ms in float64 (1 BLAS thread, split over 2 cores). Its LSTM
-# layers run forward and backward 1.55-1.66x faster at B16 S70 with hidden
-# 64-128, and 1.34x at the full preset's B8 S35 (1 BLAS thread).
-# Smaller vocabularies, the fixtures' and the tests' among them, classifier
-# steps and every untracked call stay float64 throughout.
-DECODER_F32_MIN = 1 << 20
+# A training step of a model whose hidden width (``hid_dim``) is at least
+# this runs in float32 (``float32_step``): every tracked LSTM layer and the
+# tied decoder form their products in float32 (Micikevicius et al. 2018).
+# The float64/float32 time ratio of a tracked ``lstm`` forward plus backward
+# at S39 (medians of 7, two runs, 1 BLAS thread on 2 cores) was 0.97-1.00 at
+# B2 H6, 0.97-1.08 at B4 H16-32, 1.33-1.54 at B8 H64 and 1.47-1.96 at B8
+# H128; at B8 H32 it spread from 0.85 to 1.55. The decoder at B16 S70
+# V10,008 E64 took 74-77 ms with its gradients against 129-148 ms in
+# float64. So the tiny and full presets train in float32, and the small
+# models of the finite-difference tests stay float64, as do eval-mode
+# forwards and every untracked call.
+F32_MIN_HIDDEN = 64
 # Classes per block of the weight gradient, which bounds its temporary.
 _DW_BLOCK = 1024
 _grad_enabled = True
@@ -94,8 +96,9 @@ def param(data, name=None) -> Tensor:
 def no_grad():
     """Within this block no op records a graph node: every result is a leaf
     with no parents, and fused ops skip their gradient work. Values are
-    unchanged, except that an LM step large enough for float32 when tracked
-    (``float32_step``) is float64 here, in its LSTM layers and its decoder."""
+    unchanged, except that a training step large enough for float32 when
+    tracked (``float32_step``) is float64 here, in its LSTM layers and its
+    decoder."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -108,13 +111,14 @@ def _tracked(*ts: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in ts)
 
 
-def float32_step(rows: int, classes: int, *ts: Tensor) -> bool:
-    """The one precision rule: True when a call over ``ts`` records a
-    gradient and its decoder chunk, ``min(rows, DECODER_CHUNK)`` rows of
-    ``classes`` logits, holds at least DECODER_F32_MIN of them. Then
-    ``tied_decoder_ce`` and, as ``AwdLstmLM.forward`` passes it on, each
-    ``lstm`` of that LM step form their products in float32."""
-    return _tracked(*ts) and min(rows, DECODER_CHUNK) * classes >= DECODER_F32_MIN
+def float32_step(hid_dim: int, training: bool, *ts: Tensor) -> bool:
+    """The one precision rule: True for a step of a model in training mode
+    whose hidden width ``hid_dim`` is at least F32_MIN_HIDDEN, when a call
+    over its parameters ``ts`` records a gradient. The LM and the classifier
+    pass this decision to each ``lstm`` of the step, and the LM to its
+    ``tied_decoder_ce``; each of those ops still runs in float64 unless it
+    records a gradient itself."""
+    return training and hid_dim >= F32_MIN_HIDDEN and _tracked(*ts)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -190,13 +194,14 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     differentiated). Returns the outputs (batch, steps, hidden) and fresh
     copies of the final hidden and cell state.
 
-    Precision: ``float32`` is the LM step's decision under ``float32_step``.
+    Precision: ``float32`` is the step's decision under ``float32_step``.
     When it is set and the op records a gradient, the op casts x, the
     weights, the bias and the state to float32 once and runs the projection,
     the recurrence, the BPTT loop and the gradient products in float32
     (Micikevicius et al. 2018); the outputs, the state and the gradients it
     hands back are float64, and the bias gradient is summed in float64.
-    Otherwise, and so always under ``no_grad``, it is float64 throughout.
+    Otherwise, and so always under ``no_grad`` and for a layer whose inputs
+    and weights are all frozen, it is float64 throughout.
     """
     if x.data.ndim != 3 or x.shape[1] < 1 or w_ih.data.ndim != 2 or w_hh.data.ndim != 2:
         raise ShapeError(f"lstm: expected (batch, steps >= 1, input) x and 2-d weights, got "
@@ -465,7 +470,8 @@ def _split(task, n: int, parts: int) -> None:
             f.result()
 
 
-def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
+def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets,
+                    float32: bool = False) -> Tensor:
     """Mean negative log-likelihood of targets under softmax(h @ weight.T +
     bias), for (..., features) h, a (classes, features) weight (the tied
     embedding), a (classes,) bias and targets of h's leading shape.
@@ -484,14 +490,14 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     slice of the classes. Every output element gets the same arithmetic at
     any thread count, so results are bit-identical to the serial op.
 
-    Precision: a call for which ``float32_step`` holds, one that records a
-    gradient with at least DECODER_F32_MIN logits in its chunk buffer,
-    casts h, the weight and the bias to float32 once and forms the logits,
-    softmax, logits gradient and the products for the ``h`` and weight
-    gradients in float32 (Micikevicius et al. 2018). The softmax denominators, the loss and the sums of the weight
-    and bias gradients over chunks are float64, as are the gradients handed
-    to the graph. Every other call, and so every score taken under
-    ``no_grad``, is float64 throughout."""
+    Precision: ``float32`` is the LM step's decision under ``float32_step``.
+    When it is set and the call records a gradient, it casts h, the weight
+    and the bias to float32 once and forms the logits, softmax, logits
+    gradient and the products for the ``h`` and weight gradients in float32
+    (Micikevicius et al. 2018). The softmax denominators, the loss and the
+    sums of the weight and bias gradients over chunks are float64, as are
+    the gradients handed to the graph. Every other call, and so every score
+    taken under ``no_grad``, is float64 throughout."""
     targets = np.asarray(targets)
     if (h.data.ndim < 2 or weight.data.ndim != 2 or h.shape[-1] != weight.shape[1]
             or bias.shape != weight.shape[:1] or targets.shape != h.shape[:-1]):
@@ -509,7 +515,7 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets) -> Tensor:
     db = np.zeros(c) if track and bias.requires_grad else None
     picked = np.empty(n)  # log-probability of each target
     rows_per_chunk = min(n, DECODER_CHUNK)
-    if float32_step(n, c, h, weight, bias):
+    if float32 and track:
         h2d, w, bvec = h2d.astype(np.float32), w.astype(np.float32), bvec.astype(np.float32)
     logits = np.empty((rows_per_chunk, c), dtype=w.dtype)
     parts = decoder_workers() if logits.size >= DECODER_SPLIT_MIN else 1

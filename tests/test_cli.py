@@ -598,6 +598,48 @@ def test_cli_checkpoints_do_not_depend_on_the_hash_seed(corpus_path, labeled_pat
     assert ckpts[0] == ckpts[1]
 
 
+# A classifier fine-tune and a 2-repeat degrade from the LM checkpoint and
+# labeled CSV in argv, run twice in one process: the first in directory a,
+# the second in b, each from inside it, so that the paths they record agree.
+REPRODUCE = """
+import os, sys
+from ulmkit.cli import main
+lm, labeled = sys.argv[1:]
+for run in ("a", "b"):
+    os.mkdir(run)
+    os.chdir(run)
+    for argv in (["finetune-clf", "--checkpoint", lm, "--data", labeled, "--out", "clf.ckpt",
+                  "--seed", "5", "--epochs", "1", "--batch-size", "8"],
+                 ["degrade", "--checkpoint", lm, "--data", labeled, "--out", "degradation.csv",
+                  "--fractions", "1.0,0.5", "--repeats", "2", "--batch-size", "8",
+                  "--lm-epochs", "1", "--clf-epochs", "1", "--seed", "0"]):
+        if main(argv):
+            sys.exit(f"{argv[0]} failed")
+    os.chdir(os.pardir)
+"""
+
+
+def test_seeded_tiny_fine_tunes_reproduce_in_one_process_and_across_hash_seeds(
+        corpus_path, labeled_path, tmp_path):
+    # the tiny preset's training steps run in float32
+    lm = tmp_path / "lm.ckpt"
+    assert main(["pretrain", "--corpus", str(corpus_path), "--out", str(lm), "--epochs", "1",
+                 "--batch-size", "8", "--bptt", "35", "--seed", "0"]) == 0
+    src = pathlib.Path(ck.__file__).resolve().parent.parent
+    outputs = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", REPRODUCE, str(lm), str(labeled_path)],
+                              cwd=cwd, env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs += [[(cwd / run / name).read_bytes() for name in ("clf.ckpt", "degradation.csv")]
+                    for run in ("a", "b")]
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 def test_cli_pretrain_writes_artifacts(cli_artifacts):
     root, _, _, lm_ckpt, _ = cli_artifacts
     assert lm_ckpt.exists()

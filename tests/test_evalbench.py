@@ -1,6 +1,11 @@
 """Degradation protocol, evaluation, and loss-ranking tests."""
 
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,6 +173,43 @@ def test_degradation_suite_failure_carries_partial_report(monkeypatch):
     partial = message.split("partial report:\n", 1)[1].splitlines()
     assert partial[0] == evalbench.DegradationReport.CSV_HEADER
     assert [row.split(",")[0] for row in partial[1:]] == ["1.0"]
+
+
+def mutated_test_set_error() -> str:
+    """The cause of the error a one-run suite raises when its classifier
+    fine-tune flips a label of the test set."""
+    lm, vocab, corpus, test, lm_cfg, clf_cfg = suite_inputs()
+    real = evalbench.finetune_classifier
+
+    def finetune_classifier(encoder, sub, valid, cfg):
+        test.labels[0] = 1 - test.labels[0]
+        return real(encoder, sub, valid, cfg)
+
+    with mock.patch.object(evalbench, "finetune_classifier", finetune_classifier):
+        try:
+            evalbench.run_degradation_suite(lm, vocab, vocab, corpus, test, lm_cfg, clf_cfg,
+                                            fractions=(1.0,), repeats=1, base_seed=0)
+        except evalbench.DegradationSuiteError as exc:
+            return f"{type(exc.__cause__).__name__}: {exc.__cause__}"
+    return "no error"
+
+
+def test_degradation_suite_refuses_a_mutated_test_set():
+    assert mutated_test_set_error() == "RuntimeError: test set mutated"
+
+
+def test_degradation_suite_refuses_a_mutated_test_set_under_python_o():
+    # -O strips assert statements; the guard must not be one
+    tests = pathlib.Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(pathlib.Path(evalbench.__file__).resolve().parent.parent),
+                      str(tests), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys, test_evalbench as t; "
+         "print(sys.flags.optimize, t.mutated_test_set_error())"],
+        env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 RuntimeError: test set mutated"
 
 
 def test_top_losses_brute_force_ranking():

@@ -428,14 +428,15 @@ def test_tied_decoder_ce_under_no_grad_is_a_leaf_with_no_gradient_work():
     assert tracked.requires_grad and T._tracked(h)  # the switch is off again
 
 
-def decoder_ce_results(h, w, b, targets):
-    """Loss and gradients of tied_decoder_ce, tracked and under no_grad."""
+def decoder_ce_results(h, w, b, targets, float32=False):
+    """Loss and gradients of tied_decoder_ce, tracked and under no_grad,
+    both given the precision decision ``float32``."""
     for p in (h, w, b):
         p.zero_grad()
-    loss = T.tied_decoder_ce(h, w, b, targets)
+    loss = T.tied_decoder_ce(h, w, b, targets, float32)
     T.backward(loss)
     with T.no_grad():
-        untracked = T.tied_decoder_ce(h, w, b, targets).data
+        untracked = T.tied_decoder_ce(h, w, b, targets, float32).data
     return loss.data, h.grad, w.grad, b.grad, untracked
 
 
@@ -486,12 +487,10 @@ def pretrain_decoder_inputs(rows, classes, seed=0):
 
 
 def test_tied_decoder_ce_float32_path_stays_near_the_float64_op():
-    # an lm-pretrain-10k step: 256 rows x 10,008 classes per chunk is past
-    # DECODER_F32_MIN, so the tracked op forms its products in float32
+    # an lm-pretrain-10k step: the tracked op forms its products in float32
     h, w, b, targets = pretrain_decoder_inputs(16 * 70, 10_008)
-    mixed = decoder_ce_results(h, w, b, targets)
-    with mock.patch.object(T, "DECODER_F32_MIN", np.inf):
-        exact = decoder_ce_results(h, w, b, targets)
+    mixed = decoder_ce_results(h, w, b, targets, float32=True)
+    exact = decoder_ce_results(h, w, b, targets)
     assert mixed[0] != exact[0]  # the float32 path ran
     assert abs(mixed[0] - exact[0]) <= 1e-6 * abs(exact[0])
     for name, got, want in zip(("dh", "dW", "db"), mixed[1:4], exact[1:4]):
@@ -507,25 +506,23 @@ def test_tied_decoder_ce_float32_path_is_bit_identical_at_any_worker_count(worke
     interval = sys.getswitchinterval()
     for inputs, chunk in ((decoder_ce_inputs(16, 6, 23, 3), 7),
                           (pretrain_decoder_inputs(70, 10_008), T.DECODER_CHUNK)):
-        with mock.patch.multiple(T, DECODER_CHUNK=chunk, DECODER_F32_MIN=0):
-            serial = decoder_ce_results(*inputs)
+        with mock.patch.object(T, "DECODER_CHUNK", chunk):
+            serial = decoder_ce_results(*inputs, float32=True)
             sys.setswitchinterval(1e-6)  # threads trade the interpreter often
             try:
                 with split_decoder(workers, dw_block=5):
-                    split = decoder_ce_results(*inputs)
+                    split = decoder_ce_results(*inputs, float32=True)
             finally:
                 sys.setswitchinterval(interval)
         for want, got in zip(serial, split):
             assert np.array_equal(want, got)
 
 
-def test_tied_decoder_ce_scores_above_the_float32_threshold_in_float64():
-    # 256 rows x 4,097 classes is just past DECODER_F32_MIN
+def test_tied_decoder_ce_float32_decision_is_ignored_under_no_grad():
     h, w, b, targets = pretrain_decoder_inputs(300, 4097, seed=1)
-    assert T.DECODER_CHUNK * 4097 >= T.DECODER_F32_MIN
-    tracked = T.tied_decoder_ce(h, w, b, targets)
+    tracked = T.tied_decoder_ce(h, w, b, targets, float32=True)
     with T.no_grad():
-        scored = T.tied_decoder_ce(h, w, b, targets)
+        scored = T.tied_decoder_ce(h, w, b, targets, float32=True)
     want = decoder_ce_reference(h.data, w.data, b.data, targets)
     assert abs(scored.item() - want) <= 1e-12 * abs(want)
     assert tracked.item() != scored.item()  # the tracked call ran in float32

@@ -8,7 +8,7 @@ import pytest
 from conftest import traced_peak, vocab_of
 from ulmkit import tensor as T
 from ulmkit import train
-from ulmkit.model import build_lm
+from ulmkit.model import AwdLstmLM, TextClassifier, build_lm
 from ulmkit.tensor import Rng
 from ulmkit.textpipe import (NumericalizedCorpus, Vocabulary, build_vocab, load_corpus_lines,
                               load_labeled_csv, numericalize, preprocess)
@@ -349,21 +349,36 @@ def test_map_vocab_draws_no_weight(monkeypatch):
     assert np.array_equal(mapped.layers[2].W_ih.data, lm.layers[2].W_ih.data)
 
 
-# -- the LM step's precision rule ---------------------------------------------
+# -- the training step's precision rule ----------------------------------------
 
 
-def lm_step(model, ids, targets, f32_min=T.DECODER_F32_MIN):
+def lm_step(model, ids, targets, min_hidden=T.F32_MIN_HIDDEN):
     """Loss, last LSTM layer outputs and every parameter's gradient of one
     training step whose dropout masks are drawn from seed 7, at a patched
-    DECODER_F32_MIN."""
+    F32_MIN_HIDDEN (``np.inf`` for the float64 step)."""
     model.train().reset_dropout(1.0, 7)
     for _, p in model.named_parameters():
         p.zero_grad()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "DECODER_F32_MIN", f32_min)
+        mp.setattr(T, "F32_MIN_HIDDEN", min_hidden)
         loss, _, raw, _ = model.forward(ids, targets=targets)
         T.backward(loss)
     return [loss.data, raw.data] + [p.grad for _, p in model.named_parameters()]
+
+
+def clf_step(build, ids, lengths, labels, min_hidden=T.F32_MIN_HIDDEN):
+    """Logits, loss and every parameter's gradient of one training step of
+    the freshly built classifier ``build()``, all groups unfrozen, at a
+    patched F32_MIN_HIDDEN."""
+    clf = build()
+    clf.freeze_to(0)
+    clf.train()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "F32_MIN_HIDDEN", min_hidden)
+        logits = clf.forward(ids, lengths)
+        loss = T.cross_entropy(logits, labels)
+        T.backward(loss)
+    return [logits.data, loss.data] + [p.grad for _, p in clf.named_parameters()]
 
 
 def step_inputs(vocab, rows=16, steps=70, seed=0):
@@ -371,29 +386,67 @@ def step_inputs(vocab, rows=16, steps=70, seed=0):
     return rng.integers(0, vocab, size=(rows, steps)), rng.integers(0, vocab, size=(rows, steps))
 
 
+def clf_inputs(vocab, rows=8, steps=39, seed=0):
+    """ids, lengths (the longest is ``steps``) and labels of both classes."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, steps + 1, size=rows)
+    lengths[0] = steps
+    return rng.integers(0, vocab, size=(rows, steps)), lengths, np.arange(rows) % 2
+
+
 def rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
 def test_lm_step_above_the_float32_threshold_stays_near_the_float64_step():
-    # an lm-pretrain-10k step: the decoder and every LSTM layer in float32
-    lm = build_lm(10_008, "tiny", seed=0)
-    ids, targets = step_inputs(10_008)
-    mixed, exact = lm_step(lm, ids, targets), lm_step(lm, ids, targets, np.inf)
-    names = ["loss", "raw"] + [name for name, _ in lm.named_parameters()]
-    for name, got, want in zip(names, mixed, exact):
-        assert got.dtype == np.float64, name
-        # the float32 path ran: in the LSTM layers too, since raw moved
-        assert not np.array_equal(got, want), name
-        assert rel_err(got, want) <= 1e-5, name
+    # an lm-pretrain-10k step, and one over a fixture-sized vocabulary:
+    # tiny's hidden width is past F32_MIN_HIDDEN, so the decoder and every
+    # LSTM layer run in float32
+    for vocab in (10_008, 300):
+        lm = build_lm(vocab, "tiny", seed=0)
+        ids, targets = step_inputs(vocab)
+        mixed, exact = lm_step(lm, ids, targets), lm_step(lm, ids, targets, np.inf)
+        names = ["loss", "raw"] + [name for name, _ in lm.named_parameters()]
+        for name, got, want in zip(names, mixed, exact):
+            assert got.dtype == np.float64, name
+            # the float32 path ran: in the LSTM layers too, since raw moved
+            assert not np.array_equal(got, want), name
+            assert rel_err(got, want) <= 1e-5, name
+
+
+# the gradient gate's model, and one of hidden 16
+SMALL_DIMS = [dict(vocab_size=11, emb_dim=4, hid_dim=6, n_layers=2),
+              dict(vocab_size=300, emb_dim=16, hid_dim=16, n_layers=3)]
 
 
 def test_lm_step_below_the_float32_threshold_is_float64_throughout():
-    # a fixture-sized vocabulary: 256 rows x 300 classes is under the threshold
-    lm = build_lm(300, "tiny", seed=0)
-    ids, targets = step_inputs(300)
-    for got, want in zip(lm_step(lm, ids, targets), lm_step(lm, ids, targets, np.inf)):
-        assert np.array_equal(got, want)
+    for dims in SMALL_DIMS:
+        assert dims["hid_dim"] < T.F32_MIN_HIDDEN
+        lm = AwdLstmLM(**dims, seed=0)
+        ids, targets = step_inputs(dims["vocab_size"], rows=4, steps=9)
+        for got, want in zip(lm_step(lm, ids, targets), lm_step(lm, ids, targets, np.inf)):
+            assert np.array_equal(got, want)
+
+
+def test_classifier_step_below_the_float32_threshold_is_float64_throughout():
+    for dims in SMALL_DIMS:
+        inputs = clf_inputs(dims["vocab_size"], rows=4, steps=9)
+        build = lambda: TextClassifier(AwdLstmLM(**dims, seed=0), seed=0)  # noqa: E731
+        for got, want in zip(clf_step(build, *inputs), clf_step(build, *inputs, np.inf)):
+            assert np.array_equal(got, want)
+
+
+def test_tiny_classifier_step_stays_near_the_float64_step():
+    # a degrade-fixture classifier step, B8 S39 over the tiny preset: every
+    # LSTM layer runs in float32, the pool and the head in float64
+    inputs = clf_inputs(300)
+    build = lambda: TextClassifier(build_lm(300, "tiny", seed=0), seed=0)  # noqa: E731
+    mixed, exact = clf_step(build, *inputs), clf_step(build, *inputs, np.inf)
+    names = ["logits", "loss"] + [name for name, _ in build().named_parameters()]
+    for name, got, want in zip(names, mixed, exact):
+        assert got.dtype == np.float64, name
+        assert not np.array_equal(got, want), name  # the float32 path ran
+        assert rel_err(got, want) <= 1e-5, name
 
 
 def test_lm_validation_above_the_float32_threshold_is_float64():
@@ -402,7 +455,7 @@ def test_lm_validation_above_the_float32_threshold_is_float64():
     cfg = train.pretrain_defaults(bptt_len=70)
     scored = train.lm_epoch(lm, data, cfg, train=False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "DECODER_F32_MIN", np.inf)
+        mp.setattr(T, "F32_MIN_HIDDEN", np.inf)
         assert train.lm_epoch(lm, data, cfg, train=False) == scored
 
 

@@ -5,13 +5,17 @@ Usage: python3 scripts/artifact_digests.py OUT_DIR
 Every command runs in-process through ``ulmkit.cli.main``, which runs BLAS on
 one thread, from inside OUT_DIR and with relative paths only, so that the
 config snapshots written into the artifacts name the same files from any
-checkout. The inputs are copies of ``fixtures/`` and the corpus that
-``perfbench/gen_inputs.py --seed 0`` generates. Every model trained here is
-of the ``tiny`` preset, whose training steps take the float32 path in the
-LSTM layers and, for the language model, the tied decoder; so a change to
-that path's arithmetic moves every trained checkpoint (``lm.ckpt``,
-``lm-ft.ckpt``, ``clf.ckpt``, ``gen-lm.ckpt``), while the logs, reports and
-scores, printed to 4-6 digits, may keep their digests. ``ulmkit`` and
+checkout. The inputs are copies of ``fixtures/`` and the corpus and
+labelled CSV that ``perfbench/gen_inputs.py --seed 0`` generates. The
+fixture texts are 6-9 tokens long; the generated ones, 5-62, so the
+classifier trained and scored on them at batch 64 (``gen-clf.ckpt``,
+``gen-eval.txt``, ``gen-top-losses.txt``) runs windows longer than
+``tensor.LSTM_PROJ_ROWS`` rows. Every model trained here is of the ``tiny``
+preset, whose training steps take the float32 path in the LSTM layers and,
+for the language model, the tied decoder; so a change to that path's
+arithmetic moves every trained checkpoint (``lm.ckpt``, ``lm-ft.ckpt``,
+``clf.ckpt``, ``gen-lm.ckpt``, ``gen-clf.ckpt``), while the logs, reports
+and scores, printed to 4-6 digits, may keep their digests. ``ulmkit`` and
 ``gen_inputs`` are imported from the checkout this script sits in.
 
 Each line printed is ``sha256  name``. A metrics log is digested with its
@@ -58,6 +62,12 @@ PIPELINE = [
       "--seed", "0", "--out", "degradation.csv"], None),
     (["pretrain", "--corpus", os.path.join("gen", "corpus.txt"), "--seed", "0", "--epochs", "1",
       "--batch-size", "16", "--bptt", "70", "--out", "gen-lm.ckpt"], None),
+    (["finetune-clf", "--checkpoint", "gen-lm.ckpt", "--data", os.path.join("gen", "labeled.csv"),
+      "--seed", "5", "--epochs", "1", "--batch-size", "64", "--out", "gen-clf.ckpt"], None),
+    (["eval", "--checkpoint", "gen-clf.ckpt", "--data", os.path.join("gen", "labeled.csv")],
+     "gen-eval.txt"),
+    (["top-losses", "--checkpoint", "gen-clf.ckpt", "--data", os.path.join("gen", "labeled.csv"),
+      "-k", "5"], "gen-top-losses.txt"),
 ]
 
 
@@ -75,7 +85,7 @@ def run(out_dir: pathlib.Path) -> None:
     for name in ("corpus.txt", "labeled.csv"):
         shutil.copyfile(ROOT / "fixtures" / name, out_dir / name)
     os.chdir(out_dir)
-    gen_inputs.write_inputs(0, "gen", labeled=False)
+    gen_inputs.write_inputs(0, "gen")
     for argv, stdout_name in PIPELINE:
         captured = io.StringIO()
         with contextlib.redirect_stdout(captured):

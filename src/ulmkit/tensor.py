@@ -42,6 +42,15 @@ DECODER_SPLIT_MIN = 1 << 16
 # models of the finite-difference tests stay float64, as do eval-mode
 # forwards and every untracked call.
 F32_MIN_HIDDEN = 64
+# Rows (batch x steps) of the LSTM input projection that ``lstm`` forms at a
+# time. 512 is the smallest power of two that leaves the fixture training
+# windows (B8, S <= 44) and ``predict`` (B1) one product; at B64 it is 8
+# steps. Peak RSS of one infer-10k run (B64 scoring, S up to 62) read 65.4,
+# 69.2 and 75.9 MB at 256, 512 and 1,024 rows, against 86.0 MB for whole
+# windows. At 512 rows the op ran at 0.97-1.09x the whole-window speed for
+# B64 S17-62 under no_grad and 0.97-1.02x for a tracked float32 B16 S70
+# (interleaved medians, 1 BLAS thread on 2 cores), within the host's noise.
+LSTM_PROJ_ROWS = 512
 # Classes per block of the weight gradient, which bounds its temporary.
 _DW_BLOCK = 1024
 _grad_enabled = True
@@ -186,10 +195,14 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     """One LSTM layer over (batch, steps, input) as a single graph node.
 
     Gates are packed [input, forget, cell, output] along the 4·hidden axis.
-    The input projection of every step is one matmul; the recurrence runs in
-    numpy and, when the op records a gradient, keeps each step's gates and
-    cell for the hand-written BPTT backward; otherwise it keeps only the
-    current step's gates and the last two cells, with the same arithmetic.
+    The input projection is formed at most LSTM_PROJ_ROWS rows (batch ×
+    steps) at a time, just before the recurrence reaches them, and is one
+    matmul for a window no larger than that; no chunk's product has a
+    single row, so every row gets the sums of the whole-window product. The
+    recurrence runs in numpy and, when the op records a gradient, keeps each
+    step's gates and cell for the hand-written BPTT backward; otherwise it
+    keeps only the current step's gates and the last two cells, with the
+    same arithmetic.
     ``h0``/``c0`` are plain arrays (the carried state is never
     differentiated). Returns the outputs (batch, steps, hidden) and fresh
     copies of the final hidden and cell state.
@@ -220,7 +233,10 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
              else contextlib.nullcontext)
     x2d, wi, wh, bd, h0 = (a.astype(dt, copy=False) for a in
                            (x.data.reshape(bsz * steps, n_in), w_ih.data, w_hh.data, b.data, h0))
-    proj = (x2d @ wi).reshape(bsz, steps, 4 * hs)
+    x3 = x2d.reshape(bsz, steps, n_in)
+    # steps per projection chunk; a one-row batch takes at least two (gemv)
+    per = max(LSTM_PROJ_ROWS // bsz, -(-2 // bsz))
+    end = 0
     kept = steps if track else 1  # steps whose state is kept
     gates = np.empty((kept, bsz, 4 * hs), dt)  # activated: sigmoid i, f, o; tanh g
     cells = np.empty((kept + 1, bsz, hs), dt)  # tracked: cells[0] = c0, cells[t + 1] = c_t
@@ -229,8 +245,11 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     cells[0] = c0
     h = h0
     for t in range(steps):
+        if t == end:  # a one-row remainder joins this chunk
+            start, end = t, t + per if (steps - t - per) * bsz >= 2 else steps
+            proj = (x3[:, start:end].reshape(-1, n_in) @ wi).reshape(bsz, end - start, 4 * hs)
         s, c_prev, c_t = t % kept, cells[t % (kept + 1)], cells[(t + 1) % (kept + 1)]
-        z = proj[:, t] + h @ wh + bd
+        z = proj[:, t - start] + h @ wh + bd
         with quiet():
             e = np.exp(-z)
         np.divide(1.0, 1.0 + e, out=gates[s])

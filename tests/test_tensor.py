@@ -315,6 +315,47 @@ def test_lstm_float32_decision_is_ignored_under_no_grad():
         assert np.array_equal(a, e)
 
 
+def lstm_call(inputs, mode):
+    """lstm_results for a tracked float64 or float32 call; out, h and c of
+    a call under no_grad."""
+    if mode != "no_grad":
+        return lstm_results(inputs, mode == "float32")
+    with T.no_grad():
+        out, h, c = T.lstm(*inputs)
+    return [out.data, h, c]
+
+
+# (batch, steps) at a bound of 8 rows: one row under it, at it, one over it
+# (chunks of 2 steps and a remainder of 1), several chunks and a remainder, a
+# chunk of one step per batch wider than the bound, and a one-row batch one
+# step longer than a chunk, whose last row joins the chunk before
+@pytest.mark.parametrize("bsz,steps", [(1, 7), (2, 4), (3, 3), (2, 11), (9, 3), (1, 9)])
+@pytest.mark.parametrize("mode", ["float64", "float32", "no_grad"])
+def test_lstm_projection_chunks_are_bit_identical_to_one_product(bsz, steps, mode):
+    inputs = lstm_inputs(bsz, steps, 64, 16, seed=bsz + 10 * steps)
+    with mock.patch.object(T, "LSTM_PROJ_ROWS", 8):
+        chunked = lstm_call(inputs, mode)
+    with mock.patch.object(T, "LSTM_PROJ_ROWS", sys.maxsize):  # one product
+        whole = lstm_call(inputs, mode)
+    for name, got, want in zip(("out", "h", "c", "dx", "dW_ih", "dW_hh", "db"), chunked, whole):
+        assert np.array_equal(got, want), name
+
+
+def test_lstm_under_no_grad_holds_two_chunks_of_the_input_projection():
+    # an infer-10k scoring batch, whose whole-window projection is 16.3 MB
+    bsz, steps, n_in, hs = 64, 62, 64, 128
+    x, h0, c0, w_ih, w_hh, b = lstm_inputs(bsz, steps, n_in, hs, seed=6)
+    chunk = T.LSTM_PROJ_ROWS * 4 * hs * 8
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            T.lstm(x, h0, c0, w_ih, w_hh, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < bsz * steps * hs * 8 + 2 * chunk + (2 << 20)
+
+
 def test_cross_entropy_matches_manual():
     rng = np.random.default_rng(5)
     logits = T.param(rng.normal(size=(4, 3)), "logits")

@@ -10,7 +10,11 @@ labelled CSV that ``perfbench/gen_inputs.py --seed 0`` generates. The
 fixture texts are 6-9 tokens long; the generated ones, 5-62, so the
 classifier trained and scored on them at batch 64 (``gen-clf.ckpt``,
 ``gen-eval.txt``, ``gen-top-losses.txt``) runs windows longer than
-``tensor.LSTM_PROJ_ROWS`` rows. Every model trained here is of the ``tiny``
+``tensor.LSTM_PROJ_ROWS`` rows. ``gen-clf.ckpt``'s head has every hidden
+unit dead, so its scores are its output bias alone; ``gen-head-logits.f64``
+therefore holds the raw float64 logits that a fresh seed-5 head on
+``gen-lm.ckpt``'s encoder gives the generated CSV in eval mode, a head with
+most of its units live, so that a change to scoring moves a digest. Every model trained here is of the ``tiny``
 preset, whose training steps take the float32 path in the LSTM layers and,
 for the language model, the tied decoder; so a change to that path's
 arithmetic moves every trained checkpoint (``lm.ckpt``, ``lm-ft.ckpt``,
@@ -40,7 +44,12 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen_inputs  # noqa: E402
+from ulmkit.checkpoint import load_checkpoint  # noqa: E402
 from ulmkit.cli import main  # noqa: E402
+from ulmkit.model import TextClassifier  # noqa: E402
+from ulmkit.tensor import no_grad  # noqa: E402
+from ulmkit.textpipe import NumericalizedCorpus, load_labeled_csv, numericalize, preprocess  # noqa: E402
+from ulmkit.train import make_clf_batches  # noqa: E402
 
 # (argv, the file its standard output is kept in, or None)
 PIPELINE = [
@@ -80,6 +89,18 @@ def _digest(path: pathlib.Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def head_logits() -> bytes:
+    """The logits of ``TextClassifier(<gen-lm.ckpt's encoder>, seed=5)`` in
+    eval mode over the generated CSV, in batches of 64 in file order."""
+    ckpt = load_checkpoint("gen-lm.ckpt")
+    clf = TextClassifier(ckpt.build_model(), seed=5).eval()
+    streams = [numericalize(preprocess(text), ckpt.vocab)
+               for text, _ in load_labeled_csv(os.path.join("gen", "labeled.csv"))]
+    with no_grad():
+        return b"".join(clf.forward(ids, lengths).data.tobytes()
+                        for ids, lengths, _ in make_clf_batches(NumericalizedCorpus(streams), 64))
+
+
 def run(out_dir: pathlib.Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("corpus.txt", "labeled.csv"):
@@ -94,6 +115,7 @@ def run(out_dir: pathlib.Path) -> None:
             raise SystemExit(f"ulmkit {' '.join(argv)} exited {code}")
         if stdout_name:
             pathlib.Path(stdout_name).write_text(captured.getvalue(), encoding="utf-8")
+    pathlib.Path("gen-head-logits.f64").write_bytes(head_logits())
     for path in sorted(out_dir.iterdir()):
         if path.is_file() and path.name not in ("corpus.txt", "labeled.csv"):
             print(f"{_digest(path)}  {path.name}")

@@ -3,9 +3,13 @@
 Regularization sites follow the AWD-LSTM recipe: DropConnect on the
 hidden-to-hidden matrices only (one mask per batch), variational dropout on
 layer inputs/outputs (one mask per sequence, locked across time), and
-row-wise embedding dropout. Train mode is the one switch: in eval mode
-every site's rate is 0, so no site draws a mask. The decoder weight is the
-embedding matrix itself (tying), so a single storage receives both gradients.
+row-wise embedding dropout. The model draws each mask, and the op that reads
+the dropped value applies it (``embedding_lookup``, ``lstm``,
+``classifier_head``); the final LSTM output, which the decoder and AR both
+read, has its own ``masked`` node. Train mode is the one switch: in eval
+mode every site's rate is 0, so no site draws a mask. The decoder weight is
+the embedding matrix itself (tying), so a single storage receives both
+gradients.
 """
 
 from __future__ import annotations
@@ -31,29 +35,17 @@ DROPOUT_RATES = {"p_emb": 0.02, "p_input": 0.25, "p_hidden": 0.15, "p_weight": 0
                  "p_output": 0.1, "p_head": 0.1}
 
 
-def dropout(x: Tensor, p: float, rng: Rng) -> Tensor:
-    """x times one keep mask of x's whole shape (the weight drop on W_hh and
-    the head's dropout); at p = 0, x itself, with nothing drawn."""
-    if p <= 0.0:
-        return x
-    return T.mul(x, Tensor(rng.keep_mask(x.shape, p)))
-
-
-def variational_dropout(x: Tensor, p: float, rng: Rng) -> Tensor:
-    """Locked dropout: one (batch, feature) mask reused at every timestep."""
-    if p <= 0.0:
-        return x
-    b, _, f = x.shape
-    return T.mul(x, Tensor(rng.keep_mask((b, 1, f), p)))
+def draw_mask(p: float, shape, rng: Rng) -> np.ndarray | None:
+    """A keep mask of ``shape`` at rate p (``Rng.keep_mask``) for the op that
+    reads the dropped value to apply; at p = 0, None, with nothing drawn."""
+    return rng.keep_mask(shape, p) if p > 0.0 else None
 
 
 def embedding_dropout(emb: Tensor, ids: np.ndarray, p: float, rng: Rng) -> Tensor:
     """Look ids up in the embedding with whole vocabulary rows dropped for
     one batch: one (vocab, 1) keep mask is drawn, and only the rows that ids
     gather are scaled by it."""
-    if p <= 0.0:
-        return T.embedding_lookup(emb, ids)
-    return T.embedding_lookup(emb, ids, rng.keep_mask((emb.shape[0], 1), p))
+    return T.embedding_lookup(emb, ids, draw_mask(p, (emb.shape[0], 1), rng))
 
 
 def layer_sizes(emb_dim: int, hid_dim: int, n_layers: int):
@@ -102,16 +94,17 @@ class LstmLayer:
     def parameters(self) -> list[Tensor]:
         return [self.W_ih, self.W_hh, self.b]
 
-    def forward(self, x: Tensor, state, w_hh: Tensor, float32: bool = False):
+    def forward(self, x: Tensor, state, float32: bool = False, x_mask: np.ndarray | None = None,
+                w_mask: np.ndarray | None = None):
         """Run the layer over (batch, steps, input) from the ``(h, c)``
         arrays in ``state``; returns the outputs and the new state as fresh
         arrays.
 
-        ``w_hh`` is passed explicitly so a weight-dropped matrix (fixed for
-        the whole sequence) can stand in for ``self.W_hh``. ``float32`` is
-        the step's precision decision, passed to ``T.lstm``.
+        ``float32`` is the step's precision decision, and ``x_mask`` and
+        ``w_mask`` are the input's variational mask and the weight drop on
+        ``W_hh``, fixed for the whole sequence; ``T.lstm`` applies all three.
         """
-        out, h, c = T.lstm(x, *state, self.W_ih, w_hh, self.b, float32)
+        out, h, c = T.lstm(x, *state, self.W_ih, self.W_hh, self.b, float32, x_mask, w_mask)
         return out, (h, c)
 
 
@@ -226,18 +219,14 @@ class AwdLstmLM(Module):
             state = self.init_state(b)
         rng = self.drop_rng
         x = embedding_dropout(self.embedding, ids, self.rate("p_emb"), rng)
-        x = variational_dropout(x, self.rate("p_input"), rng)
         new_state = []
-        raw = x
         for i, layer in enumerate(self.layers):
-            w_hh = dropout(layer.W_hh, self.rate("p_weight"), rng)
-            raw, layer_state = layer.forward(x, state[i], w_hh, float32)
+            x_mask = draw_mask(self.rate("p_hidden" if i else "p_input"), (b, 1, x.shape[2]), rng)
+            w_mask = draw_mask(self.rate("p_weight"), layer.W_hh.shape, rng)
+            x, layer_state = layer.forward(x, state[i], float32, x_mask, w_mask)
             new_state.append(layer_state)
-            x = raw
-            if i < self.n_layers - 1:
-                x = variational_dropout(x, self.rate("p_hidden"), rng)
-        dropped = variational_dropout(raw, self.rate("p_output"), rng)
-        return raw, dropped, new_state
+        dropped = T.masked(x, draw_mask(self.rate("p_output"), (b, 1, self.emb_dim), rng))
+        return x, dropped, new_state
 
     def forward(self, ids: np.ndarray, state=None, targets=None):
         """With (batch, steps) ``targets``, the mean next-token cross-entropy
@@ -305,11 +294,10 @@ class TextClassifier(Module):
         self.encoder.training = self.training  # every rate, the head's too, follows it
         float32 = T.float32_step(self.encoder.hid_dim, self.training,
                                  *(p for _, p in self.named_parameters()))
-        raw, dropped, _ = self.encoder.encode(ids, float32=float32)
-        pooled = T.concat_pool(dropped, lengths)
-        hid = T.relu(T.add(T.matmul(pooled, self.W1), self.b1))
-        hid = dropout(hid, self.encoder.rate("p_head"), self._drop_rng)
-        return T.add(T.matmul(hid, self.W2), self.b2)
+        _, dropped, _ = self.encoder.encode(ids, float32=float32)
+        mask = draw_mask(self.encoder.rate("p_head"), (len(ids), HEAD_HIDDEN), self._drop_rng)
+        return T.classifier_head(T.concat_pool(dropped, lengths), self.W1, self.b1, self.W2,
+                                 self.b2, mask)
 
 
 def build_lm(vocab_size: int, preset: str = "tiny", dropout_multiplier: float = 1.0,

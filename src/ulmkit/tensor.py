@@ -130,16 +130,6 @@ def float32_step(hid_dim: int, training: bool, *ts: Tensor) -> bool:
     return training and hid_dim >= F32_MIN_HIDDEN and _tracked(*ts)
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 def _make(data, parents, backward) -> Tensor:
     if not _tracked(*parents):
         return Tensor(data)
@@ -147,52 +137,41 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    """a + b for two tensors of one shape (the LM's penalties plus its loss)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: unequal shapes {a.shape} and {b.shape}")
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.shape))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.shape))
+            b.accumulate(g)
 
-    return _make(out_data, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+def masked(x: Tensor, mask: np.ndarray | None) -> Tensor:
+    """x times a dropout keep ``mask`` that broadcasts to x's shape (x itself
+    where it is None), as a node of its own: the LM's final output, which the
+    decoder and AR both read, and whose summed gradient the mask scales."""
+    if mask is None:
+        return x
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.shape))
+        x.accumulate(g * mask)
 
-    return _make(out_data, (a, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-
-    return _make(out_data, (a, b), bwd)
+    return _make(x.data * mask, (x,), bwd)
 
 
 def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
-         b: Tensor, float32: bool = False) -> tuple[Tensor, np.ndarray, np.ndarray]:
+         b: Tensor, float32: bool = False, x_mask: np.ndarray | None = None,
+         w_mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One LSTM layer over (batch, steps, input) as a single graph node.
+
+    Dropout (AWD-LSTM): the layer reads ``x * x_mask``, a (batch, 1, input)
+    mask locked across time, and ``w_hh * w_mask``, each formed in float64
+    before any cast; backward scales the float64 x and ``w_hh`` gradients by
+    the same masks.
 
     Gates are packed [input, forget, cell, output] along the 4·hidden axis.
     The input projection is formed at most LSTM_PROJ_ROWS rows (batch ×
@@ -222,17 +201,22 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     bsz, steps, n_in = x.shape
     hs = w_hh.shape[0]
     if (w_ih.shape != (n_in, 4 * hs) or w_hh.shape != (hs, 4 * hs) or b.shape != (4 * hs,)
-            or np.shape(h0) != (bsz, hs) or np.shape(c0) != (bsz, hs)):
+            or np.shape(h0) != (bsz, hs) or np.shape(c0) != (bsz, hs)
+            or x_mask is not None and np.shape(x_mask) != (bsz, 1, n_in)
+            or w_mask is not None and np.shape(w_mask) != w_hh.shape):
         raise ShapeError(f"lstm: incompatible shapes x {x.shape}, h0 {np.shape(h0)}, "
-                         f"c0 {np.shape(c0)}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}")
+                         f"c0 {np.shape(c0)}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}, "
+                         f"x_mask {np.shape(x_mask)}, w_mask {np.shape(w_mask)}")
     track = _tracked(x, w_ih, w_hh, b)
     dt = np.float32 if float32 and track else np.float64
     # float32 exp(-z) overflows to inf once z < -88.7, and the sigmoid's
     # 1 / (1 + inf) = 0 is then right: that overflow is not reported
     quiet = (functools.partial(np.errstate, over="ignore") if dt is np.float32
              else contextlib.nullcontext)
+    xd = x.data if x_mask is None else x.data * x_mask
+    whd = w_hh.data if w_mask is None else w_hh.data * w_mask
     x2d, wi, wh, bd, h0 = (a.astype(dt, copy=False) for a in
-                           (x.data.reshape(bsz * steps, n_in), w_ih.data, w_hh.data, b.data, h0))
+                           (xd.reshape(bsz * steps, n_in), w_ih.data, whd, b.data, h0))
     x3 = x2d.reshape(bsz, steps, n_in)
     # steps per projection chunk; a one-row batch takes at least two (gemv)
     per = max(LSTM_PROJ_ROWS // bsz, -(-2 // bsz))
@@ -277,29 +261,22 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
             if t:
                 dh = d @ wh.T
         dz2d = dz.reshape(bsz * steps, 4 * hs)
-        # accumulate stores each float32 product as float64
+        # accumulate stores each float32 product as float64; a float64 mask
+        # promotes it to float64 before it scales it
         if x.requires_grad:
-            x.accumulate((dz2d @ wi.T).reshape(x.shape))
+            dx = (dz2d @ wi.T).reshape(x.shape)
+            x.accumulate(dx if x_mask is None else dx * x_mask)
         if w_ih.requires_grad:
             w_ih.accumulate(x2d.T @ dz2d)
         if w_hh.requires_grad:
             h_prev = np.concatenate([h0[:, None, :], out[:, :-1]], axis=1)
-            w_hh.accumulate(h_prev.reshape(bsz * steps, hs).T @ dz2d)
+            dw = h_prev.reshape(bsz * steps, hs).T @ dz2d
+            w_hh.accumulate(dw if w_mask is None else dw * w_mask)
         if b.requires_grad:
             b.accumulate(dz2d.sum(axis=0, dtype=np.float64))
 
     return (_make(out.astype(np.float64, copy=False), (x, w_ih, w_hh, b), bwd),
             np.array(out[:, -1], np.float64), np.array(c_t, np.float64))
-
-
-def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0.0)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * (x.data > 0))
-
-    return _make(out_data, (x,), bwd)
 
 
 def embedding_lookup(weight: Tensor, ids: np.ndarray, row_scale: np.ndarray | None = None) -> Tensor:
@@ -355,6 +332,39 @@ def concat_pool(x: Tensor, lengths) -> Tensor:
             x.accumulate(dx)
 
     return _make(out_data, (x,), bwd)
+
+
+def classifier_head(pooled: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                    mask: np.ndarray | None = None) -> Tensor:
+    """ULMFiT's head on (batch, features) pooled inputs as one graph node:
+    relu(pooled @ w1 + b1), times the dropout keep ``mask`` where given, then
+    @ w2 + b2. It is float64 throughout."""
+    n, hidden = len(pooled.data), w2.shape[0]
+    if (pooled.data.ndim != 2 or w1.shape != (pooled.shape[1], hidden) or b1.shape != (hidden,)
+            or b2.shape != w2.shape[1:] or mask is not None and np.shape(mask) != (n, hidden)):
+        raise ShapeError(f"classifier_head: incompatible shapes pooled {pooled.shape}, "
+                         f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
+                         f"mask {np.shape(mask)}")
+    pre = pooled.data @ w1.data + b1.data
+    h = np.maximum(pre, 0.0)
+    h = h if mask is None else h * mask
+    out_data = h @ w2.data + b2.data
+
+    def bwd(g):
+        if w2.requires_grad:
+            w2.accumulate(h.T @ g)
+        if b2.requires_grad:
+            b2.accumulate(g.sum(axis=0))
+        d = g @ w2.data.T
+        d = (d if mask is None else d * mask) * (pre > 0)
+        if pooled.requires_grad:
+            pooled.accumulate(d @ w1.data.T)
+        if w1.requires_grad:
+            w1.accumulate(pooled.data.T @ d)
+        if b1.requires_grad:
+            b1.accumulate(d.sum(axis=0))
+
+    return _make(out_data, (pooled, w1, b1, w2, b2), bwd)
 
 
 def ar_tar(raw: Tensor, dropped: Tensor, alpha: float, beta: float) -> Tensor:

@@ -1,9 +1,13 @@
 """Model tests: dropout sites, LSTM mechanics, tying, freezing, pooling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from test_tensor import add, generic_head, mul
 
 from ulmkit import tensor as T
+from ulmkit import train
 from ulmkit.model import (
     DROPOUT_RATES,
     HEAD_HIDDEN,
@@ -12,10 +16,9 @@ from ulmkit.model import (
     LstmLayer,
     TextClassifier,
     build_lm,
-    dropout,
+    draw_mask,
     embedding_dropout,
     param_shapes,
-    variational_dropout,
 )
 from ulmkit.tensor import Rng, Tensor
 
@@ -29,33 +32,69 @@ def tiny_lm(vocab=13, emb=8, hid=12, layers=2, mult=1.0, seed=0):
 
 def test_weight_drop_monte_carlo():
     layer = LstmLayer(100, 250, Rng(0), "l")  # W_hh has 250 * 1000 entries
-    dropped = dropout(layer.W_hh, 0.5, Rng(1))
-    zero_frac = (dropped.data == 0).mean()
-    assert abs(zero_frac - 0.5) < 0.01
-    survivors = dropped.data[dropped.data != 0]
-    orig = layer.W_hh.data[dropped.data != 0]
-    assert np.allclose(survivors, orig * 2.0)  # 1/(1-p) scaling
+    mask = draw_mask(0.5, layer.W_hh.shape, Rng(1))
+    assert abs((mask == 0).mean() - 0.5) < 0.01
+    assert set(np.unique(mask).tolist()) == {0.0, 2.0}  # 1/(1-p) scaling
+    # the layer reads W_hh times the mask, and W_hh itself is untouched
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 100)))
+    state = (np.zeros((2, 250)), np.zeros((2, 250)))
+    before = layer.W_hh.data.copy()
+    out, _ = layer.forward(x, state, w_mask=mask)
+    want, _, _ = T.lstm(x, *state, layer.W_ih, Tensor(before * mask), layer.b)
+    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(layer.W_hh.data, before)
 
 
 def test_weight_drop_eval_and_zero_rate_identity():
-    layer = LstmLayer(4, 6, Rng(0), "l")
-    assert dropout(layer.W_hh, 0.0, Rng(1)) is layer.W_hh
+    rng = Rng(1)
+    before = rng._gen.bit_generator.state
+    assert draw_mask(0.0, (6, 24), rng) is None
+    assert rng._gen.bit_generator.state == before  # nothing drawn
+
+
+def lstm_calls(lm, ids):
+    """The x_mask and w_mask that each LSTM layer of one training-mode
+    forward of ``lm`` passes to ``T.lstm``, and the output mask."""
+    with mock.patch.object(T, "lstm", wraps=T.lstm) as lstm, \
+            mock.patch.object(T, "masked", wraps=T.masked) as masked:
+        lm.train().forward(ids)
+    return [call.args[7:9] for call in lstm.call_args_list], masked.call_args.args[1]
 
 
 def test_variational_dropout_locked_across_time():
-    x = Tensor(np.ones((3, 7, 40)))
-    out = variational_dropout(x, 0.4, Rng(0)).data
-    # one (batch, feature) mask reused at every timestep
-    for t in range(1, 7):
-        assert np.array_equal(out[:, t, :], out[:, 0, :])
-    vals = set(np.unique(out).tolist())
-    assert vals <= {0.0, 1.0 / 0.6}
+    lm = tiny_lm(hid=40, layers=3)
+    ids = np.random.default_rng(0).integers(0, 13, size=(3, 7))
+    calls, out_mask = lstm_calls(lm, ids)
+    # one (batch, feature) mask per layer input and on the output, reused at
+    # every timestep, each scaled by its own site's rate
+    sites = ["p_input", "p_hidden", "p_hidden", "p_output"]
+    for mask, site, width in zip([c[0] for c in calls] + [out_mask], sites, (8, 40, 40, 8)):
+        assert mask.shape == (3, 1, width), site
+        assert set(np.unique(mask).tolist()) <= {0.0, 1.0 / (1.0 - lm.rate(site))}, site
+    for (_, w_mask), layer in zip(calls, lm.layers):
+        assert w_mask.shape == layer.W_hh.shape
+        assert set(np.unique(w_mask).tolist()) <= {0.0, 1.0 / (1.0 - lm.rate("p_weight"))}
 
 
 def test_variational_dropout_preserves_expectation():
-    x = Tensor(np.ones((64, 1, 500)))
-    out = variational_dropout(x, 0.25, Rng(3)).data
-    assert abs(out.mean() - 1.0) < 0.02
+    mask = draw_mask(0.25, (64, 1, 500), Rng(3))
+    assert abs(mask.mean() - 1.0) < 0.02
+
+
+def test_encode_draws_every_mask_from_one_stream_in_order():
+    # embedding rows, then per layer its input's mask and its weight drop,
+    # then the output: the order in which the masks were drawn before each
+    # op applied its own
+    lm = tiny_lm(hid=12, layers=3, seed=4)
+    ids = np.random.default_rng(1).integers(0, 13, size=(2, 5))
+    calls, out_mask = lstm_calls(lm, ids)
+    rng = Rng(4).child("dropout")
+    rng.keep_mask((13, 1), lm.rate("p_emb"))
+    for i, ((x_mask, w_mask), layer) in enumerate(zip(calls, lm.layers)):
+        n_in = layer.W_ih.shape[0]
+        assert np.array_equal(x_mask, rng.keep_mask((2, 1, n_in), lm.rate("p_hidden" if i else "p_input")))
+        assert np.array_equal(w_mask, rng.keep_mask(layer.W_hh.shape, lm.rate("p_weight")))
+    assert np.array_equal(out_mask, rng.keep_mask((2, 1, 8), lm.rate("p_output")))
 
 
 def test_embedding_dropout_whole_rows():
@@ -79,6 +118,79 @@ def test_embedding_dropout_whole_rows():
     assert np.array_equal(plain.data, emb.data[ids])
 
 
+# -- one training step against the generic composition ----------------------
+
+
+def generic_encode(lm, ids, float32):
+    """``encode``'s raw and dropped outputs as the model composed them from
+    generic ops: each mask was its own ``mul`` node, drawn in the same order."""
+    rng = lm.drop_rng
+
+    def drop(x, site, shape):
+        p = lm.rate(site)
+        return x if p <= 0.0 else mul(x, Tensor(rng.keep_mask(shape, p)))
+
+    b = len(ids)
+    x = embedding_dropout(lm.embedding, ids, lm.rate("p_emb"), rng)
+    x = drop(x, "p_input", (b, 1, x.shape[2]))
+    for i, (layer, state) in enumerate(zip(lm.layers, lm.init_state(b))):
+        w_hh = drop(layer.W_hh, "p_weight", layer.W_hh.shape)
+        raw, _, _ = T.lstm(x, *state, layer.W_ih, w_hh, layer.b, float32)
+        x = raw if i == lm.n_layers - 1 else drop(raw, "p_hidden", (b, 1, raw.shape[2]))
+    return raw, drop(raw, "p_output", (b, 1, raw.shape[2]))
+
+
+def step_results(model, loss):
+    T.backward(loss)
+    return [loss.data] + [p.grad for _, p in model.named_parameters()]
+
+
+def test_lm_step_matches_the_generic_composition():
+    # a tiny-preset step, which runs in float32
+    lm = build_lm(40, "tiny", seed=3).train()
+    ids = np.random.default_rng(3).integers(0, 40, size=(4, 9))
+    x, y = ids[:, :-1], ids[:, 1:]
+    cfg = train.pretrain_defaults()
+    results = []
+    for fused in (True, False):
+        for _, p in lm.named_parameters():
+            p.zero_grad()
+        lm.reset_dropout(1.0, 5)
+        if fused:
+            loss = train.lm_loss_terms(lm, x, y, None, cfg)[0]
+        else:
+            raw, dropped = generic_encode(lm, x, float32=True)
+            ce = T.tied_decoder_ce(dropped, lm.embedding, lm.decoder_bias, y, float32=True)
+            loss = add(T.ar_tar(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce)
+        results.append(step_results(lm, loss))
+    for name, got, want in zip(["loss"] + [n for n, _ in lm.named_parameters()], *results):
+        assert np.array_equal(got, want), name
+
+
+def test_classifier_step_matches_the_generic_composition():
+    clf = TextClassifier(build_lm(40, "tiny", seed=3), seed=6).train()
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, 40, size=(5, 7))
+    lengths, labels = np.array([7, 3, 1, 5, 6]), np.array([0, 1, 1, 0, 1])
+    results = []
+    for fused in (True, False):
+        for _, p in clf.named_parameters():
+            p.zero_grad()
+        clf.encoder.reset_dropout(1.0, 2)
+        clf._drop_rng = Rng(6).child("head-dropout")
+        if fused:
+            logits = clf.forward(ids, lengths)
+        else:
+            _, dropped = generic_encode(clf.encoder, ids, float32=True)
+            mask = clf._drop_rng.keep_mask((5, HEAD_HIDDEN), clf.encoder.rate("p_head"))
+            logits = generic_head(T.concat_pool(dropped, lengths), clf.W1, clf.b1, clf.W2,
+                                  clf.b2, mask)
+        loss = T.cross_entropy(logits, labels)
+        results.append(step_results(clf, loss))
+    for name, got, want in zip(["loss"] + [n for n, _ in clf.named_parameters()], *results):
+        assert np.array_equal(got, want), name
+
+
 # -- LSTM and LM forward ----------------------------------------------------
 
 
@@ -86,7 +198,7 @@ def test_lstm_layer_shapes_and_state():
     layer = LstmLayer(5, 7, Rng(0), "l")
     x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 5)))
     h0 = (np.zeros((3, 7)), np.zeros((3, 7)))
-    out, (h, c) = layer.forward(x, h0, layer.W_hh)
+    out, (h, c) = layer.forward(x, h0)
     assert out.shape == (3, 4, 7)
     assert h.shape == (3, 7) and c.shape == (3, 7)
     assert np.array_equal(out.data[:, -1, :], h)

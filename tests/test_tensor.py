@@ -43,7 +43,8 @@ def check_grad(build, *params, tol=1e-6):
         assert rel_err(g, fd) < tol, f"grad mismatch for {p.name or p.shape}"
 
 
-# -- test-local ops on T._make: reducers and the oracle's structural ops ------
+# -- test-local ops on T._make: reducers, the oracle's structural ops, and
+# the generic ops the model composed its dropout sites and head from -------
 
 
 def total(x):
@@ -79,6 +80,62 @@ def concat(tensors, axis):
     return T._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
 
 
+def _unbroadcast(g, shape):
+    """Reduce a broadcast gradient back to the operand's shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def add(a, b):
+    """a + b with numpy broadcasting."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g, b.shape))
+
+    return T._make(a.data + b.data, (a, b), bwd)
+
+
+def mul(a, b):
+    """a * b with numpy broadcasting."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g * a.data, b.shape))
+
+    return T._make(a.data * b.data, (a, b), bwd)
+
+
+def matmul(a, b):
+    """a @ b for two matrices."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(a.data.T @ g)
+
+    return T._make(a.data @ b.data, (a, b), bwd)
+
+
+def relu(x):
+    """max(x, 0) elementwise."""
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate(g * (x.data > 0))
+
+    return T._make(np.maximum(x.data, 0.0), (x,), bwd)
+
+
 def test_add_mul_matmul_grads():
     rng = np.random.default_rng(0)
     a = T.param(rng.normal(size=(3, 4)), "a")
@@ -87,7 +144,7 @@ def test_add_mul_matmul_grads():
 
     def build():
         a.zero_grad(), b.zero_grad(), c.zero_grad()
-        return total(T.mul(T.add(T.matmul(a, b), c), c))
+        return total(mul(add(matmul(a, b), c), c))
 
     check_grad(build, a, b, c)
 
@@ -99,7 +156,7 @@ def test_broadcast_add_grad():
 
     def build():
         x.zero_grad(), bias.zero_grad()
-        return total(T.mul(T.add(x, bias), T.add(x, bias)))
+        return total(mul(add(x, bias), add(x, bias)))
 
     check_grad(build, x, bias)
 
@@ -135,18 +192,18 @@ def lstm_per_step(x, h0, c0, w_ih, w_hh, b):
     h, c = T.Tensor(h0), T.Tensor(c0)
     outs = []
     for t in range(steps):
-        z = T.add(T.add(T.matmul(take(x, np.s_[:, t, :]), w_ih), T.matmul(h, w_hh)), b)
+        z = add(add(matmul(take(x, np.s_[:, t, :]), w_ih), matmul(h, w_hh)), b)
         i = sigmoid(take(z, np.s_[:, 0 * hs : 1 * hs]))
         f = sigmoid(take(z, np.s_[:, 1 * hs : 2 * hs]))
         g = tanh(take(z, np.s_[:, 2 * hs : 3 * hs]))
         o = sigmoid(take(z, np.s_[:, 3 * hs : 4 * hs]))
-        c = T.add(T.mul(f, c), T.mul(i, g))
-        h = T.mul(o, tanh(c))
+        c = add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
         outs.append(take(h, np.s_[:, None, :]))
     return concat(outs, axis=1), h.data, c.data
 
 
-@pytest.mark.parametrize("op", [sigmoid, tanh, T.relu])
+@pytest.mark.parametrize("op", [sigmoid, tanh, relu])
 def test_elementwise_grads(op):
     rng = np.random.default_rng(2)
     # keep relu inputs away from the kink at 0
@@ -154,7 +211,7 @@ def test_elementwise_grads(op):
 
     def build():
         x.zero_grad()
-        return total(T.mul(op(x), op(x)))
+        return total(mul(op(x), op(x)))
 
     check_grad(build, x)
 
@@ -193,11 +250,46 @@ def test_lstm_grads_match_per_step_graph(bsz, steps):
     for layer in (T.lstm, lstm_per_step):
         for p in (x, w_ih, W_hh, b):
             p.zero_grad()
-        out, _, _ = layer(x, h0, c0, w_ih, T.mul(W_hh, mask), b)
-        T.backward(total(T.mul(out, weights)))
+        out, _, _ = layer(x, h0, c0, w_ih, mul(W_hh, mask), b)
+        T.backward(total(mul(out, weights)))
         grads.append([p.grad for p in (x, w_ih, W_hh, b)])
     for name, got, want in zip(("x", "W_ih", "W_hh", "b"), *grads):
         assert rel_err(got, want) <= 1e-12, name
+
+
+def lstm_masks(x, w_hh, seed):
+    """A variational keep mask for x and a weight drop for W_hh, at
+    AWD-LSTM's input and weight rates."""
+    rng = T.Rng(seed)
+    return rng.keep_mask((x.shape[0], 1, x.shape[2]), 0.25), rng.keep_mask(w_hh.shape, 0.2)
+
+
+@pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
+@pytest.mark.parametrize("which", ["x", "w", "both"])
+def test_lstm_masks_match_mul_then_lstm(which, float32):
+    # a tiny-preset layer; the generic composition first multiplies each
+    # masked input by its mask in its own graph node
+    inputs = lstm_inputs(8, 12, 64, 128, seed=7)
+    x, h0, c0, w_ih, w_hh, b = inputs
+    x_mask, w_mask = lstm_masks(x, w_hh, 3)
+    x_mask = x_mask if which != "w" else None
+    w_mask = w_mask if which != "x" else None
+    weights = T.Tensor(np.random.default_rng(1).normal(size=(8, 12, 128)))
+    results = []
+    for fused in (True, False):
+        for p in (x, w_ih, w_hh, b):
+            p.zero_grad()
+        if fused:
+            out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b, float32, x_mask, w_mask)
+        else:
+            xm = x if x_mask is None else mul(x, T.Tensor(x_mask))
+            wm = w_hh if w_mask is None else mul(w_hh, T.Tensor(w_mask))
+            out, h, c = T.lstm(xm, h0, c0, w_ih, wm, b, float32)
+        T.backward(total(mul(out, weights)))
+        results.append([out.data, h, c, x.grad, w_ih.grad, w_hh.grad, b.grad])
+    for name, got, want in zip(("out", "h", "c", "dx", "dW_ih", "dW_hh", "db"), *results):
+        assert np.array_equal(got, want), name
+    assert not np.array_equal(results[0][0], lstm_results(inputs, float32)[0])  # a mask applied
 
 
 @pytest.mark.parametrize("frozen", [("x",), ("W_ih",), ("W_hh",), ("b",),
@@ -209,23 +301,24 @@ def test_lstm_frozen_inputs_get_no_gradient(frozen):
         inputs[name].requires_grad = False
     out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b)
     assert out.requires_grad == (len(frozen) < 4)
-    T.backward(total(T.mul(out, out)))
+    T.backward(total(mul(out, out)))
     for name, t in inputs.items():
         assert (t.grad is None) == (name in frozen), name
 
 
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
-       st.integers(0, 2**32 - 1))
+       st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_lstm_finite_differences(bsz, steps, n_in, hs, seed):
+def test_lstm_finite_differences(bsz, steps, n_in, hs, masked, seed):
     x, h0, c0, w_ih, w_hh, b = lstm_inputs(bsz, steps, n_in, hs, seed)
     weights = T.Tensor(np.random.default_rng(seed).normal(size=(bsz, steps, hs)))
+    masks = lstm_masks(x, w_hh, seed) if masked else (None, None)
 
     def build():
         for p in (x, w_ih, w_hh, b):
             p.zero_grad()
-        out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b)
-        return total(T.mul(out, weights))
+        out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b, False, *masks)
+        return total(mul(out, weights))
 
     check_grad(build, x, w_ih, w_hh, b)
 
@@ -238,6 +331,10 @@ def test_lstm_shape_errors():
         T.lstm(x, h0, c0, w_hh, w_hh, b)
     with pytest.raises(T.ShapeError, match="lstm"):
         T.lstm(T.Tensor(np.zeros((2, 0, 4))), h0, c0, w_ih, w_hh, b)
+    with pytest.raises(T.ShapeError, match="x_mask"):
+        T.lstm(x, h0, c0, w_ih, w_hh, b, x_mask=np.ones((2, 3, 4)))
+    with pytest.raises(T.ShapeError, match="w_mask"):
+        T.lstm(x, h0, c0, w_ih, w_hh, b, w_mask=np.ones((5, 5)))
 
 
 @pytest.mark.parametrize("bsz,steps", [(3, 6), (2, 1), (1, 5), (4, 2)])
@@ -278,7 +375,7 @@ def lstm_results(inputs, float32):
     for p in (x, w_ih, w_hh, b):
         p.zero_grad()
     out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b, float32)
-    T.backward(total(T.mul(out, T.Tensor(np.random.default_rng(1).normal(size=out.shape)))))
+    T.backward(total(mul(out, T.Tensor(np.random.default_rng(1).normal(size=out.shape)))))
     return [out.data, h, c, x.grad, w_ih.grad, w_hh.grad, b.grad]
 
 
@@ -596,7 +693,7 @@ def test_embedding_lookup_grad_accumulates_repeats():
 
     def build():
         w.zero_grad()
-        return total(T.mul(T.embedding_lookup(w, ids), T.embedding_lookup(w, ids)))
+        return total(mul(T.embedding_lookup(w, ids), T.embedding_lookup(w, ids)))
 
     check_grad(build, w)
     with pytest.raises(IndexError):
@@ -611,7 +708,7 @@ def test_structural_op_grads():
     def build():
         x.zero_grad()
         parts = concat([take(x, np.s_[:, 2:, None, :]), take(x, np.s_[:, :2, None, :])], axis=1)
-        return total(T.mul(parts, take(x, np.s_[:, :, None, ::-1])))
+        return total(mul(parts, take(x, np.s_[:, :, None, ::-1])))
 
     check_grad(build, x)
 
@@ -641,9 +738,106 @@ def test_concat_pool_finite_differences(bsz, steps, feats, seed):
 
     def build():
         x.zero_grad()
-        return total(T.mul(T.concat_pool(x, lengths), weights))
+        return total(mul(T.concat_pool(x, lengths), weights))
 
     check_grad(build, x)
+
+
+def head_inputs(rows, feats, hidden, seed):
+    """pooled, W1, b1, W2 and b2 parameters of a two-class head, and a
+    keep mask at the head's rate."""
+    rng = np.random.default_rng(seed)
+    return (T.param(rng.normal(size=(rows, feats)), "pooled"),
+            T.param(rng.normal(size=(feats, hidden)) / np.sqrt(feats), "W1"),
+            T.param(0.1 * rng.normal(size=hidden), "b1"),
+            T.param(rng.normal(size=(hidden, 2)) / np.sqrt(hidden), "W2"),
+            T.param(0.1 * rng.normal(size=2), "b2"),
+            T.Rng(seed).keep_mask((rows, hidden), 0.1))
+
+
+def generic_head(pooled, w1, b1, w2, b2, mask):
+    """The head as the model composed it from generic ops."""
+    hid = relu(add(matmul(pooled, w1), b1))
+    if mask is not None:
+        hid = mul(hid, T.Tensor(mask))
+    return add(matmul(hid, w2), b2)
+
+
+@pytest.mark.parametrize("frozen", [(), ("pooled",), ("W1", "b1", "W2", "b2")])
+@pytest.mark.parametrize("masked", [False, True])
+def test_classifier_head_matches_the_generic_chain(masked, frozen):
+    # a tiny-preset classifier batch: 64 texts, 3 x 64 pooled features and
+    # 50 hidden units; the head is float64 whatever the step's precision
+    *params, mask = head_inputs(64, 192, 50, seed=4)
+    mask = mask if masked else None
+    for p in params:
+        p.requires_grad = p.name not in frozen
+    labels = np.random.default_rng(0).integers(0, 2, size=64)
+    results = []
+    for head in (T.classifier_head, generic_head):
+        for p in params:
+            p.zero_grad()
+        logits = head(*params, mask)
+        T.backward(T.cross_entropy(logits, labels))
+        results.append([logits.data] + [p.grad for p in params])
+    for name, got, want in zip(("logits", "pooled", "W1", "b1", "W2", "b2"), *results):
+        assert (got is None) == (want is None) == (name in frozen), name
+        assert got is None or np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("frozen", [(), ("W1", "b1", "W2", "b2"), ("pooled",)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_classifier_head_finite_differences(masked, frozen):
+    *params, mask = head_inputs(5, 6, 7, seed=11)
+    mask = mask if masked else None
+    for p in params:
+        p.requires_grad = p.name not in frozen
+    labels = np.array([0, 1, 1, 0, 1])
+
+    def build():
+        for p in params:
+            p.zero_grad()
+        return T.cross_entropy(T.classifier_head(*params, mask), labels)
+
+    check_grad(build, *(p for p in params if p.requires_grad))
+    assert all(p.grad is None for p in params if not p.requires_grad)
+
+
+def test_classifier_head_shape_errors():
+    *params, mask = head_inputs(3, 4, 5, seed=0)
+    pooled, w1, b1, w2, b2 = params
+    with pytest.raises(T.ShapeError, match="classifier_head"):
+        T.classifier_head(pooled, w2, b1, w2, b2)
+    with pytest.raises(T.ShapeError, match="classifier_head"):
+        T.classifier_head(pooled, w1, b2, w2, b2)
+    with pytest.raises(T.ShapeError, match="classifier_head"):
+        T.classifier_head(T.Tensor(np.zeros((3, 1, 4))), w1, b1, w2, b2)
+    with pytest.raises(T.ShapeError, match="mask"):
+        T.classifier_head(pooled, w1, b1, w2, b2, mask[:2])
+
+
+@pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
+def test_masked_matches_mul(float32):
+    # the LM's final output at tiny width: the decoder and AR read the
+    # dropped value and TAR the raw one, so raw's gradient sums
+    # TAR + (AR + decoder) * mask, as it did through the generic mul
+    rng = np.random.default_rng(8)
+    raw = T.param(rng.normal(size=(8, 20, 64)), "raw")
+    mask = T.Rng(2).keep_mask((8, 1, 64), 0.1)
+    emb = T.param(0.1 * rng.normal(size=(50, 64)), "embedding")
+    bias = T.param(0.1 * rng.normal(size=50), "bias")
+    targets = rng.integers(0, 50, size=(8, 20))
+    results = []
+    for fused in (True, False):
+        for p in (raw, emb, bias):
+            p.zero_grad()
+        dropped = T.masked(raw, mask) if fused else mul(raw, T.Tensor(mask))
+        ce = T.tied_decoder_ce(dropped, emb, bias, targets, float32)
+        T.backward(T.add(T.ar_tar(raw, dropped, 2.0, 1.0), ce))
+        results.append([dropped.data, ce.data, raw.grad, emb.grad, bias.grad])
+    for name, got, want in zip(("dropped", "ce", "raw", "embedding", "bias"), *results):
+        assert np.array_equal(got, want), name
+    assert T.masked(raw, None) is raw
 
 
 def test_pooling_length_validation():
@@ -686,9 +880,9 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_until_zeroed():
     x = T.param(np.array([3.0]), "x")
-    T.backward(total(T.mul(x, x)))
+    T.backward(total(mul(x, x)))
     first = x.grad.copy()
-    T.backward(total(T.mul(x, x)))
+    T.backward(total(mul(x, x)))
     assert np.allclose(x.grad, 2 * first)
     x.zero_grad()
     assert x.grad is None
@@ -697,7 +891,7 @@ def test_backward_accumulates_until_zeroed():
 def test_diamond_graph_grad():
     # y = x*x used twice: d/dx (x^2 + x^2) = 4x
     x = T.param(np.array([2.0]), "x")
-    y = T.mul(x, x)
+    y = mul(x, x)
     T.backward(total(T.add(y, y)))
     assert np.allclose(x.grad, [8.0])
 
@@ -705,16 +899,16 @@ def test_diamond_graph_grad():
 def test_no_grad_tracking_when_not_required():
     a = T.Tensor(np.ones((2, 2)))
     b = T.Tensor(np.ones((2, 2)))
-    out = T.add(T.matmul(a, b), a)
+    out = T.add(matmul(a, b), a)
     assert not out.requires_grad
     assert out._backward is None
 
 
 def test_shape_errors_report_op():
-    with pytest.raises(T.ShapeError, match="matmul"):
-        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
     with pytest.raises(T.ShapeError, match="add"):
         T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
+    with pytest.raises(T.ShapeError, match="add"):  # no broadcasting
+        T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
     with pytest.raises(T.ShapeError, match="ar_tar"):
         T.ar_tar(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 3, 5))), 2.0, 1.0)
 

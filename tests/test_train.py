@@ -225,24 +225,31 @@ def test_batchify_shape_and_order():
         train.batchify([[1, 2]], 4)
 
 
+def op_nodes(loss) -> int:
+    """Nodes of loss's graph that an op recorded: every node but the leaves."""
+    return sum(1 for node in T.topo_order(loss) if node._parents)
+
+
 def test_lm_loss_graph_size_independent_of_steps():
-    # one fused node per LSTM layer, one for AR/TAR and one for the tied
-    # decoder with its cross-entropy, however many steps the window has
+    # the embedding lookup with its dropout, one fused node per LSTM layer
+    # with its input's and W_hh's masks, the output mask, the tied decoder
+    # with its cross-entropy, AR/TAR and their sum, however many steps the
+    # window has; and the 11 parameters
     model = build_lm(20, "tiny", seed=0).train()
     cfg = train.pretrain_defaults(batch_size=2)
     for steps in (5, 40):
         x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
         loss, _, _ = train.lm_loss_terms(model, x[:, :-1], x[:, 1:], None, cfg)
-        assert len(T.topo_order(loss)) == 25, steps
+        assert op_nodes(loss) == 8 and len(T.topo_order(loss)) == 19, steps
 
 
 def test_classifier_loss_graph_size():
-    # one fused node for the concat pool, one lookup for the embedding and
-    # its dropout
+    # the lookup, three LSTM layers, the output mask, the concat pool, the
+    # head with its dropout and the cross-entropy; and the 14 parameters
     clf = train.TextClassifier(build_lm(20, "tiny", seed=0), seed=0).train()
     ids = np.random.default_rng(0).integers(0, 20, size=(3, 6))
     loss = T.cross_entropy(clf.forward(ids, np.array([6, 2, 4])), np.array([0, 1, 1]))
-    assert len(T.topo_order(loss)) == 33
+    assert op_nodes(loss) == 8 and len(T.topo_order(loss)) == 22
 
 
 def test_lm_windows_cover_ribbon():

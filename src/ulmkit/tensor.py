@@ -2,8 +2,9 @@
 
 Single CPU backend on top of numpy arrays. Each op records its parents and
 a local backward closure; ``backward()`` walks the implicit DAG once in
-reverse topological order. Gradients accumulate (explicit ``zero_grad``),
-which truncated BPTT relies on. Every random draw in the package, corpus
+reverse topological order and releases each node as it passes it, so a
+graph can be walked only once. Gradients accumulate into the leaves
+(explicit ``zero_grad``). Every random draw in the package, corpus
 splits included, comes from an ``Rng``.
 """
 
@@ -20,11 +21,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
-# Rows of logits the tied decoder forms at a time. Measured serially at
-# 10,008 classes and 64 features, where a chunk of logits is 20 MB, 256 was
-# the fastest of 64 to 1,120 rows. Split over two threads it was again among
-# the fastest, within the host's run-to-run noise.
+# Rows of logits the tied decoder forms at a time, at most. Measured serially
+# at 10,008 classes and 64 features in float64, 256 was the fastest of 64 to
+# 1,120 rows. Split over two threads it was again among the fastest, within
+# the host's run-to-run noise.
 DECODER_CHUNK = 256
+# Bytes of the decoder's logits buffer, at most: DECODER_CHUNK float32 rows
+# at the 10,008 classes of the 10k vocabulary, about 10 MB. A float64 call
+# there (validation and every no_grad score) forms 128 rows at a time, with
+# the same bits per row; a float64 buffer of 256 rows was 20 MB.
+DECODER_BYTES = DECODER_CHUNK * 10_008 * 4
 # A chunk with fewer logits than this stays on the calling thread. At 64
 # features and 1 BLAS thread on 2 cores, a 256-row chunk took as long split
 # in two as serial at 256 classes (65,536 logits, 1.2 ms), 1.3-1.5x as long
@@ -506,10 +512,10 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets,
     embedding), a (classes,) bias and targets of h's leading shape.
 
     One graph node that never holds more than DECODER_CHUNK rows of logits,
-    in one buffer reused for every chunk. When a parent needs a gradient,
-    the forward pass forms each chunk's share of it (the fused linear
-    cross-entropy of Liger Kernel and Cut Cross-Entropy), and backward only
-    scales by the upstream gradient.
+    nor more than DECODER_BYTES of them, in one buffer reused for every
+    chunk. When a parent needs a gradient, the forward pass forms each
+    chunk's share of it (the fused linear cross-entropy of Liger Kernel and
+    Cut Cross-Entropy), and backward only scales by the upstream gradient.
 
     A chunk of at least DECODER_SPLIT_MIN logits is split over
     ``decoder_workers()`` threads in two phases. In the row phase each
@@ -543,10 +549,10 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets,
     dw = np.zeros((c, e)) if track and weight.requires_grad else None
     db = np.zeros(c) if track and bias.requires_grad else None
     picked = np.empty(n)  # log-probability of each target
-    rows_per_chunk = min(n, DECODER_CHUNK)
     if float32 and track:
         h2d, w, bvec = h2d.astype(np.float32), w.astype(np.float32), bvec.astype(np.float32)
-    logits = np.empty((rows_per_chunk, c), dtype=w.dtype)
+    chunk = max(1, min(DECODER_CHUNK, DECODER_BYTES // (c * w.itemsize)))
+    logits = np.empty((min(n, chunk), c), dtype=w.dtype)
     parts = decoder_workers() if logits.size >= DECODER_SPLIT_MIN else 1
 
     def row_phase(lo, r0, r1):
@@ -575,8 +581,8 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets,
                 db[a:b] += dz[:, a:b].sum(axis=0)
             a = b
 
-    for lo in range(0, n, DECODER_CHUNK):
-        m = min(DECODER_CHUNK, n - lo)
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
         _split(functools.partial(row_phase, lo), m, parts)
         if dw is not None or db is not None:
             _split(functools.partial(column_phase, h2d[lo : lo + m], logits[:m]), c, parts)
@@ -613,18 +619,34 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g) -> None:
+    """The backward of a node that an earlier ``backward`` walked."""
+    raise RuntimeError("backward: the graph was released by an earlier backward; "
+                       "build it again to backpropagate through it")
+
+
 def backward(loss: Tensor) -> None:
     """Populate grads of every requires_grad leaf reachable from loss.
 
-    Repeated calls without zeroing accumulate into existing grads.
+    Gradients accumulate into the leaves' existing grads until zeroed, so
+    calls on fresh graphs add up. The walk releases each non-leaf node once
+    its backward has run: it drops the node's backward closure, with the
+    arrays the op saved for it, its parents and its gradient, so that a
+    step's saved arrays are freed as the walk passes them and every node's
+    data once nothing else holds the node. A second call through a released
+    graph raises RuntimeError before any gradient changes.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = topo_order(loss)
+    if any(node._backward is _released for node in order):
+        _released(None)
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(order):
+    while order:  # reverse topological order; popping drops the list's hold
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward, node._parents, node.grad = _released, (), None
 
 
 class Rng:

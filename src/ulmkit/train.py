@@ -149,8 +149,10 @@ def clip_gradients(params) -> float:
 def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
                    weight_decay: float) -> None:
     """One training step after the forward pass: zero the gradients,
-    backpropagate ``loss``, clip the global gradient norm to GRAD_CLIP, and
-    take one Adam step per parameter group at that group's rate."""
+    backpropagate ``loss`` (which releases its graph), clip the global
+    gradient norm to GRAD_CLIP, take one Adam step per parameter group at
+    that group's rate, and drop every gradient, so that none outlives its
+    step. If clipping raises, the gradients stay as backward left them."""
     params = [p for g in groups for p in g]
     for p in params:
         p.zero_grad()
@@ -158,6 +160,8 @@ def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
     clip_gradients(params)
     for g, lr in zip(groups, lrs):
         adam_step(g, state, lr, momentum, weight_decay)
+    for p in params:
+        p.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +367,14 @@ def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCo
     model = build_lm(vocab_size, preset=cfg.preset,
                      dropout_multiplier=cfg.dropout_multiplier, seed=cfg.seed)
     best = {"loss": math.inf, "state": None}
+    epochs = itertools.count(1)
 
     def keep_best(loss):
+        # the last epoch's weights are the model's own: no copy to take, and
+        # none to restore when that epoch is the best
+        last = next(epochs) == cfg.epochs
         if loss < best["loss"]:
-            best.update(loss=loss, state=model.state_dict())
+            best.update(loss=loss, state=None if last else model.state_dict())
 
     metrics = _fit_lm(model, train_corpus, valid_corpus, cfg, [(0, cfg.epochs, cfg.lr)], keep_best)
     if best["state"] is not None:

@@ -605,7 +605,7 @@ def test_tied_decoder_ce_split_holds_one_chunk_of_logits():
     w = T.param(rng.normal(size=(10_008, 64)) * 0.1)
     b = T.param(np.zeros(10_008))
     targets = rng.integers(0, 10_008, size=(16, 70))
-    chunk = T.DECODER_CHUNK * 10_008 * 8
+    chunk = T.DECODER_BYTES  # 128 float64 rows
     with split_decoder(2, split_min=T.DECODER_SPLIT_MIN), T.single_blas_thread():
         tracemalloc.start()
         try:
@@ -614,6 +614,43 @@ def test_tied_decoder_ce_split_holds_one_chunk_of_logits():
         finally:
             tracemalloc.stop()
     assert peak < chunk + h.data.nbytes + w.data.nbytes + b.data.nbytes + (2 << 20)
+
+
+def decoder_chunks(h, w, b, targets, float32=False):
+    """The rows of each chunk one tied_decoder_ce call forms its logits in
+    (its row-phase splits), and the call's loss."""
+    rows = []
+    real = T._split
+
+    def spy(task, n, parts):
+        if task.func.__name__ == "row_phase":
+            rows.append(n)
+        real(task, n, parts)
+
+    with mock.patch.object(T, "_split", spy):
+        loss = T.tied_decoder_ce(h, w, b, targets, float32)
+    return rows, loss
+
+
+@pytest.mark.parametrize("bsz, steps", [(16, 70), (64, 62), (1, 40)])
+def test_tied_decoder_ce_byte_bound_keeps_float64_scores_bit_identical(bsz, steps):
+    # at 10,008 classes a float64 call forms 128 rows at a time, half the
+    # rows of the float32 training path, with the bits of 256-row chunks
+    rng = np.random.default_rng(bsz)
+    h = T.param(rng.normal(size=(bsz, steps, 64)))
+    w = T.param(rng.normal(size=(10_008, 64)) * 0.1)
+    b = T.param(rng.normal(size=10_008) * 0.1)
+    targets = rng.integers(0, 10_008, size=(bsz, steps))
+    with T.no_grad():
+        rows, bounded = decoder_chunks(h, w, b, targets)
+        with mock.patch.object(T, "DECODER_BYTES", T.DECODER_CHUNK * 10_008 * 8):
+            rows_256, whole = decoder_chunks(h, w, b, targets)
+    n = bsz * steps
+    assert rows == [min(128, n - lo) for lo in range(0, n, 128)]
+    assert rows_256 == [min(256, n - lo) for lo in range(0, n, 256)]
+    assert bounded.data.tobytes() == whole.data.tobytes()
+    tracked_rows, _ = decoder_chunks(h, w, b, targets, float32=True)
+    assert tracked_rows == rows_256  # float32 logits: 256 rows in the same bytes
 
 
 def pretrain_decoder_inputs(rows, classes, seed=0):
@@ -886,6 +923,33 @@ def test_backward_accumulates_until_zeroed():
     assert np.allclose(x.grad, 2 * first)
     x.zero_grad()
     assert x.grad is None
+
+
+def test_backward_releases_the_graph_it_walks():
+    x = T.param(np.array([3.0, -1.0]), "x")
+    y = mul(x, x)
+    loss = total(T.add(y, y))
+    T.backward(loss)
+    assert np.array_equal(x.grad, 4 * x.data)
+    for node in (loss, y):
+        assert node._parents == () and node.grad is None
+    assert x._backward is None and x._parents == ()  # a leaf keeps its state
+
+
+def test_a_released_graph_refuses_a_second_walk():
+    x = T.param(np.array([3.0]), "x")
+    y = mul(x, x)
+    loss = total(y)
+    T.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="released"):
+        T.backward(loss)
+    # a fresh root over a released node: the walk would stop at y
+    with pytest.raises(RuntimeError, match="released"):
+        T.backward(total(T.add(y, y)))
+    assert np.array_equal(x.grad, first) and loss.grad is None
+    T.backward(total(mul(x, x)))  # a fresh graph accumulates as before
+    assert np.array_equal(x.grad, 2 * first)
 
 
 def test_diamond_graph_grad():

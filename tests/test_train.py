@@ -1,6 +1,7 @@
 """Schedules, optimizers, and the three phase drivers."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -252,6 +253,37 @@ def test_classifier_loss_graph_size():
     assert op_nodes(loss) == 8 and len(T.topo_order(loss)) == 22
 
 
+def step_graph(build):
+    """The loss ``build()`` returns, and weak references to the data of
+    every other node an op recorded in its graph."""
+    loss = build()
+    return loss, [weakref.ref(node.data) for node in T.topo_order(loss)
+                  if node._parents and node is not loss]
+
+
+@pytest.mark.parametrize("kind", ["lm", "classifier"])
+def test_an_optimizer_step_frees_its_graph_and_gradients(kind):
+    # a float32 tiny step: every array the graph held is gone once the step
+    # returns, but the loss the caller holds, and no parameter keeps a gradient
+    lm = build_lm(20, "tiny", seed=0)
+    ids = np.random.default_rng(0).integers(0, 20, size=(3, 7))
+    if kind == "lm":
+        model = lm.train()
+        cfg = train.pretrain_defaults(batch_size=3)
+        loss, refs = step_graph(lambda: train.lm_loss_terms(model, ids[:, :-1], ids[:, 1:],
+                                                            None, cfg)[0])
+    else:
+        model = TextClassifier(lm, seed=0).train()
+        loss, refs = step_graph(lambda: T.cross_entropy(model.forward(ids, np.array([7, 2, 5])),
+                                                        np.array([0, 1, 1])))
+    assert len(refs) == 7
+    params = [p for _, p in model.named_parameters()]
+    train.optimizer_step(loss, [params], [1e-3], 0.8, {}, weight_decay=0.0)
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert loss._parents == () and math.isfinite(loss.item())
+    assert all(p.grad is None for p in params)
+
+
 def test_lm_windows_cover_ribbon():
     data = np.arange(20).reshape(2, 10)
     windows = list(train._lm_windows(data, 4))
@@ -306,6 +338,29 @@ def test_pretrain_lm_restores_best_valid_epoch():
     data = train.batchify(valid.streams, 2)
     loss, _ = train.lm_epoch(model, data, cfg, train=False)
     assert abs(loss - best) < 1e-9
+
+
+def count_calls(monkeypatch, cls, name):
+    calls = []
+    real = getattr(cls, name)
+
+    def spy(self, *args):
+        calls.append(name)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_a_one_epoch_pretrain_copies_no_weights(monkeypatch):
+    # the last epoch's weights are the model's own: no snapshot, no restore
+    snapshots = count_calls(monkeypatch, AwdLstmLM, "state_dict")
+    restores = count_calls(monkeypatch, AwdLstmLM, "load_state_dict")
+    cfg = train.pretrain_defaults(epochs=1, batch_size=2, bptt_len=10, dropout_multiplier=0.0,
+                                  seed=5)
+    _, metrics = train.pretrain_lm(toy_corpus(), toy_corpus(n_streams=4, seed=1), 20, cfg)
+    assert metrics[0].valid_loss is not None
+    assert snapshots == [] and restores == []
 
 
 def test_pretrain_lm_rejects_empty_corpus():

@@ -5,16 +5,13 @@ top-losses. Exit codes: 0 success, 1 runtime contract failure, 2 usage
 error. A flat key=value config file can preseed any option of that
 subcommand; explicit flags win. Every artifact written (checkpoint, report,
 metrics log) embeds the resolved config and seed. A command runs numpy's
-BLAS on one thread, whatever the host's setting, and keeps the memory it
-frees for reuse (glibc).
+BLAS on one thread, whatever the host's setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
-import functools
 import os
 import sys
 from dataclasses import fields, replace
@@ -359,31 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-
-
-@functools.cache
-def keep_freed_memory() -> None:
-    """Have glibc's allocator serve blocks up to 32 MB from the heap and
-    never give the heap back to the system, once per process; a no-op where
-    the C library has no ``mallopt``. A training step frees its graph during
-    backward and its gradients after Adam, and glibc's default thresholds
-    return those pages at the end of each step for the next to fault in
-    again. A fixture ``degrade`` (3 fractions x 5 repeats, tiny preset)
-    took about 70,000 page faults with the defaults and under 40 with
-    this, and a median 1.70 s against 1.58 s (12 rounds each, alternating
-    processes, 2 cores); the peak RSS of an lm-pretrain-10k run was 107 MB
-    either way."""
-    try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
-        libc.mallopt(M_TRIM_THRESHOLD, 1 << 30)
-    except (OSError, AttributeError, TypeError):
-        pass
-
-
 def main(argv=None) -> int:
-    keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -150,9 +150,8 @@ def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
                    weight_decay: float) -> None:
     """One training step after the forward pass: zero the gradients,
     backpropagate ``loss`` (which releases its graph), clip the global
-    gradient norm to GRAD_CLIP, take one Adam step per parameter group at
-    that group's rate, and drop every gradient, so that none outlives its
-    step. If clipping raises, the gradients stay as backward left them."""
+    gradient norm to GRAD_CLIP, and take one Adam step per parameter group
+    at that group's rate."""
     params = [p for g in groups for p in g]
     for p in params:
         p.zero_grad()
@@ -160,8 +159,6 @@ def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
     clip_gradients(params)
     for g, lr in zip(groups, lrs):
         adam_step(g, state, lr, momentum, weight_decay)
-    for p in params:
-        p.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,9 @@ def _fit_stages(model, cfg: PhaseConfig, stages, steps_per_epoch: int, run_epoch
     peak rate) triple run under 1cycle with a fresh Adam state; returns one
     EpochMetrics per epoch. ``run_epoch(step)`` hands each of its
     ``steps_per_epoch`` batch losses to ``step`` and returns their mean;
-    ``validate()`` returns (loss, accuracy), either may be None;
+    ``validate(last)`` runs once after every epoch and returns (loss,
+    accuracy), either may be None; ``last`` is true after the final epoch of
+    the final stage;
     ``groups_of()`` gives the trainable groups, lowest first. A non-finite
     loss (before backward) or gradient raises FloatingPointError naming the
     phase, stage and step."""
@@ -271,7 +270,7 @@ def _fit_stages(model, cfg: PhaseConfig, stages, steps_per_epoch: int, run_epoch
         for epoch in range(1, epochs + 1):
             t0 = time.perf_counter()
             train_loss = run_epoch(step)
-            valid_loss, valid_acc = validate()
+            valid_loss, valid_acc = validate(stage == len(stages) and epoch == epochs)
             metrics.append(EpochMetrics(cfg.phase, stage, epoch, train_loss, valid_loss,
                                         valid_acc, time.perf_counter() - t0))
     model.eval()
@@ -334,21 +333,22 @@ def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: boo
 
 
 def _fit_lm(model: AwdLstmLM, train_corpus, valid_corpus, cfg: PhaseConfig, stages,
-            on_valid=lambda loss: None) -> list[EpochMetrics]:
+            on_valid=lambda loss, last: None) -> list[EpochMetrics]:
     """The stage loop over the corpora's token ribbons, with one optimizer
     group of the trainable parameters in ``named_parameters`` order;
-    ``on_valid`` sees each validation loss."""
+    ``on_valid(loss, last)`` sees each validation loss, and whether it is
+    the last epoch's."""
     train_data = batchify(train_corpus.streams, cfg.batch_size)
     try:
         valid_data = batchify(valid_corpus.streams, cfg.batch_size) if valid_corpus else None
     except ValueError as exc:
         raise ValueError(f"validation split: {exc}") from None
 
-    def validate():
+    def validate(last):
         if valid_data is None:
             return None, None
         loss, _ = lm_epoch(model, valid_data, cfg, train=False)
-        on_valid(loss)
+        on_valid(loss, last)
         return loss, None
 
     return _fit_stages(
@@ -367,12 +367,10 @@ def pretrain_lm(train_corpus: NumericalizedCorpus, valid_corpus: NumericalizedCo
     model = build_lm(vocab_size, preset=cfg.preset,
                      dropout_multiplier=cfg.dropout_multiplier, seed=cfg.seed)
     best = {"loss": math.inf, "state": None}
-    epochs = itertools.count(1)
 
-    def keep_best(loss):
+    def keep_best(loss, last):
         # the last epoch's weights are the model's own: no copy to take, and
         # none to restore when that epoch is the best
-        last = next(epochs) == cfg.epochs
         if loss < best["loss"]:
             best.update(loss=loss, state=None if last else model.state_dict())
 
@@ -526,7 +524,7 @@ def finetune_classifier(encoder: AwdLstmLM, train_corpus: NumericalizedCorpus,
             total_loss += loss.item() * len(labels)
         return total_loss / n
 
-    def validate():
+    def validate(last):
         if valid_corpus is None:
             return None, None
         result = evaluate(clf, valid_corpus, cfg.batch_size)

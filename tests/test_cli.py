@@ -598,38 +598,6 @@ def test_cli_checkpoints_do_not_depend_on_the_hash_seed(corpus_path, labeled_pat
     assert ckpts[0] == ckpts[1]
 
 
-# Eight 512 KB arrays filled and freed three times, as a training step fills
-# and frees its graph and gradients: the page faults of the last time.
-REFAULTS = """
-import resource, sys
-import numpy as np
-from ulmkit import cli
-if sys.argv[1] == "main":
-    cli.main(["--help"])
-for _ in range(3):
-    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    arrays = [np.ones(1 << 16) for _ in range(8)]
-    del arrays
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
-"""
-
-
-def test_a_command_keeps_the_memory_it_frees_for_reuse():
-    if not sys.platform.startswith("linux"):
-        pytest.skip("glibc's allocator only")
-    src = pathlib.Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    faults = {}
-    for mode in ("import", "main"):
-        proc = subprocess.run([sys.executable, "-c", REFAULTS, mode], env=env,
-                              capture_output=True, text=True, check=False)
-        assert proc.returncode == 0, proc.stderr
-        faults[mode] = int(proc.stdout.split()[-1])
-    # 4 MB refaulted is 1,024 pages
-    assert faults["main"] < 100 < faults["import"], faults
-
-
 # A classifier fine-tune and a 2-repeat degrade from the LM checkpoint and
 # labeled CSV in argv, run twice in one process: the first in directory a,
 # the second in b, each from inside it, so that the paths they record agree.

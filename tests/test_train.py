@@ -262,9 +262,10 @@ def step_graph(build):
 
 
 @pytest.mark.parametrize("kind", ["lm", "classifier"])
-def test_an_optimizer_step_frees_its_graph_and_gradients(kind):
+def test_an_optimizer_step_frees_its_graph(kind):
     # a float32 tiny step: every array the graph held is gone once the step
-    # returns, but the loss the caller holds, and no parameter keeps a gradient
+    # returns, but the loss the caller holds; the parameters keep their
+    # gradients until the next step zeroes them
     lm = build_lm(20, "tiny", seed=0)
     ids = np.random.default_rng(0).integers(0, 20, size=(3, 7))
     if kind == "lm":
@@ -281,7 +282,6 @@ def test_an_optimizer_step_frees_its_graph_and_gradients(kind):
     train.optimizer_step(loss, [params], [1e-3], 0.8, {}, weight_decay=0.0)
     assert [ref() for ref in refs] == [None] * len(refs)
     assert loss._parents == () and math.isfinite(loss.item())
-    assert all(p.grad is None for p in params)
 
 
 def test_lm_windows_cover_ribbon():
@@ -361,6 +361,19 @@ def test_a_one_epoch_pretrain_copies_no_weights(monkeypatch):
     _, metrics = train.pretrain_lm(toy_corpus(), toy_corpus(n_streams=4, seed=1), 20, cfg)
     assert metrics[0].valid_loss is not None
     assert snapshots == [] and restores == []
+
+
+def test_pretrain_lm_snapshots_every_epoch_but_the_last(monkeypatch):
+    # epoch 1 of 2 is the best so far and is copied; epoch 2 is the last, so
+    # it is restored from only if epoch 1 stays the best
+    snapshots = count_calls(monkeypatch, AwdLstmLM, "state_dict")
+    restores = count_calls(monkeypatch, AwdLstmLM, "load_state_dict")
+    cfg = train.pretrain_defaults(epochs=2, batch_size=2, bptt_len=10, dropout_multiplier=0.0,
+                                  seed=5)
+    _, metrics = train.pretrain_lm(toy_corpus(), toy_corpus(n_streams=4, seed=1), 20, cfg)
+    first, last = (m.valid_loss for m in metrics)
+    assert len(snapshots) == 1
+    assert len(restores) == (first <= last)
 
 
 def test_pretrain_lm_rejects_empty_corpus():

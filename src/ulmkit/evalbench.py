@@ -10,7 +10,8 @@ scores against identical data.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,6 @@ class SplitRecord:
     mean_accuracy: float
     mean_loss: float
     degradation_pct: float
-    accuracies: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -150,10 +150,11 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     and scores on the shared test set. Repeat r of every fraction runs at
     seed ``base_seed + r``, which replaces the seed of both phase configs.
     Degradation is computed from mean accuracy against the largest
-    fraction's mean accuracy. A run that changes the test set fails, and a
-    failed run stops the suite. Before the first run it refuses an empty
-    training or test set, a training set without both labels, the settings
-    that ``check_suite_settings`` refuses, and every fraction that
+    fraction's mean accuracy, or is NaN in every row where that is 0. A run
+    that changes the test set fails, and a failed run stops the suite.
+    Before the first run it refuses an empty training or test set, a
+    training set without both labels, the settings that
+    ``check_suite_settings`` refuses, and every fraction that
     subsample_train would refuse.
     """
     for name, corpus in (("training", train_corpus), ("test", test_corpus)):
@@ -189,11 +190,11 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
         report.rows.append(SplitRecord(
             fraction=fraction, n_train=n_train, repeats=repeats,
             mean_accuracy=float(np.mean(accs)), mean_loss=float(np.mean(losses)),
-            degradation_pct=0.0, accuracies=accs,
+            degradation_pct=0.0,
         ))
     full = report.rows[0].mean_accuracy
     for row in report.rows:
-        row.degradation_pct = degradation_pct(full, row.mean_accuracy)
+        row.degradation_pct = degradation_pct(full, row.mean_accuracy) if full > 0 else math.nan
     return report
 
 

@@ -4,9 +4,9 @@ Regularization sites follow the AWD-LSTM recipe: DropConnect on the
 hidden-to-hidden matrices only (one mask per batch), variational dropout on
 layer inputs/outputs (one mask per sequence, locked across time), and
 row-wise embedding dropout. The model draws each mask, and the op that reads
-the dropped value applies it (``embedding_lookup``, ``lstm``,
-``classifier_head``); the final LSTM output, which the decoder and AR both
-read, has its own ``masked`` node. Train mode is the one switch: in eval
+the dropped value applies it (``embedding_lookup``, ``lstm``, ``concat_pool``,
+``classifier_head``); only the LM's final output, which the decoder and AR
+both read, has its own ``masked`` node. Train mode is the one switch: in eval
 mode every site's rate is 0, so no site draws a mask. The decoder weight is
 the embedding matrix itself (tying), so a single storage receives both
 gradients.
@@ -211,9 +211,9 @@ class AwdLstmLM(Module):
     # -- forward ----------------------------------------------------------
 
     def encode(self, ids: np.ndarray, state=None, float32: bool = False):
-        """Run embedding + LSTM stack; returns (raw final outputs, dropped
-        final outputs, detached new state). ``float32`` is the step's
-        precision decision, passed to every layer."""
+        """Run embedding + LSTM stack; returns (raw final outputs, their
+        dropout keep mask for the reading op to apply, None in eval mode,
+        detached new state). ``float32`` is the step's precision decision."""
         b, _ = np.shape(ids)
         if state is None:
             state = self.init_state(b)
@@ -225,8 +225,7 @@ class AwdLstmLM(Module):
             w_mask = draw_mask(self.rate("p_weight"), layer.W_hh.shape, rng)
             x, layer_state = layer.forward(x, state[i], float32, x_mask, w_mask)
             new_state.append(layer_state)
-        dropped = T.masked(x, draw_mask(self.rate("p_output"), (b, 1, self.emb_dim), rng))
-        return x, dropped, new_state
+        return x, draw_mask(self.rate("p_output"), (b, 1, self.emb_dim), rng), new_state
 
     def forward(self, ids: np.ndarray, state=None, targets=None):
         """With (batch, steps) ``targets``, the mean next-token cross-entropy
@@ -236,11 +235,11 @@ class AwdLstmLM(Module):
         activations (for AR/TAR terms).
 
         Precision: with targets, the step takes ``T.float32_step``'s
-        decision over the model's hidden width, mode and parameters, and
-        passes it to every LSTM layer and to the decoder."""
-        float32 = targets is not None and T.float32_step(
-            self.hid_dim, self.training, *(p for _, p in self.named_parameters()))
-        raw, dropped, new_state = self.encode(ids, state, float32)
+        decision over the model's hidden width and mode, and passes it to
+        every LSTM layer and to the decoder."""
+        float32 = targets is not None and T.float32_step(self.hid_dim, self.training)
+        raw, mask, new_state = self.encode(ids, state, float32)
+        dropped = T.masked(raw, mask)
         if targets is not None:
             out = T.tied_decoder_ce(dropped, self.embedding, self.decoder_bias, targets, float32)
         else:
@@ -285,19 +284,18 @@ class TextClassifier(Module):
 
     def forward(self, ids: np.ndarray, lengths) -> Tensor:
         """Logits (batch, 2) of (batch, steps) ids padded past ``lengths``.
-        The step takes ``T.float32_step``'s decision over the encoder's
-        hidden width, the mode and the parameters, and passes it to every
-        LSTM layer; the pool and the head stay float64."""
+        The pool applies the encoder's output mask. The step takes
+        ``T.float32_step``'s decision over the encoder's width and mode, and
+        passes it to every LSTM layer; the pool and the head stay float64."""
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
             raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
         self.encoder.training = self.training  # every rate, the head's too, follows it
-        float32 = T.float32_step(self.encoder.hid_dim, self.training,
-                                 *(p for _, p in self.named_parameters()))
-        _, dropped, _ = self.encoder.encode(ids, float32=float32)
+        float32 = T.float32_step(self.encoder.hid_dim, self.training)
+        raw, out_mask, _ = self.encoder.encode(ids, float32=float32)
         mask = draw_mask(self.encoder.rate("p_head"), (len(ids), HEAD_HIDDEN), self._drop_rng)
-        return T.classifier_head(T.concat_pool(dropped, lengths), self.W1, self.b1, self.W2,
-                                 self.b2, mask)
+        return T.classifier_head(T.concat_pool(raw, lengths, out_mask), self.W1, self.b1,
+                                 self.W2, self.b2, mask)
 
 
 def build_lm(vocab_size: int, preset: str = "tiny", dropout_multiplier: float = 1.0,

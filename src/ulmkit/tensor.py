@@ -89,8 +89,11 @@ class Tensor:
         self.grad = None
 
     def accumulate(self, g) -> None:
+        """Add g, of this tensor's own shape, to grad; nothing is broadcast."""
+        if np.shape(g) != self.data.shape:
+            raise ShapeError(f"accumulate: gradient of shape {np.shape(g)} for {self.data.shape}")
         if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=_DEFAULT_DTYPE)
+            self.grad = np.array(g, dtype=_DEFAULT_DTYPE)
         else:
             self.grad += g
 
@@ -126,14 +129,13 @@ def _tracked(*ts: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in ts)
 
 
-def float32_step(hid_dim: int, training: bool, *ts: Tensor) -> bool:
+def float32_step(hid_dim: int, training: bool) -> bool:
     """The one precision rule: True for a step of a model in training mode
-    whose hidden width ``hid_dim`` is at least F32_MIN_HIDDEN, when a call
-    over its parameters ``ts`` records a gradient. The LM and the classifier
-    pass this decision to each ``lstm`` of the step, and the LM to its
-    ``tied_decoder_ce``; each of those ops still runs in float64 unless it
-    records a gradient itself."""
-    return training and hid_dim >= F32_MIN_HIDDEN and _tracked(*ts)
+    whose hidden width ``hid_dim`` is at least F32_MIN_HIDDEN. The LM and the
+    classifier pass this decision to each ``lstm`` of the step, and the LM to
+    its ``tied_decoder_ce``; each runs in float32 only if it records a
+    gradient itself."""
+    return training and hid_dim >= F32_MIN_HIDDEN
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -142,24 +144,10 @@ def _make(data, parents, backward) -> Tensor:
     return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for two tensors of one shape (the LM's penalties plus its loss)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: unequal shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
-
-    return _make(a.data + b.data, (a, b), bwd)
-
-
 def masked(x: Tensor, mask: np.ndarray | None) -> Tensor:
     """x times a dropout keep ``mask`` that broadcasts to x's shape (x itself
-    where it is None), as a node of its own: the LM's final output, which the
-    decoder and AR both read, and whose summed gradient the mask scales."""
+    where it is None), as a node of its own: only for the LM's final output,
+    which two ops read (decoder and AR), and whose summed gradient it scales."""
     if mask is None:
         return x
 
@@ -308,26 +296,29 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray, row_scale: np.ndarray | No
     return _make(out_data, (weight,), bwd)
 
 
-def concat_pool(x: Tensor, lengths) -> Tensor:
+def concat_pool(x: Tensor, lengths, mask: np.ndarray | None = None) -> Tensor:
     """ULMFiT's classifier input from (batch, steps, features) outputs: the
     output at each sequence's last valid step, the max and the mean over its
     valid steps, concatenated to (batch, 3·features). Steps past a
-    sequence's length are padding and take no part."""
+    sequence's length are padding and take no part. A (batch, 1, features)
+    keep ``mask`` (the classifier's output dropout) pools x * mask instead."""
     lengths = np.asarray(lengths)
     if x.data.ndim != 3:
         raise ShapeError(f"concat_pool: expected (batch, steps, features), got {x.shape}")
     b, s, f = x.shape
-    if lengths.shape != (b,):
-        raise ShapeError(f"concat_pool: lengths shape {lengths.shape} does not match batch {b}")
+    if lengths.shape != (b,) or mask is not None and np.shape(mask) != (b, 1, f):
+        raise ShapeError(f"concat_pool: lengths {lengths.shape} and mask {np.shape(mask)} "
+                         f"for x {x.shape}")
     if (lengths < 1).any() or (lengths > s).any():
         raise ValueError(f"concat_pool: lengths must be in [1, {s}]")
+    xd = x.data if mask is None else x.data * mask
     rows = np.arange(b)
     valid = np.arange(s)[None, :] < lengths[:, None]
-    argmax = np.where(valid[:, :, None], x.data, -np.inf).argmax(axis=1)  # (b, f)
+    argmax = np.where(valid[:, :, None], xd, -np.inf).argmax(axis=1)  # (b, f)
     w = valid / lengths[:, None]  # mean weights, 0 on padding
-    out_data = np.concatenate([x.data[rows, lengths - 1],
-                               np.take_along_axis(x.data, argmax[:, None, :], axis=1)[:, 0],
-                               (x.data * w[:, :, None]).sum(axis=1)], axis=1)
+    out_data = np.concatenate([xd[rows, lengths - 1],
+                               np.take_along_axis(xd, argmax[:, None, :], axis=1)[:, 0],
+                               (xd * w[:, :, None]).sum(axis=1)], axis=1)
 
     def bwd(g):
         if x.requires_grad:
@@ -335,7 +326,7 @@ def concat_pool(x: Tensor, lengths) -> Tensor:
             dx[rows, lengths - 1] += g[:, :f]
             dx[rows[:, None], argmax, np.arange(f)] += g[:, f : 2 * f]
             dx += g[:, None, 2 * f :] * w[:, :, None]
-            x.accumulate(dx)
+            x.accumulate(dx if mask is None else dx * mask)
 
     return _make(out_data, (x,), bwd)
 
@@ -373,17 +364,18 @@ def classifier_head(pooled: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tens
     return _make(out_data, (pooled, w1, b1, w2, b2), bwd)
 
 
-def ar_tar(raw: Tensor, dropped: Tensor, alpha: float, beta: float) -> Tensor:
-    """AWD-LSTM's activation penalties on the final layer's (batch, steps,
-    features) outputs, as one scalar: AR, alpha·mean(dropped²), plus TAR,
-    beta·mean((raw[:, t] - raw[:, t - 1])²). A single step has no TAR term."""
-    if raw.data.ndim != 3 or dropped.shape != raw.shape:
-        raise ShapeError(f"ar_tar: expected two equal (batch, steps, features) shapes, got "
-                         f"{raw.shape} and {dropped.shape}")
+def ar_tar(raw: Tensor, dropped: Tensor, ce: Tensor, alpha: float, beta: float) -> Tensor:
+    """The LM's training loss from its final layer's (batch, steps, features)
+    outputs and its scalar cross-entropy ``ce``, summed in this order: AR,
+    alpha·mean(dropped²), plus TAR, beta·mean((raw[:, t] - raw[:, t - 1])²),
+    then plus ce. A single step has no TAR term."""
+    if raw.data.ndim != 3 or dropped.shape != raw.shape or ce.shape != ():
+        raise ShapeError(f"ar_tar: expected two equal (batch, steps, features) shapes and a "
+                         f"scalar, got {raw.shape}, {dropped.shape} and {ce.shape}")
     diff = raw.data[:, 1:] - raw.data[:, :-1]
     ar_scale = alpha * (1.0 / dropped.data.size)
     tar_scale = beta * (1.0 / diff.size) if diff.size else 0.0
-    out_data = ar_scale * (dropped.data * dropped.data).sum() + tar_scale * (diff * diff).sum()
+    penalty = ar_scale * (dropped.data * dropped.data).sum() + tar_scale * (diff * diff).sum()
 
     def bwd(g):
         if dropped.requires_grad and ar_scale:
@@ -394,8 +386,10 @@ def ar_tar(raw: Tensor, dropped: Tensor, alpha: float, beta: float) -> Tensor:
             draw[:, 1:] += d
             draw[:, :-1] -= d
             raw.accumulate(draw)
+        if ce.requires_grad:
+            ce.accumulate(g)
 
-    return _make(out_data, (raw, dropped), bwd)
+    return _make(penalty + ce.data, (raw, dropped, ce), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

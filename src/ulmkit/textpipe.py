@@ -146,12 +146,13 @@ class NumericalizedCorpus:
 
 
 def load_labeled_csv(path) -> list[tuple[str, int]]:
-    """Load (text, label) rows from a UTF-8 CSV with header ``text,label``.
+    """Load (text, label) rows from a UTF-8 CSV with header ``text,label``,
+    with or without a byte-order mark.
 
     Labels must be 0 or 1; any malformed row is reported with its line number.
     """
     records: list[tuple[str, int]] = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -171,8 +172,9 @@ def load_labeled_csv(path) -> list[tuple[str, int]]:
 
 
 def load_corpus_lines(path) -> list[str]:
-    """Load an unlabeled corpus: UTF-8 plain text, one document per line."""
-    with open(path, encoding="utf-8") as f:
+    """Load an unlabeled corpus: UTF-8 plain text, with or without a
+    byte-order mark, one document per line."""
+    with open(path, encoding="utf-8-sig") as f:
         return [line.rstrip("\n") for line in f if line.strip()]
 
 

@@ -304,11 +304,11 @@ def lm_windows_per_epoch(data: np.ndarray, bptt: int) -> int:
 
 def lm_loss_terms(model: AwdLstmLM, x: np.ndarray, y: np.ndarray, state, cfg: PhaseConfig):
     """(training loss, cross-entropy, new state) for one window; in training
-    the loss adds the AR/TAR activation penalties to the cross-entropy."""
+    the loss adds the cross-entropy to the AR/TAR activation penalties."""
     ce, new_state, raw, dropped = model.forward(x, state, targets=y)
-    # ce second: backward then walks its subgraph in the order it would
+    # ce last: backward then walks its subgraph in the order it would
     # alone, so zero penalties leave every gradient bit-identical.
-    loss = T.add(T.ar_tar(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce) if model.training else ce
+    loss = T.ar_tar(raw, dropped, ce, cfg.ar_alpha, cfg.tar_beta) if model.training else ce
     return loss, ce, new_state
 
 

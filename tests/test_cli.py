@@ -3,6 +3,7 @@
 import argparse
 import copy
 import csv
+import dataclasses
 import gc
 import json
 import os
@@ -770,6 +771,30 @@ def test_cli_degrade_report(cli_artifacts, tmp_path, capsys):
     assert rows[0] == "fraction,n_train,repeats,mean_accuracy,mean_loss,degradation_pct"
     assert len(rows) == 4  # header + one row per fraction
     assert rows[1].startswith("1.0,") and rows[1].endswith(",0.0000")
+
+
+def test_cli_degrade_reports_nan_degradation_when_the_full_data_scores_zero(
+        cli_artifacts, tmp_path, monkeypatch, capsys):
+    # a full-data mean accuracy of 0 leaves no drop to measure, as when every
+    # run predicts the one label a test set lacks: the report is still
+    # written, with each degradation NaN
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    real, results = evalbench.evaluate, []
+
+    def evaluate(clf, corpus, batch_size):
+        results.append(real(clf, corpus, batch_size))
+        return dataclasses.replace(results[-1], accuracy=0.0) if len(results) == 1 else results[-1]
+
+    monkeypatch.setattr(evalbench, "evaluate", evaluate)
+    out = tmp_path / "report.csv"
+    rc = main(["degrade", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+               "--out", str(out), "--fractions", "1.0,0.5", "--repeats", "1",
+               "--lm-epochs", "1", "--clf-epochs", "1", "--batch-size", "4", "--seed", "0"])
+    assert rc == 0 and len(results) == 2
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert [(r[0], r[3], r[5]) for r in rows] == [
+        ("1.0", "0.000000", "nan"), ("0.5", f"{results[1].accuracy:.6f}", "nan")]
+    assert capsys.readouterr().out.count(" nan\n") == 2
 
 
 def test_cli_degrade_report_independent_of_out_path(cli_artifacts, tmp_path):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from test_tensor import add, generic_head, mul
+from test_tensor import add, generic_head, mul, penalties
 
 from ulmkit import tensor as T
 from ulmkit import train
@@ -122,8 +122,9 @@ def test_embedding_dropout_whole_rows():
 
 
 def generic_encode(lm, ids, float32):
-    """``encode``'s raw and dropped outputs as the model composed them from
-    generic ops: each mask was its own ``mul`` node, drawn in the same order."""
+    """The raw and dropped final outputs of a training forward, as the model
+    composed them from generic ops: each mask was its own ``mul`` node, drawn
+    in the same order."""
     rng = lm.drop_rng
 
     def drop(x, site, shape):
@@ -161,7 +162,7 @@ def test_lm_step_matches_the_generic_composition():
         else:
             raw, dropped = generic_encode(lm, x, float32=True)
             ce = T.tied_decoder_ce(dropped, lm.embedding, lm.decoder_bias, y, float32=True)
-            loss = add(T.ar_tar(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce)
+            loss = add(penalties(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce)
         results.append(step_results(lm, loss))
     for name, got, want in zip(["loss"] + [n for n, _ in lm.named_parameters()], *results):
         assert np.array_equal(got, want), name

@@ -10,8 +10,9 @@ X to M, or by importing the name from M, so ``np.mean`` cannot keep a
 alone, since the type behind ``obj.name`` is not resolved: a dead method that
 shares its name with a live one can slip through.
 
-Likewise every attribute assigned on ``self`` in ``src/`` must be read there
-as ``obj.name``, again matched by name alone.
+Likewise every attribute assigned on ``self`` in ``src/``, and every field
+declared in the body of a ``@dataclass``, must be read there as
+``obj.name``, again matched by name alone.
 """
 
 import ast
@@ -83,12 +84,26 @@ def _unreferenced(src=SRC):
     return defs, unreferenced
 
 
+def _is_dataclass(node) -> bool:
+    """Whether a class definition carries ``@dataclass``, called or not,
+    by a bare name or as ``dataclasses.dataclass``."""
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def _unread_attributes(src=SRC):
-    """``module:line self.name`` per attribute assigned on ``self`` whose name
-    no attribute read in src/ uses."""
+    """``module:line self.name`` per attribute assigned on ``self``, and
+    ``module:line Class.name`` per field declared in a dataclass body, whose
+    name no attribute read in src/ uses."""
     stores, reads = [], set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                stores += [f"{path.stem}:{n.lineno} {node.name}.{n.target.id}" for n in node.body
+                           if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
             if not isinstance(node, ast.Attribute):
                 continue
             if isinstance(node.ctx, ast.Load):
@@ -118,7 +133,7 @@ def test_scan_resolves_module_level_names(tmp_path):
 
 def test_every_attribute_set_on_self_is_read_in_src():
     unread = _unread_attributes()
-    assert not unread, f"assigned on self in src/ but read only outside it: {unread}"
+    assert not unread, f"set on self or declared as a field in src/, read only outside: {unread}"
 
 
 def test_scan_finds_unread_attributes(tmp_path):
@@ -127,6 +142,16 @@ def test_scan_finds_unread_attributes(tmp_path):
         "        self.size = 2 * n\n        self.size += 1\n")
     (tmp_path / "train.py").write_text("def width(layer):\n    return layer.size\n")
     assert _unread_attributes(tmp_path) == ["model:3 self.n"]
+
+
+def test_scan_finds_unread_dataclass_fields(tmp_path):
+    (tmp_path / "evalbench.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass, field\n\n\n"
+        "@dataclass\nclass Row:\n    n: int\n    accs: list = field(default_factory=list)\n"
+        "    HEADER = 'n'\n\n\n@dataclasses.dataclass(frozen=True)\nclass Pair:\n"
+        "    a: int\n    b: int\n\n\nclass Plain:\n    c: int\n")
+    (tmp_path / "cli.py").write_text("def show(row, pair):\n    return row.n, pair.b\n")
+    assert _unread_attributes(tmp_path) == ["evalbench:8 Row.accs", "evalbench:14 Pair.a"]
 
 
 def test_scan_finds_unread_module_constants(tmp_path):

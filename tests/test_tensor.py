@@ -765,19 +765,46 @@ def test_pooling_ops_brute_force():
         assert np.allclose(pooled[b, 2 * f :], valid.mean(axis=0), atol=1e-12)
 
 
-@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_concat_pool_finite_differences(bsz, steps, feats, seed):
+def test_concat_pool_finite_differences(bsz, steps, feats, masked, seed):
+    # masked: the pool applies a keep mask, as the classifier's output
+    # dropout, at rate 0.5
     rng = np.random.default_rng(seed)
     x = T.param(rng.normal(size=(bsz, steps, feats)), "x")
     lengths = rng.integers(1, steps + 1, size=bsz)
     weights = T.Tensor(rng.normal(size=(bsz, 3 * feats)))
+    mask = T.Rng(seed).keep_mask((bsz, 1, feats), 0.5) if masked else None
 
     def build():
         x.zero_grad()
-        return total(mul(T.concat_pool(x, lengths), weights))
+        return total(mul(T.concat_pool(x, lengths, mask), weights))
 
     check_grad(build, x)
+
+
+def test_concat_pool_mask_matches_mul_then_pool():
+    # a tiny-preset classifier batch, 64 features, with padding: the generic
+    # composition multiplied the encoder's output by its mask in its own
+    # node before it pooled; the head reads the pool, as in a step
+    rng = np.random.default_rng(12)
+    x = T.param(rng.normal(size=(6, 9, 64)), "x")
+    lengths = np.array([9, 1, 4, 7, 9, 2])
+    mask = T.Rng(5).keep_mask((6, 1, 64), 0.1)
+    _, *head, _ = head_inputs(6, 192, 50, seed=2)
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    results = []
+    for fused in (True, False):
+        for p in (x, *head):
+            p.zero_grad()
+        pooled = (T.concat_pool(x, lengths, mask) if fused
+                  else T.concat_pool(mul(x, T.Tensor(mask)), lengths))
+        T.backward(T.cross_entropy(T.classifier_head(pooled, *head), labels))
+        results.append([pooled.data, x.grad] + [p.grad for p in head])
+    for name, got, want in zip(("pooled", "x", "W1", "b1", "W2", "b2"), *results):
+        assert np.array_equal(got, want), name
+    assert not np.array_equal(results[0][0], T.concat_pool(x, lengths).data)  # a mask applied
 
 
 def head_inputs(rows, feats, hidden, seed):
@@ -853,28 +880,73 @@ def test_classifier_head_shape_errors():
         T.classifier_head(pooled, w1, b1, w2, b2, mask[:2])
 
 
+def penalties(raw, dropped, alpha, beta):
+    """AR plus TAR as a node of their own, as ``ar_tar`` formed them before
+    it took the cross-entropy; the model then added the two with ``add``."""
+    diff = raw.data[:, 1:] - raw.data[:, :-1]
+    ar_scale = alpha * (1.0 / dropped.data.size)
+    tar_scale = beta * (1.0 / diff.size) if diff.size else 0.0
+
+    def bwd(g):
+        if dropped.requires_grad and ar_scale:
+            dropped.accumulate(2.0 * g * ar_scale * dropped.data)
+        if raw.requires_grad and tar_scale:
+            d = 2.0 * g * tar_scale * diff
+            draw = np.zeros_like(raw.data)
+            draw[:, 1:] += d
+            draw[:, :-1] -= d
+            raw.accumulate(draw)
+
+    out = ar_scale * (dropped.data * dropped.data).sum() + tar_scale * (diff * diff).sum()
+    return T._make(out, (raw, dropped), bwd)
+
+
+def lm_output_inputs():
+    """A tiny-width LM's final output, its output mask, a tied embedding and
+    decoder bias over 50 classes, and targets."""
+    rng = np.random.default_rng(8)
+    return (T.param(rng.normal(size=(8, 20, 64)), "raw"), T.Rng(2).keep_mask((8, 1, 64), 0.1),
+            T.param(0.1 * rng.normal(size=(50, 64)), "embedding"),
+            T.param(0.1 * rng.normal(size=50), "bias"), rng.integers(0, 50, size=(8, 20)))
+
+
 @pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
 def test_masked_matches_mul(float32):
     # the LM's final output at tiny width: the decoder and AR read the
     # dropped value and TAR the raw one, so raw's gradient sums
     # TAR + (AR + decoder) * mask, as it did through the generic mul
-    rng = np.random.default_rng(8)
-    raw = T.param(rng.normal(size=(8, 20, 64)), "raw")
-    mask = T.Rng(2).keep_mask((8, 1, 64), 0.1)
-    emb = T.param(0.1 * rng.normal(size=(50, 64)), "embedding")
-    bias = T.param(0.1 * rng.normal(size=50), "bias")
-    targets = rng.integers(0, 50, size=(8, 20))
+    raw, mask, emb, bias, targets = lm_output_inputs()
     results = []
     for fused in (True, False):
         for p in (raw, emb, bias):
             p.zero_grad()
         dropped = T.masked(raw, mask) if fused else mul(raw, T.Tensor(mask))
         ce = T.tied_decoder_ce(dropped, emb, bias, targets, float32)
-        T.backward(T.add(T.ar_tar(raw, dropped, 2.0, 1.0), ce))
+        T.backward(T.ar_tar(raw, dropped, ce, 2.0, 1.0))
         results.append([dropped.data, ce.data, raw.grad, emb.grad, bias.grad])
     for name, got, want in zip(("dropped", "ce", "raw", "embedding", "bias"), *results):
         assert np.array_equal(got, want), name
     assert T.masked(raw, None) is raw
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 1.0), (0.0, 0.0)])
+@pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
+def test_ar_tar_matches_penalties_then_add(float32, alpha, beta):
+    # the LM's training loss: (AR + TAR) + ce in one node, against the
+    # penalties' own node and a generic add, with the same walk order
+    raw, mask, emb, bias, targets = lm_output_inputs()
+    results = []
+    for fused in (True, False):
+        for p in (raw, emb, bias):
+            p.zero_grad()
+        dropped = T.masked(raw, mask)
+        ce = T.tied_decoder_ce(dropped, emb, bias, targets, float32)
+        loss = (T.ar_tar(raw, dropped, ce, alpha, beta) if fused
+                else add(penalties(raw, dropped, alpha, beta), ce))
+        T.backward(loss)
+        results.append([loss.data, raw.grad, emb.grad, bias.grad])
+    for name, got, want in zip(("loss", "raw", "embedding", "bias"), *results):
+        assert np.array_equal(got, want), name
 
 
 def test_pooling_length_validation():
@@ -893,18 +965,23 @@ def test_pooling_length_validation():
        st.sampled_from([0.0, 1.0, 3.0]), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_ar_tar_finite_differences(bsz, steps, feats, alpha, beta, shared, seed):
-    # shared: no output dropout, so the same tensor is both raw and dropped
+    # shared: no output dropout, so the same tensor is both raw and dropped;
+    # the ce parent reads dropped too, as the decoder does
     rng = np.random.default_rng(seed)
     raw = T.param(rng.normal(size=(bsz, steps, feats)), "raw")
     dropped = raw if shared else T.param(rng.normal(size=(bsz, steps, feats)), "dropped")
+    weights = T.Tensor(rng.normal(size=(bsz, steps, feats)))
+    ce = total(mul(dropped, weights))
     want = alpha * np.mean(dropped.data ** 2)
     if steps > 1:
         want += beta * np.mean(np.diff(raw.data, axis=1) ** 2)
-    assert abs(T.ar_tar(raw, dropped, alpha, beta).item() - want) <= 1e-12 * max(1.0, want)
+    want += ce.item()
+    got = T.ar_tar(raw, dropped, ce, alpha, beta).item()
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def build():
         raw.zero_grad(), dropped.zero_grad()
-        return T.ar_tar(raw, dropped, alpha, beta)
+        return T.ar_tar(raw, dropped, total(mul(dropped, weights)), alpha, beta)
 
     check_grad(build, *((raw,) if shared else (raw, dropped)))
 
@@ -912,7 +989,7 @@ def test_ar_tar_finite_differences(bsz, steps, feats, alpha, beta, shared, seed)
 def test_backward_requires_scalar():
     x = T.param(np.ones((2, 2)), "x")
     with pytest.raises(ValueError):
-        T.backward(T.add(x, x))
+        T.backward(add(x, x))
 
 
 def test_backward_accumulates_until_zeroed():
@@ -928,7 +1005,7 @@ def test_backward_accumulates_until_zeroed():
 def test_backward_releases_the_graph_it_walks():
     x = T.param(np.array([3.0, -1.0]), "x")
     y = mul(x, x)
-    loss = total(T.add(y, y))
+    loss = total(add(y, y))
     T.backward(loss)
     assert np.array_equal(x.grad, 4 * x.data)
     for node in (loss, y):
@@ -946,7 +1023,7 @@ def test_a_released_graph_refuses_a_second_walk():
         T.backward(loss)
     # a fresh root over a released node: the walk would stop at y
     with pytest.raises(RuntimeError, match="released"):
-        T.backward(total(T.add(y, y)))
+        T.backward(total(add(y, y)))
     assert np.array_equal(x.grad, first) and loss.grad is None
     T.backward(total(mul(x, x)))  # a fresh graph accumulates as before
     assert np.array_equal(x.grad, 2 * first)
@@ -956,25 +1033,41 @@ def test_diamond_graph_grad():
     # y = x*x used twice: d/dx (x^2 + x^2) = 4x
     x = T.param(np.array([2.0]), "x")
     y = mul(x, x)
-    T.backward(total(T.add(y, y)))
+    T.backward(total(add(y, y)))
     assert np.allclose(x.grad, [8.0])
 
 
 def test_no_grad_tracking_when_not_required():
     a = T.Tensor(np.ones((2, 2)))
     b = T.Tensor(np.ones((2, 2)))
-    out = T.add(matmul(a, b), a)
+    out = add(matmul(a, b), a)
     assert not out.requires_grad
     assert out._backward is None
 
 
 def test_shape_errors_report_op():
-    with pytest.raises(T.ShapeError, match="add"):
-        T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
-    with pytest.raises(T.ShapeError, match="add"):  # no broadcasting
-        T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
+    raw, ce = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros(()))
     with pytest.raises(T.ShapeError, match="ar_tar"):
-        T.ar_tar(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 3, 5))), 2.0, 1.0)
+        T.ar_tar(raw, T.Tensor(np.zeros((2, 3, 5))), ce, 2.0, 1.0)
+    with pytest.raises(T.ShapeError, match="ar_tar"):  # a per-token loss, not the mean
+        T.ar_tar(raw, raw, T.Tensor(np.zeros((2, 3))), 2.0, 1.0)
+    with pytest.raises(T.ShapeError, match="concat_pool: .* mask"):
+        T.concat_pool(raw, np.array([3, 1]), np.ones((2, 3, 4)))  # not locked across time
+
+
+@pytest.mark.parametrize("g", [np.ones(3), np.ones((1, 3)), np.ones(()), np.ones((2, 3, 1))])
+def test_accumulate_refuses_a_gradient_of_another_shape(g):
+    # every op hands back a gradient of its operand's shape; a broadcastable
+    # one is refused, first or added, and leaves the gradient as it was
+    x = T.param(np.zeros((2, 3)), "x")
+    with pytest.raises(T.ShapeError, match=r"accumulate: gradient of shape .* for \(2, 3\)"):
+        x.accumulate(g)
+    assert x.grad is None
+    x.accumulate(np.full((2, 3), 2.0, dtype=np.float32))
+    assert x.grad.dtype == np.float64 and (x.grad == 2.0).all()
+    with pytest.raises(T.ShapeError, match="accumulate"):
+        x.accumulate(g)
+    assert (x.grad == 2.0).all()
 
 
 def test_rng_determinism_and_children():

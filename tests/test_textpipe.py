@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from ulmkit import textpipe as tp
 
 
@@ -133,6 +134,24 @@ def test_load_corpus_lines(corpus_path):
     lines = tp.load_corpus_lines(corpus_path)
     assert len(lines) == 200
     assert all(line.strip() for line in lines)
+
+
+@pytest.mark.parametrize("name", ["labeled.csv", "corpus.txt"])
+def test_a_byte_order_mark_reads_as_none(name, tmp_path):
+    # a file saved with a UTF-8 byte-order mark loads as the same file
+    # without: no stray token, and the first word keeps its case marker
+    load = tp.load_labeled_csv if name.endswith(".csv") else tp.load_corpus_lines
+    fixture = FIXTURES / name
+    head = "text,label\nHello world,1\n" if name.endswith(".csv") else "Hello world\n"
+    for path, body in ((tmp_path / "fixture", fixture.read_bytes()),
+                       (tmp_path / "hello", head.encode("utf-8"))):
+        path.write_bytes(b"\xef\xbb\xbf" + body)
+        plain = tmp_path / "plain"
+        plain.write_bytes(body)
+        assert load(path) == load(plain)
+    first = load(path)[0]
+    text = first[0] if name.endswith(".csv") else first
+    assert tp.preprocess(text) == ["xxbos", "xxmaj", "hello", "world"]
 
 
 def test_split_corpus_exact_sizes_and_partition():

@@ -234,23 +234,24 @@ def op_nodes(loss) -> int:
 def test_lm_loss_graph_size_independent_of_steps():
     # the embedding lookup with its dropout, one fused node per LSTM layer
     # with its input's and W_hh's masks, the output mask, the tied decoder
-    # with its cross-entropy, AR/TAR and their sum, however many steps the
-    # window has; and the 11 parameters
+    # with its cross-entropy, and AR/TAR, which adds the cross-entropy to
+    # the penalties, however many steps the window has; and the 11
+    # parameters
     model = build_lm(20, "tiny", seed=0).train()
     cfg = train.pretrain_defaults(batch_size=2)
     for steps in (5, 40):
         x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
         loss, _, _ = train.lm_loss_terms(model, x[:, :-1], x[:, 1:], None, cfg)
-        assert op_nodes(loss) == 8 and len(T.topo_order(loss)) == 19, steps
+        assert op_nodes(loss) == 7 and len(T.topo_order(loss)) == 18, steps
 
 
 def test_classifier_loss_graph_size():
-    # the lookup, three LSTM layers, the output mask, the concat pool, the
-    # head with its dropout and the cross-entropy; and the 14 parameters
+    # the lookup, three LSTM layers, the concat pool with the output mask,
+    # the head with its dropout and the cross-entropy; and the 14 parameters
     clf = train.TextClassifier(build_lm(20, "tiny", seed=0), seed=0).train()
     ids = np.random.default_rng(0).integers(0, 20, size=(3, 6))
     loss = T.cross_entropy(clf.forward(ids, np.array([6, 2, 4])), np.array([0, 1, 1]))
-    assert op_nodes(loss) == 8 and len(T.topo_order(loss)) == 22
+    assert op_nodes(loss) == 7 and len(T.topo_order(loss)) == 21
 
 
 def step_graph(build):
@@ -277,7 +278,7 @@ def test_an_optimizer_step_frees_its_graph(kind):
         model = TextClassifier(lm, seed=0).train()
         loss, refs = step_graph(lambda: T.cross_entropy(model.forward(ids, np.array([7, 2, 5])),
                                                         np.array([0, 1, 1])))
-    assert len(refs) == 7
+    assert len(refs) == 6
     params = [p for _, p in model.named_parameters()]
     train.optimizer_step(loss, [params], [1e-3], 0.8, {}, weight_decay=0.0)
     assert [ref() for ref in refs] == [None] * len(refs)

@@ -1,12 +1,14 @@
 """Run the fixture pipeline and print a SHA-256 digest of every artifact.
 
-Usage: python3 scripts/artifact_digests.py OUT_DIR
+Usage: python3 scripts/artifact_digests.py [--tree CHECKOUT] OUT_DIR
 
 Every command runs in-process through ``ulmkit.cli.main``, which runs BLAS on
 one thread, from inside OUT_DIR and with relative paths only, so that the
 config snapshots written into the artifacts name the same files from any
 checkout. The inputs are copies of ``fixtures/`` and the corpus and
-labelled CSV that ``perfbench/gen_inputs.py --seed 0`` generates. The
+labelled CSV that ``perfbench/gen_inputs.py --seed 0`` generates, each taken
+from CHECKOUT, as is the ``ulmkit`` package (``src/ulmkit``) the pipeline
+runs; CHECKOUT is by default the checkout this script sits in. The
 fixture texts are 6-9 tokens long; the generated ones, 5-62, so the
 classifier trained and scored on them at batch 64 (``gen-clf.ckpt``,
 ``gen-eval.txt``, ``gen-top-losses.txt``) runs windows longer than
@@ -19,18 +21,18 @@ preset, whose training steps take the float32 path in the LSTM layers and,
 for the language model, the tied decoder; so a change to that path's
 arithmetic moves every trained checkpoint (``lm.ckpt``, ``lm-ft.ckpt``,
 ``clf.ckpt``, ``gen-lm.ckpt``, ``gen-clf.ckpt``), while the logs, reports
-and scores, printed to 4-6 digits, may keep their digests. ``ulmkit`` and
-``gen_inputs`` are imported from the checkout this script sits in.
+and scores, printed to 4-6 digits, may keep their digests.
 
 Each line printed is ``sha256  name``. A metrics log is digested with its
 seconds column cut, and ``eval``, ``top-losses`` and ``predict`` by their
 standard output. To check that a change keeps every artifact byte-identical,
-copy this script into the parent checkout's ``scripts/``, run it from each
-checkout into a fresh directory, and diff the two outputs.
+run it once with no ``--tree`` and once with ``--tree`` naming the parent
+checkout, each into a fresh directory, and diff the two outputs.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -38,18 +40,6 @@ import os
 import pathlib
 import shutil
 import sys
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import gen_inputs  # noqa: E402
-from ulmkit.checkpoint import load_checkpoint  # noqa: E402
-from ulmkit.cli import main  # noqa: E402
-from ulmkit.model import TextClassifier  # noqa: E402
-from ulmkit.tensor import no_grad  # noqa: E402
-from ulmkit.textpipe import NumericalizedCorpus, load_labeled_csv, numericalize, preprocess  # noqa: E402
-from ulmkit.train import make_clf_batches  # noqa: E402
 
 # (argv, the file its standard output is kept in, or None)
 PIPELINE = [
@@ -92,6 +82,12 @@ def _digest(path: pathlib.Path) -> str:
 def head_logits() -> bytes:
     """The logits of ``TextClassifier(<gen-lm.ckpt's encoder>, seed=5)`` in
     eval mode over the generated CSV, in batches of 64 in file order."""
+    from ulmkit.checkpoint import load_checkpoint
+    from ulmkit.model import TextClassifier
+    from ulmkit.tensor import no_grad
+    from ulmkit.textpipe import NumericalizedCorpus, load_labeled_csv, numericalize, preprocess
+    from ulmkit.train import make_clf_batches
+
     ckpt = load_checkpoint("gen-lm.ckpt")
     clf = TextClassifier(ckpt.build_model(), seed=5).eval()
     streams = [numericalize(preprocess(text), ckpt.vocab)
@@ -101,10 +97,16 @@ def head_logits() -> bytes:
                         for ids, lengths, _ in make_clf_batches(NumericalizedCorpus(streams), 64))
 
 
-def run(out_dir: pathlib.Path) -> None:
+def run(tree: pathlib.Path, out_dir: pathlib.Path) -> None:
+    """Run the pipeline of ``tree``'s ``ulmkit`` on ``tree``'s inputs in
+    ``out_dir`` and print the digests."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import gen_inputs
+    from ulmkit.cli import main
+
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("corpus.txt", "labeled.csv"):
-        shutil.copyfile(ROOT / "fixtures" / name, out_dir / name)
+        shutil.copyfile(tree / "fixtures" / name, out_dir / name)
     os.chdir(out_dir)
     gen_inputs.write_inputs(0, "gen")
     for argv, stdout_name in PIPELINE:
@@ -122,6 +124,11 @@ def run(out_dir: pathlib.Path) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit(__doc__.splitlines()[2])
-    run(pathlib.Path(sys.argv[1]).resolve())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", type=pathlib.Path,
+                        default=pathlib.Path(__file__).resolve().parent.parent,
+                        help="the checkout whose ulmkit, generator and fixtures to run "
+                             "(default: this script's)")
+    parser.add_argument("out_dir", type=pathlib.Path)
+    args = parser.parse_args()
+    run(args.tree.resolve(), args.out_dir.resolve())

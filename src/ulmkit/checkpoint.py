@@ -6,6 +6,7 @@ parameter arrays, and a trailing CRC32 of everything before it. Loading is
 strict: bad magic, truncation, checksum mismatch, a header without the keys,
 JSON types or array dtype that saving writes, a shape with an entry below 1,
 a manifest entry whose byte count disagrees with its shape, a vocabulary
+that repeats a token, does not start with the reserved tokens in order or
 whose size disagrees with the dims, and array names or shapes other than
 those the dims give all fail with a CheckpointError that names the file,
 before any model is built. Header keys beyond these, which files written by
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import AwdLstmLM, TextClassifier, param_shapes
-from .textpipe import Vocabulary
+from .textpipe import SPECIALS, Vocabulary
 
 MAGIC = b"ULMKCKPT"
 FORMAT_VERSION = 1
@@ -117,7 +118,8 @@ def save_checkpoint(path, model, vocab: Vocabulary, config: dict | None = None,
 def _check_header(path, header) -> None:
     """Raise CheckpointError unless the header holds what save_checkpoint
     writes: every key with its JSON type, the model dims as positive
-    integers, and array entries of a known dtype whose shape entries are
+    integers, a vocabulary of distinct strings that starts with the reserved
+    tokens, and array entries of a known dtype whose shape entries are
     positive integers."""
 
     def need(ok: bool, what: str) -> None:
@@ -133,7 +135,11 @@ def _check_header(path, header) -> None:
     for key in MODEL_DIMS:
         value = header["dims"].get(key)
         need(type(value) is int and value > 0, f"dims.{key} must be a positive integer")
-    need(all(type(t) is str for t in header["vocab"]), "vocabulary entries must be strings")
+    vocab = header["vocab"]
+    need(all(type(t) is str for t in vocab), "vocabulary entries must be strings")
+    need(vocab[: len(SPECIALS)] == list(SPECIALS),
+         f"the vocabulary must start with the reserved tokens {list(SPECIALS)}")
+    need(len(set(vocab)) == len(vocab), "the vocabulary repeats a token")
     for entry in header["arrays"]:
         need(type(entry) is dict and all(type(entry.get(k)) is t for k, t in ENTRY_TYPES.items()),
              f"array entry {entry!r} needs a name, shape, dtype and nbytes")

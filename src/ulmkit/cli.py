@@ -76,7 +76,7 @@ def read_config_file(path: str, keys) -> dict[str, str]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for i, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):

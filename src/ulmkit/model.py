@@ -4,7 +4,7 @@ Regularization sites follow the AWD-LSTM recipe: DropConnect on the
 hidden-to-hidden matrices only (one mask per batch), variational dropout on
 layer inputs/outputs (one mask per sequence, locked across time), and
 row-wise embedding dropout. The model draws each mask, and the op that reads
-the dropped value applies it (``embedding_lookup``, ``lstm``, ``concat_pool``,
+the dropped value applies it (``embedding_lookup``, ``lstm``,
 ``classifier_head``); only the LM's final output, which the decoder and AR
 both read, has its own ``masked`` node. Train mode is the one switch: in eval
 mode every site's rate is 0, so no site draws a mask. The decoder weight is
@@ -284,9 +284,9 @@ class TextClassifier(Module):
 
     def forward(self, ids: np.ndarray, lengths) -> Tensor:
         """Logits (batch, 2) of (batch, steps) ids padded past ``lengths``.
-        The pool applies the encoder's output mask. The step takes
-        ``T.float32_step``'s decision over the encoder's width and mode, and
-        passes it to every LSTM layer; the pool and the head stay float64."""
+        The head pools the encoder's output with its output mask applied.
+        The step takes ``T.float32_step``'s decision over the encoder's width
+        and mode, and passes it to every LSTM layer; the head stays float64."""
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
             raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
@@ -294,8 +294,7 @@ class TextClassifier(Module):
         float32 = T.float32_step(self.encoder.hid_dim, self.training)
         raw, out_mask, _ = self.encoder.encode(ids, float32=float32)
         mask = draw_mask(self.encoder.rate("p_head"), (len(ids), HEAD_HIDDEN), self._drop_rng)
-        return T.classifier_head(T.concat_pool(raw, lengths, out_mask), self.W1, self.b1,
-                                 self.W2, self.b2, mask)
+        return T.classifier_head(raw, lengths, self.W1, self.b1, self.W2, self.b2, out_mask, mask)
 
 
 def build_lm(vocab_size: int, preset: str = "tiny", dropout_multiplier: float = 1.0,

@@ -296,53 +296,36 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray, row_scale: np.ndarray | No
     return _make(out_data, (weight,), bwd)
 
 
-def concat_pool(x: Tensor, lengths, mask: np.ndarray | None = None) -> Tensor:
-    """ULMFiT's classifier input from (batch, steps, features) outputs: the
-    output at each sequence's last valid step, the max and the mean over its
-    valid steps, concatenated to (batch, 3·features). Steps past a
-    sequence's length are padding and take no part. A (batch, 1, features)
-    keep ``mask`` (the classifier's output dropout) pools x * mask instead."""
+def classifier_head(x: Tensor, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                    out_mask: np.ndarray | None = None, mask: np.ndarray | None = None) -> Tensor:
+    """ULMFiT's classifier head on (batch, steps, features) encoder outputs
+    as one graph node. It pools x times its (batch, 1, features) keep
+    ``out_mask`` (the output dropout; x itself where None) over each
+    sequence's valid steps, the steps past its length being padding: the
+    output at the last one, the max and the mean, concatenated to
+    (batch, 3·features). Then relu(pooled @ w1 + b1), times the dropout keep
+    ``mask`` where given, @ w2 + b2. It is float64 throughout."""
     lengths = np.asarray(lengths)
-    if x.data.ndim != 3:
-        raise ShapeError(f"concat_pool: expected (batch, steps, features), got {x.shape}")
+    hidden = w2.shape[0]
+    if (x.data.ndim != 3 or lengths.shape != x.shape[:1] or w1.shape != (3 * x.shape[2], hidden)
+            or b1.shape != (hidden,) or b2.shape != w2.shape[1:]
+            or out_mask is not None and np.shape(out_mask) != (x.shape[0], 1, x.shape[2])
+            or mask is not None and np.shape(mask) != (x.shape[0], hidden)):
+        raise ShapeError(f"classifier_head: incompatible shapes x {x.shape}, lengths "
+                         f"{lengths.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
+                         f"b2 {b2.shape}, out_mask {np.shape(out_mask)}, mask {np.shape(mask)}")
     b, s, f = x.shape
-    if lengths.shape != (b,) or mask is not None and np.shape(mask) != (b, 1, f):
-        raise ShapeError(f"concat_pool: lengths {lengths.shape} and mask {np.shape(mask)} "
-                         f"for x {x.shape}")
     if (lengths < 1).any() or (lengths > s).any():
-        raise ValueError(f"concat_pool: lengths must be in [1, {s}]")
-    xd = x.data if mask is None else x.data * mask
+        raise ValueError(f"classifier_head: lengths must be in [1, {s}]")
+    xd = x.data if out_mask is None else x.data * out_mask
     rows = np.arange(b)
     valid = np.arange(s)[None, :] < lengths[:, None]
     argmax = np.where(valid[:, :, None], xd, -np.inf).argmax(axis=1)  # (b, f)
     w = valid / lengths[:, None]  # mean weights, 0 on padding
-    out_data = np.concatenate([xd[rows, lengths - 1],
-                               np.take_along_axis(xd, argmax[:, None, :], axis=1)[:, 0],
-                               (xd * w[:, :, None]).sum(axis=1)], axis=1)
-
-    def bwd(g):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[rows, lengths - 1] += g[:, :f]
-            dx[rows[:, None], argmax, np.arange(f)] += g[:, f : 2 * f]
-            dx += g[:, None, 2 * f :] * w[:, :, None]
-            x.accumulate(dx if mask is None else dx * mask)
-
-    return _make(out_data, (x,), bwd)
-
-
-def classifier_head(pooled: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                    mask: np.ndarray | None = None) -> Tensor:
-    """ULMFiT's head on (batch, features) pooled inputs as one graph node:
-    relu(pooled @ w1 + b1), times the dropout keep ``mask`` where given, then
-    @ w2 + b2. It is float64 throughout."""
-    n, hidden = len(pooled.data), w2.shape[0]
-    if (pooled.data.ndim != 2 or w1.shape != (pooled.shape[1], hidden) or b1.shape != (hidden,)
-            or b2.shape != w2.shape[1:] or mask is not None and np.shape(mask) != (n, hidden)):
-        raise ShapeError(f"classifier_head: incompatible shapes pooled {pooled.shape}, "
-                         f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
-                         f"mask {np.shape(mask)}")
-    pre = pooled.data @ w1.data + b1.data
+    pooled = np.concatenate([xd[rows, lengths - 1],
+                             np.take_along_axis(xd, argmax[:, None, :], axis=1)[:, 0],
+                             (xd * w[:, :, None]).sum(axis=1)], axis=1)
+    pre = pooled @ w1.data + b1.data
     h = np.maximum(pre, 0.0)
     h = h if mask is None else h * mask
     out_data = h @ w2.data + b2.data
@@ -354,14 +337,19 @@ def classifier_head(pooled: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tens
             b2.accumulate(g.sum(axis=0))
         d = g @ w2.data.T
         d = (d if mask is None else d * mask) * (pre > 0)
-        if pooled.requires_grad:
-            pooled.accumulate(d @ w1.data.T)
+        if x.requires_grad:
+            dp = d @ w1.data.T
+            dx = np.zeros_like(x.data)
+            dx[rows, lengths - 1] += dp[:, :f]
+            dx[rows[:, None], argmax, np.arange(f)] += dp[:, f : 2 * f]
+            dx += dp[:, None, 2 * f :] * w[:, :, None]
+            x.accumulate(dx if out_mask is None else dx * out_mask)
         if w1.requires_grad:
-            w1.accumulate(pooled.data.T @ d)
+            w1.accumulate(pooled.T @ d)
         if b1.requires_grad:
             b1.accumulate(d.sum(axis=0))
 
-    return _make(out_data, (pooled, w1, b1, w2, b2), bwd)
+    return _make(out_data, (x, w1, b1, w2, b2), bwd)
 
 
 def ar_tar(raw: Tensor, dropped: Tensor, ce: Tensor, alpha: float, beta: float) -> Tensor:

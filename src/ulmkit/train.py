@@ -15,6 +15,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,10 +89,10 @@ def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: flo
     """One decoupled-weight-decay Adam update; ``momentum`` is beta1.
 
     Each parameter's gradient is read unchecked, as ``clip_gradients`` has
-    already refused any that is not finite. ``state`` maps parameter name
-    to (m, v, step) and is owned by the caller; frozen parameters must not
-    be passed in. The moments are updated in place and the step is formed
-    in two scratch buffers shared by all parameters, in the order of
+    already refused any that is not finite. ``state`` maps each parameter
+    object to its (m, v, step) and is owned by the caller; frozen parameters
+    must not be passed in. The moments are updated in place and the step is
+    formed in two scratch buffers shared by all parameters, in the order of
     lr * m_hat / (sqrt(v_hat) + eps).
     """
     params = list(params)
@@ -99,7 +100,7 @@ def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: flo
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for p in params:
         g = p.grad
-        entry = state.get(p.name)
+        entry = state.get(p)
         m, v, t = entry if entry is not None else (np.zeros_like(p.data), np.zeros_like(p.data), 0)
         t += 1
         a = scratch_a[: g.size].reshape(g.shape)
@@ -118,7 +119,7 @@ def adam_step(params, state: dict, lr: float, momentum: float, weight_decay: flo
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
         p.data -= a
-        state[p.name] = (m, v, t)
+        state[p] = (m, v, t)
 
 
 def clip_gradients(params) -> float:
@@ -183,7 +184,7 @@ class PhaseConfig:
     tar_beta: float = 1.0
     # LM fine-tune only: last-group warm stage before training all layers
     stage1_lr: float = 4e-2
-    stage1_epochs: int = 1
+    stage1_epochs: ClassVar[int] = 1
 
     def __post_init__(self):
         # every site's rate, DROPOUT_RATES times the multiplier, stays below 1

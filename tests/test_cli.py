@@ -179,6 +179,12 @@ def set_dtype(header):
     header["arrays"][0]["dtype"] = "bogus"
 
 
+def swap_pad(header):
+    """Swap the reserved PAD token with a corpus token: PAD_ID reads that token."""
+    vocab = header["vocab"]
+    vocab[1], vocab[9] = vocab[9], vocab[1]
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda header: header.pop("kind"), "'kind' must be a JSON str"),
     (lambda header: header.__setitem__("vocab", {"aso": 0}), "'vocab' must be a JSON list"),
@@ -186,6 +192,8 @@ def set_dtype(header):
     (lambda header: header["dims"].pop("emb_dim"), "dims.emb_dim"),
     (lambda header: header["dims"].__setitem__("n_layers", 2.0), "dims.n_layers"),
     (lambda header: header["vocab"].__setitem__(0, 7), "vocabulary entries"),
+    (swap_pad, "start with the reserved tokens"),
+    (lambda header: header["vocab"].__setitem__(8, "aso"), "repeats a token"),
     (lambda header: header["arrays"][0].pop("nbytes"), "name, shape, dtype and nbytes"),
     (lambda header: header["arrays"][0].__setitem__("nbytes", True), "needs a name"),
     (lambda header: header["arrays"].__setitem__(0, []), "name, shape, dtype and nbytes"),
@@ -1123,6 +1131,18 @@ def test_cli_config_file_seeds_flags(cli_artifacts, tmp_path, capsys):
     rc = main(["pretrain", "--config", str(cfg), "--seed", "9", "--out", str(out2)])
     assert rc == 0
     assert ck.load_checkpoint(out2).config.get("seed") == 9
+
+
+def test_cli_config_file_may_start_with_a_byte_order_mark(cli_artifacts, tmp_path):
+    # read as the corpus and CSV loaders read their files
+    _, corpus, _, _, _ = cli_artifacts
+    cfg = tmp_path / "bom.cfg"
+    out = tmp_path / "lm.ckpt"
+    cfg.write_text(f"seed=3\nepochs=1\nbatch_size=2\nbptt_len=10\ncorpus={corpus}\n",
+                   encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbfseed=3")
+    assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 0
+    assert ck.load_checkpoint(out).config.get("seed") == 3
 
 
 @pytest.mark.parametrize("command, line, message", [

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from test_tensor import add, generic_head, mul, penalties
+from test_tensor import add, generic_head, identity_head, mul, penalties, pool
 
 from ulmkit import tensor as T
 from ulmkit import train
@@ -184,8 +184,7 @@ def test_classifier_step_matches_the_generic_composition():
         else:
             _, dropped = generic_encode(clf.encoder, ids, float32=True)
             mask = clf._drop_rng.keep_mask((5, HEAD_HIDDEN), clf.encoder.rate("p_head"))
-            logits = generic_head(T.concat_pool(dropped, lengths), clf.W1, clf.b1, clf.W2,
-                                  clf.b2, mask)
+            logits = generic_head(pool(dropped, lengths), clf.W1, clf.b1, clf.W2, clf.b2, mask)
         loss = T.cross_entropy(logits, labels)
         results.append(step_results(clf, loss))
     for name, got, want in zip(["loss"] + [n for n, _ in clf.named_parameters()], *results):
@@ -362,7 +361,7 @@ def test_concat_pool_brute_force():
     rng = np.random.default_rng(4)
     hidden = Tensor(rng.normal(size=(2, 6, 3)))
     lengths = np.array([6, 3])
-    pooled = T.concat_pool(hidden, lengths).data
+    pooled = T.classifier_head(hidden, lengths, *identity_head(3)).data  # logits = the pool
     assert pooled.shape == (2, 9)
     for b in range(2):
         valid = hidden.data[b, : lengths[b]]

@@ -136,6 +136,36 @@ def relu(x):
     return T._make(np.maximum(x.data, 0.0), (x,), bwd)
 
 
+def pool(x, lengths):
+    """ULMFiT's concat pool of (batch, steps, features) x by a loop over each
+    sequence's valid steps: the last one, the max, and the mean as the sum
+    of the steps times 1/n, the way the fused head sums it. Backward adds
+    the three parts' gradients to x's in that order."""
+    f = x.shape[2]
+    valid = [x.data[b, :n] for b, n in enumerate(lengths)]
+    out = np.stack([np.concatenate([v[-1], v.max(axis=0), (v * (1.0 / len(v))).sum(axis=0)])
+                    for v in valid])
+
+    def bwd(g):
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            for b, v in enumerate(valid):
+                dx[b, len(v) - 1] += g[b, :f]
+                dx[b, v.argmax(axis=0), np.arange(f)] += g[b, f : 2 * f]
+                dx[b, : len(v)] += g[b, 2 * f :] * (1.0 / len(v))
+            x.accumulate(dx)
+
+    return T._make(out, (x,), bwd)
+
+
+def identity_head(feats):
+    """W1, b1, W2 and b2 of a head on ``feats`` features whose logits are
+    its pool: relu(p) - relu(-p) = p, each product by 0 or +-1 and so exact."""
+    eye = np.eye(3 * feats)
+    return (T.Tensor(np.hstack([eye, -eye])), T.Tensor(np.zeros(6 * feats)),
+            T.Tensor(np.vstack([eye, -eye])), T.Tensor(np.zeros(3 * feats)))
+
+
 def test_add_mul_matmul_grads():
     rng = np.random.default_rng(0)
     a = T.param(rng.normal(size=(3, 4)), "a")
@@ -751,11 +781,12 @@ def test_structural_op_grads():
 
 
 def test_pooling_ops_brute_force():
-    # concat_pool against a loop over each sequence's valid steps
+    # the head's concat pool, read through a head whose logits are the pool,
+    # against a loop over each sequence's valid steps
     rng = np.random.default_rng(9)
     x = T.Tensor(rng.normal(size=(3, 5, 2)))
     lengths = [5, 2, 4]
-    pooled = T.concat_pool(x, np.array(lengths)).data
+    pooled = T.classifier_head(x, np.array(lengths), *identity_head(2)).data
     f = 2
     assert pooled.shape == (3, 3 * f)
     for b, n in enumerate(lengths):
@@ -769,8 +800,8 @@ def test_pooling_ops_brute_force():
        st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_concat_pool_finite_differences(bsz, steps, feats, masked, seed):
-    # masked: the pool applies a keep mask, as the classifier's output
-    # dropout, at rate 0.5
+    # masked: the head pools x times a keep mask, as the classifier's output
+    # dropout, at rate 0.5; a head whose logits are the pool
     rng = np.random.default_rng(seed)
     x = T.param(rng.normal(size=(bsz, steps, feats)), "x")
     lengths = rng.integers(1, steps + 1, size=bsz)
@@ -779,7 +810,8 @@ def test_concat_pool_finite_differences(bsz, steps, feats, masked, seed):
 
     def build():
         x.zero_grad()
-        return total(mul(T.concat_pool(x, lengths, mask), weights))
+        return total(mul(T.classifier_head(x, lengths, *identity_head(feats), out_mask=mask),
+                         weights))
 
     check_grad(build, x)
 
@@ -787,32 +819,35 @@ def test_concat_pool_finite_differences(bsz, steps, feats, masked, seed):
 def test_concat_pool_mask_matches_mul_then_pool():
     # a tiny-preset classifier batch, 64 features, with padding: the generic
     # composition multiplied the encoder's output by its mask in its own
-    # node before it pooled; the head reads the pool, as in a step
+    # node before the head pooled it
     rng = np.random.default_rng(12)
     x = T.param(rng.normal(size=(6, 9, 64)), "x")
     lengths = np.array([9, 1, 4, 7, 9, 2])
     mask = T.Rng(5).keep_mask((6, 1, 64), 0.1)
-    _, *head, _ = head_inputs(6, 192, 50, seed=2)
+    _, _, *head, _ = head_inputs(6, 64, 50, seed=2)
     labels = np.array([0, 1, 1, 0, 1, 0])
     results = []
     for fused in (True, False):
         for p in (x, *head):
             p.zero_grad()
-        pooled = (T.concat_pool(x, lengths, mask) if fused
-                  else T.concat_pool(mul(x, T.Tensor(mask)), lengths))
-        T.backward(T.cross_entropy(T.classifier_head(pooled, *head), labels))
-        results.append([pooled.data, x.grad] + [p.grad for p in head])
-    for name, got, want in zip(("pooled", "x", "W1", "b1", "W2", "b2"), *results):
+        logits = (T.classifier_head(x, lengths, *head, out_mask=mask) if fused
+                  else T.classifier_head(mul(x, T.Tensor(mask)), lengths, *head))
+        T.backward(T.cross_entropy(logits, labels))
+        results.append([logits.data, x.grad] + [p.grad for p in head])
+    for name, got, want in zip(("logits", "x", "W1", "b1", "W2", "b2"), *results):
         assert np.array_equal(got, want), name
-    assert not np.array_equal(results[0][0], T.concat_pool(x, lengths).data)  # a mask applied
+    # a mask applied
+    assert not np.array_equal(results[0][0], T.classifier_head(x, lengths, *head).data)
 
 
 def head_inputs(rows, feats, hidden, seed):
-    """pooled, W1, b1, W2 and b2 parameters of a two-class head, and a
-    keep mask at the head's rate."""
+    """Encoder outputs x of (rows, 3 steps, feats) with lengths 1, 2 and 3 in
+    turn, the W1, b1, W2 and b2 parameters of a two-class head on them, and
+    a keep mask at the head's rate."""
     rng = np.random.default_rng(seed)
-    return (T.param(rng.normal(size=(rows, feats)), "pooled"),
-            T.param(rng.normal(size=(feats, hidden)) / np.sqrt(feats), "W1"),
+    return (T.param(rng.normal(size=(rows, 3 * feats)).reshape(rows, 3, feats), "x"),
+            1 + np.arange(rows) % 3,
+            T.param(rng.normal(size=(3 * feats, hidden)) / np.sqrt(3 * feats), "W1"),
             T.param(0.1 * rng.normal(size=hidden), "b1"),
             T.param(rng.normal(size=(hidden, 2)) / np.sqrt(hidden), "W2"),
             T.param(0.1 * rng.normal(size=2), "b2"),
@@ -827,32 +862,36 @@ def generic_head(pooled, w1, b1, w2, b2, mask):
     return add(matmul(hid, w2), b2)
 
 
-@pytest.mark.parametrize("frozen", [(), ("pooled",), ("W1", "b1", "W2", "b2")])
+@pytest.mark.parametrize("frozen", [(), ("x",), ("W1", "b1", "W2", "b2")])
 @pytest.mark.parametrize("masked", [False, True])
 def test_classifier_head_matches_the_generic_chain(masked, frozen):
-    # a tiny-preset classifier batch: 64 texts, 3 x 64 pooled features and
-    # 50 hidden units; the head is float64 whatever the step's precision
-    *params, mask = head_inputs(64, 192, 50, seed=4)
+    # a tiny-preset classifier batch: 64 texts of 64 features, and 50 hidden
+    # units; the head is float64 whatever the step's precision. The chain
+    # pools by a loop and composes the rest from generic ops
+    x, lengths, *weights, mask = head_inputs(64, 64, 50, seed=4)
+    params = [x, *weights]
     mask = mask if masked else None
     for p in params:
         p.requires_grad = p.name not in frozen
     labels = np.random.default_rng(0).integers(0, 2, size=64)
     results = []
-    for head in (T.classifier_head, generic_head):
+    for fused in (True, False):
         for p in params:
             p.zero_grad()
-        logits = head(*params, mask)
+        logits = (T.classifier_head(x, lengths, *weights, mask=mask) if fused
+                  else generic_head(pool(x, lengths), *weights, mask))
         T.backward(T.cross_entropy(logits, labels))
         results.append([logits.data] + [p.grad for p in params])
-    for name, got, want in zip(("logits", "pooled", "W1", "b1", "W2", "b2"), *results):
+    for name, got, want in zip(("logits", "x", "W1", "b1", "W2", "b2"), *results):
         assert (got is None) == (want is None) == (name in frozen), name
         assert got is None or np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("frozen", [(), ("W1", "b1", "W2", "b2"), ("pooled",)])
+@pytest.mark.parametrize("frozen", [(), ("W1", "b1", "W2", "b2"), ("x",)])
 @pytest.mark.parametrize("masked", [False, True])
 def test_classifier_head_finite_differences(masked, frozen):
-    *params, mask = head_inputs(5, 6, 7, seed=11)
+    x, lengths, *weights, mask = head_inputs(5, 2, 7, seed=11)
+    params = [x, *weights]
     mask = mask if masked else None
     for p in params:
         p.requires_grad = p.name not in frozen
@@ -861,23 +900,22 @@ def test_classifier_head_finite_differences(masked, frozen):
     def build():
         for p in params:
             p.zero_grad()
-        return T.cross_entropy(T.classifier_head(*params, mask), labels)
+        return T.cross_entropy(T.classifier_head(x, lengths, *weights, mask=mask), labels)
 
     check_grad(build, *(p for p in params if p.requires_grad))
     assert all(p.grad is None for p in params if not p.requires_grad)
 
 
 def test_classifier_head_shape_errors():
-    *params, mask = head_inputs(3, 4, 5, seed=0)
-    pooled, w1, b1, w2, b2 = params
+    x, lengths, w1, b1, w2, b2, mask = head_inputs(3, 4, 5, seed=0)
     with pytest.raises(T.ShapeError, match="classifier_head"):
-        T.classifier_head(pooled, w2, b1, w2, b2)
+        T.classifier_head(x, lengths, w2, b1, w2, b2)
     with pytest.raises(T.ShapeError, match="classifier_head"):
-        T.classifier_head(pooled, w1, b2, w2, b2)
-    with pytest.raises(T.ShapeError, match="classifier_head"):
-        T.classifier_head(T.Tensor(np.zeros((3, 1, 4))), w1, b1, w2, b2)
+        T.classifier_head(x, lengths, w1, b2, w2, b2)
+    with pytest.raises(T.ShapeError, match="classifier_head"):  # pooled, not the outputs
+        T.classifier_head(T.Tensor(np.zeros((3, 12))), lengths, w1, b1, w2, b2)
     with pytest.raises(T.ShapeError, match="mask"):
-        T.classifier_head(pooled, w1, b1, w2, b2, mask[:2])
+        T.classifier_head(x, lengths, w1, b1, w2, b2, mask=mask[:2])
 
 
 def penalties(raw, dropped, alpha, beta):
@@ -951,14 +989,15 @@ def test_ar_tar_matches_penalties_then_add(float32, alpha, beta):
 
 def test_pooling_length_validation():
     x = T.Tensor(np.zeros((2, 4, 3)))
-    with pytest.raises(ValueError):
-        T.concat_pool(x, np.array([0, 4]))
-    with pytest.raises(ValueError):
-        T.concat_pool(x, np.array([1, 5]))
-    with pytest.raises(T.ShapeError):
-        T.concat_pool(x, np.array([1, 1, 1]))
-    with pytest.raises(T.ShapeError):
-        T.concat_pool(T.Tensor(np.zeros((2, 4))), np.array([1, 1]))
+    _, _, *head, _ = head_inputs(2, 3, 5, seed=0)
+    with pytest.raises(ValueError, match=r"classifier_head: lengths must be in \[1, 4\]"):
+        T.classifier_head(x, np.array([0, 4]), *head)
+    with pytest.raises(ValueError, match="classifier_head"):
+        T.classifier_head(x, np.array([1, 5]), *head)
+    with pytest.raises(T.ShapeError, match="classifier_head"):
+        T.classifier_head(x, np.array([1, 1, 1]), *head)
+    with pytest.raises(T.ShapeError, match="classifier_head"):
+        T.classifier_head(T.Tensor(np.zeros((2, 4))), np.array([1, 1]), *head)
 
 
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.sampled_from([0.0, 0.5, 2.0]),
@@ -1051,8 +1090,9 @@ def test_shape_errors_report_op():
         T.ar_tar(raw, T.Tensor(np.zeros((2, 3, 5))), ce, 2.0, 1.0)
     with pytest.raises(T.ShapeError, match="ar_tar"):  # a per-token loss, not the mean
         T.ar_tar(raw, raw, T.Tensor(np.zeros((2, 3))), 2.0, 1.0)
-    with pytest.raises(T.ShapeError, match="concat_pool: .* mask"):
-        T.concat_pool(raw, np.array([3, 1]), np.ones((2, 3, 4)))  # not locked across time
+    _, _, *head, _ = head_inputs(2, 4, 5, seed=0)
+    with pytest.raises(T.ShapeError, match="classifier_head: .* out_mask"):  # not locked across time
+        T.classifier_head(raw, np.array([3, 1]), *head, out_mask=np.ones((2, 3, 4)))
 
 
 @pytest.mark.parametrize("g", [np.ones(3), np.ones((1, 3)), np.ones(()), np.ones((2, 3, 1))])

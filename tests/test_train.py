@@ -80,11 +80,11 @@ def test_adam_state_persists_across_steps():
     state = {}
     p.grad = np.ones(2)
     train.adam_step([p], state, lr=0.01, momentum=0.9, weight_decay=0.0)
-    m, v, t = state["p"]
+    m, v, t = state[p]
     assert t == 1 and m.shape == (2,) and v.shape == (2,)
     p.grad = np.ones(2)
     train.adam_step([p], state, lr=0.01, momentum=0.9, weight_decay=0.0)
-    assert state["p"][2] == 2
+    assert state[p][2] == 2
 
 
 def test_nan_gradient_raises_named_error():
@@ -99,7 +99,7 @@ def adam_out_of_place(params, state, lr, momentum, weight_decay):
     """Adam as a fresh array per term; adam_step must match it bit for bit."""
     for p in params:
         g = p.grad
-        m, v, t = state.get(p.name, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
+        m, v, t = state.get(p, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
         t += 1
         m = momentum * m + (1.0 - momentum) * g
         v = train.BETA2 * v + (1.0 - train.BETA2) * g * g
@@ -108,13 +108,20 @@ def adam_out_of_place(params, state, lr, momentum, weight_decay):
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
         p.data -= lr * m_hat / (np.sqrt(v_hat) + train.ADAM_EPS)
-        state[p.name] = (m, v, t)
+        state[p] = (m, v, t)
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
-def test_adam_step_bit_identical_to_out_of_place_formula(weight_decay):
+@pytest.mark.parametrize("weight_decay, shapes", [
+    (0.0, None), (0.1, None),
+    # unnamed, as T.param leaves a parameter: two of one shape, then another
+    (0.0, [(2,), (2,), (3,)]),
+], ids=["0.0", "0.1", "unnamed"])
+def test_adam_step_bit_identical_to_out_of_place_formula(weight_decay, shapes):
     rng = np.random.default_rng(4)
-    ours = [T.param(rng.normal(size=s), f"p{i}") for i, s in enumerate([(7, 5), (3,), (4, 2, 3)])]
+    if shapes is None:
+        ours = [T.param(rng.normal(size=s), f"p{i}") for i, s in enumerate([(7, 5), (3,), (4, 2, 3)])]
+    else:
+        ours = [T.param(rng.normal(size=s)) for s in shapes]
     ref = [T.param(p.data.copy(), p.name) for p in ours]
     ours_state, ref_state = {}, {}
     for step in range(5):
@@ -126,7 +133,7 @@ def test_adam_step_bit_identical_to_out_of_place_formula(weight_decay):
         adam_out_of_place(ref, ref_state, lr, mom, weight_decay)
         for a, b in zip(ours, ref):
             assert np.array_equal(a.data, b.data)
-            (m, v, t), (m_ref, v_ref, t_ref) = ours_state[a.name], ref_state[b.name]
+            (m, v, t), (m_ref, v_ref, t_ref) = ours_state[a], ref_state[b]
             assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref) and t == t_ref
 
 
@@ -216,6 +223,8 @@ def test_phase_config_validation():
     with pytest.raises(ValueError, match="weight_decay"):
         train.clf_finetune_defaults(weight_decay=-5.0)
     train.clf_finetune_defaults(weight_decay=0.0)
+    with pytest.raises(TypeError, match="stage1_epochs"):  # a recipe constant, not a setting
+        train.lm_finetune_defaults(stage1_epochs=2)
 
 
 def test_batchify_shape_and_order():
@@ -246,12 +255,13 @@ def test_lm_loss_graph_size_independent_of_steps():
 
 
 def test_classifier_loss_graph_size():
-    # the lookup, three LSTM layers, the concat pool with the output mask,
-    # the head with its dropout and the cross-entropy; and the 14 parameters
+    # the lookup, three LSTM layers, the head, which pools the outputs with
+    # their mask and applies its own dropout, and the cross-entropy; and the
+    # 14 parameters
     clf = train.TextClassifier(build_lm(20, "tiny", seed=0), seed=0).train()
     ids = np.random.default_rng(0).integers(0, 20, size=(3, 6))
     loss = T.cross_entropy(clf.forward(ids, np.array([6, 2, 4])), np.array([0, 1, 1]))
-    assert op_nodes(loss) == 7 and len(T.topo_order(loss)) == 21
+    assert op_nodes(loss) == 6 and len(T.topo_order(loss)) == 20
 
 
 def step_graph(build):
@@ -278,7 +288,7 @@ def test_an_optimizer_step_frees_its_graph(kind):
         model = TextClassifier(lm, seed=0).train()
         loss, refs = step_graph(lambda: T.cross_entropy(model.forward(ids, np.array([7, 2, 5])),
                                                         np.array([0, 1, 1])))
-    assert len(refs) == 6
+    assert len(refs) == (6 if kind == "lm" else 5)
     params = [p for _, p in model.named_parameters()]
     train.optimizer_step(loss, [params], [1e-3], 0.8, {}, weight_decay=0.0)
     assert [ref() for ref in refs] == [None] * len(refs)

@@ -171,10 +171,21 @@ def _phase_config(res: Resolver, defaults: train.PhaseConfig,
         return replace(defaults, **values)
 
 
-def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
+def _out_path(res: Resolver, default: str) -> str:
+    """The ``--out`` path, ``default`` if none is given, refused before any
+    work is done when its directory does not exist or it is a directory."""
+    out = res.get("out") or default
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"--out {out}: directory {folder} does not exist")
+    if os.path.isdir(out):
+        raise UsageError(f"--out {out} is a directory")
+    return out
+
+
+def _write_outputs(res: Resolver, out: str, model, vocab: Vocabulary,
                    provenance: list[str], metrics) -> int:
     """Write a training subcommand's checkpoint and its metrics log."""
-    out = res.get("out") or default_out
     save_checkpoint(out, model, vocab, config=res.snapshot, provenance=provenance)
     train.write_metrics_log(out + ".log", metrics, res.snapshot)
     print(f"wrote {out} and {out}.log")
@@ -182,6 +193,7 @@ def _write_outputs(res: Resolver, default_out: str, model, vocab: Vocabulary,
 
 
 def cmd_pretrain(res: Resolver) -> int:
+    out = _out_path(res, "lm.ckpt")
     corpus_path = _require_file(res.get("corpus"), "corpus")
     cfg = _phase_config(res, train.pretrain_defaults())
     valid_frac = res.get("valid_fraction", 0.1)
@@ -193,7 +205,7 @@ def cmd_pretrain(res: Resolver) -> int:
         NumericalizedCorpus(train_streams),
         NumericalizedCorpus(valid_streams) if valid_streams else None,
         len(vocab), cfg)
-    return _write_outputs(res, "lm.ckpt", model, vocab, ["pretrain"], metrics)
+    return _write_outputs(res, out, model, vocab, ["pretrain"], metrics)
 
 
 def _load(path: str, kind: str):
@@ -214,6 +226,7 @@ def _labeled_corpus(path: str, vocab: Vocabulary):
 
 
 def cmd_finetune_lm(res: Resolver) -> int:
+    out = _out_path(res, "lm-finetuned.ckpt")
     checkpoint = res.get("checkpoint")
     cfg = _phase_config(res, train.lm_finetune_defaults())
     lm, vocab, provenance = _load(checkpoint, "lm")
@@ -227,11 +240,12 @@ def cmd_finetune_lm(res: Resolver) -> int:
     model, metrics = train.finetune_lm(
         lm, vocab, target_vocab, NumericalizedCorpus(train_s),
         NumericalizedCorpus(valid_s) if valid_s else None, cfg)
-    return _write_outputs(res, "lm-finetuned.ckpt", model, target_vocab,
+    return _write_outputs(res, out, model, target_vocab,
                           provenance + ["finetune-lm"], metrics)
 
 
 def cmd_finetune_clf(res: Resolver) -> int:
+    out = _out_path(res, "clf.ckpt")
     checkpoint = res.get("checkpoint")
     cfg = _phase_config(res, train.clf_finetune_defaults())
     lm, vocab, provenance = _load(checkpoint, "lm")
@@ -241,7 +255,7 @@ def cmd_finetune_clf(res: Resolver) -> int:
     if valid_path:
         valid, _ = _labeled_corpus(valid_path, vocab)
     clf, metrics = train.finetune_classifier(lm, corpus, valid, cfg)
-    return _write_outputs(res, "clf.ckpt", clf, vocab, provenance + ["finetune-clf"], metrics)
+    return _write_outputs(res, out, clf, vocab, provenance + ["finetune-clf"], metrics)
 
 
 def cmd_eval(res: Resolver) -> int:
@@ -264,6 +278,7 @@ def cmd_predict(res: Resolver) -> int:
 
 
 def cmd_degrade(res: Resolver) -> int:
+    out = _out_path(res, "degradation.csv")
     checkpoint = res.get("checkpoint")
     seed = res.get("seed", 0)
     text = res.get("fractions", "1.0,0.5,0.1")
@@ -296,7 +311,6 @@ def cmd_degrade(res: Resolver) -> int:
             NumericalizedCorpus(train_streams, [l for _, l in train_records]),
             NumericalizedCorpus(test_streams, [l for _, l in test_records]),
             lm_cfg, clf_cfg, fractions=fractions, repeats=repeats, base_seed=seed)
-    out = res.get("out") or "degradation.csv"
     with atomic_open(out, encoding="utf-8") as f:
         f.write(train.config_header(res.snapshot))
         f.write(f"# test_checksum={report.test_checksum}\n")

@@ -4,12 +4,11 @@ Regularization sites follow the AWD-LSTM recipe: DropConnect on the
 hidden-to-hidden matrices only (one mask per batch), variational dropout on
 layer inputs/outputs (one mask per sequence, locked across time), and
 row-wise embedding dropout. The model draws each mask, and the op that reads
-the dropped value applies it (``embedding_lookup``, ``lstm``,
-``classifier_head``); only the LM's final output, which the decoder and AR
-both read, has its own ``masked`` node. Train mode is the one switch: in eval
-mode every site's rate is 0, so no site draws a mask. The decoder weight is
-the embedding matrix itself (tying), so a single storage receives both
-gradients.
+the dropped value applies it (``embedding_lookup``, ``lstm``, ``lm_loss``,
+``classifier_head``). Train mode is the one switch: in eval mode every
+site's rate is 0, so no site draws a mask, and the LM's loss has no AR or
+TAR penalty. The decoder weight is the embedding matrix itself (tying), so
+a single storage receives both gradients.
 """
 
 from __future__ import annotations
@@ -227,26 +226,29 @@ class AwdLstmLM(Module):
             new_state.append(layer_state)
         return x, draw_mask(self.rate("p_output"), (b, 1, self.emb_dim), rng), new_state
 
-    def forward(self, ids: np.ndarray, state=None, targets=None):
-        """With (batch, steps) ``targets``, the mean next-token cross-entropy
-        through the tied decoder as one graph node; without, next-token
-        logits (batch, steps, vocab) as a plain Tensor outside the graph.
-        Either comes with the carried state and the raw/dropped final-layer
-        activations (for AR/TAR terms).
+    def forward(self, ids: np.ndarray, state=None, targets=None, alpha=0.0, beta=0.0):
+        """With (batch, steps) ``targets``, (loss, cross-entropy as a float,
+        carried state), the loss one ``T.lm_loss`` node, with the AR and TAR
+        penalties at ``alpha`` and ``beta`` in training mode only. Without,
+        (logits, carried state, raw final-layer outputs, dropped outputs):
+        the next-token logits (batch, steps, vocab) and the outputs times
+        their dropout mask are plain Tensors outside the graph.
 
         Precision: with targets, the step takes ``T.float32_step``'s
         decision over the model's hidden width and mode, and passes it to
         every LSTM layer and to the decoder."""
         float32 = targets is not None and T.float32_step(self.hid_dim, self.training)
         raw, mask, new_state = self.encode(ids, state, float32)
-        dropped = T.masked(raw, mask)
         if targets is not None:
-            out = T.tied_decoder_ce(dropped, self.embedding, self.decoder_bias, targets, float32)
-        else:
-            b, s, e = dropped.shape
-            logits = dropped.data.reshape(b * s, e) @ self.embedding.data.T + self.decoder_bias.data
-            out = Tensor(logits.reshape(b, s, self.vocab_size))
-        return out, new_state, raw, dropped
+            if not self.training:
+                alpha = beta = 0.0
+            loss, ce = T.lm_loss(raw, mask, self.embedding, self.decoder_bias, targets, alpha,
+                                 beta, float32)
+            return loss, ce, new_state
+        dropped = raw if mask is None else Tensor(raw.data * mask)
+        b, s, e = dropped.shape
+        logits = dropped.data.reshape(b * s, e) @ self.embedding.data.T + self.decoder_bias.data
+        return Tensor(logits.reshape(b, s, self.vocab_size)), new_state, raw, dropped
 
 
 class TextClassifier(Module):

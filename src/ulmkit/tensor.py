@@ -133,8 +133,8 @@ def float32_step(hid_dim: int, training: bool) -> bool:
     """The one precision rule: True for a step of a model in training mode
     whose hidden width ``hid_dim`` is at least F32_MIN_HIDDEN. The LM and the
     classifier pass this decision to each ``lstm`` of the step, and the LM to
-    its ``tied_decoder_ce``; each runs in float32 only if it records a
-    gradient itself."""
+    its ``lm_loss``, whose decoder takes it; each runs in float32 only if it
+    records a gradient itself."""
     return training and hid_dim >= F32_MIN_HIDDEN
 
 
@@ -142,19 +142,6 @@ def _make(data, parents, backward) -> Tensor:
     if not _tracked(*parents):
         return Tensor(data)
     return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
-
-
-def masked(x: Tensor, mask: np.ndarray | None) -> Tensor:
-    """x times a dropout keep ``mask`` that broadcasts to x's shape (x itself
-    where it is None), as a node of its own: only for the LM's final output,
-    which two ops read (decoder and AR), and whose summed gradient it scales."""
-    if mask is None:
-        return x
-
-    def bwd(g):
-        x.accumulate(g * mask)
-
-    return _make(x.data * mask, (x,), bwd)
 
 
 def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
@@ -352,34 +339,6 @@ def classifier_head(x: Tensor, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: 
     return _make(out_data, (x, w1, b1, w2, b2), bwd)
 
 
-def ar_tar(raw: Tensor, dropped: Tensor, ce: Tensor, alpha: float, beta: float) -> Tensor:
-    """The LM's training loss from its final layer's (batch, steps, features)
-    outputs and its scalar cross-entropy ``ce``, summed in this order: AR,
-    alpha·mean(dropped²), plus TAR, beta·mean((raw[:, t] - raw[:, t - 1])²),
-    then plus ce. A single step has no TAR term."""
-    if raw.data.ndim != 3 or dropped.shape != raw.shape or ce.shape != ():
-        raise ShapeError(f"ar_tar: expected two equal (batch, steps, features) shapes and a "
-                         f"scalar, got {raw.shape}, {dropped.shape} and {ce.shape}")
-    diff = raw.data[:, 1:] - raw.data[:, :-1]
-    ar_scale = alpha * (1.0 / dropped.data.size)
-    tar_scale = beta * (1.0 / diff.size) if diff.size else 0.0
-    penalty = ar_scale * (dropped.data * dropped.data).sum() + tar_scale * (diff * diff).sum()
-
-    def bwd(g):
-        if dropped.requires_grad and ar_scale:
-            dropped.accumulate(2.0 * g * ar_scale * dropped.data)
-        if raw.requires_grad and tar_scale:
-            d = 2.0 * g * tar_scale * diff
-            draw = np.zeros_like(raw.data)
-            draw[:, 1:] += d
-            draw[:, :-1] -= d
-            raw.accumulate(draw)
-        if ce.requires_grad:
-            ce.accumulate(g)
-
-    return _make(penalty + ce.data, (raw, dropped, ce), bwd)
-
-
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of (n,) targets under softmax(logits),
     for (n, classes) logits."""
@@ -487,47 +446,71 @@ def _split(task, n: int, parts: int) -> None:
             f.result()
 
 
-def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets,
-                    float32: bool = False) -> Tensor:
-    """Mean negative log-likelihood of targets under softmax(h @ weight.T +
-    bias), for (..., features) h, a (classes, features) weight (the tied
-    embedding), a (classes,) bias and targets of h's leading shape.
+def lm_loss(raw: Tensor, out_mask: np.ndarray | None, weight: Tensor, bias: Tensor, targets,
+            alpha: float = 0.0, beta: float = 0.0, float32: bool = False) -> tuple[Tensor, float]:
+    """The LM's training loss from its last layer's (batch, steps, features)
+    outputs ``raw`` as one graph node, and its cross-entropy as a float.
 
-    One graph node that never holds more than DECODER_CHUNK rows of logits,
-    nor more than DECODER_BYTES of them, in one buffer reused for every
-    chunk. When a parent needs a gradient, the forward pass forms each
-    chunk's share of it (the fused linear cross-entropy of Liger Kernel and
-    Cut Cross-Entropy), and backward only scales by the upstream gradient.
+    The tied decoder reads dropped = raw times the (batch, 1, features) keep
+    ``out_mask`` (raw itself where None): the cross-entropy is the mean
+    negative log-likelihood of (batch, steps) targets under
+    softmax(dropped @ weight.T + bias). The loss is AR,
+    alpha·mean(dropped²), plus TAR, beta·mean((raw[:, t] - raw[:, t - 1])²),
+    then plus the cross-entropy (Merity et al. 2017); a single step has no
+    TAR term, and at alpha = beta = 0 no penalty is formed. Backward sums
+    raw's gradient as separate mask, decoder and penalty nodes would, so
+    that the op is bit-identical to that composition: TAR + (AR + decoder)
+    times the mask with a mask, and (AR + TAR) + decoder without one.
+
+    The decoder never holds more than DECODER_CHUNK rows of logits, nor
+    more than DECODER_BYTES of them, in one buffer reused for every chunk.
+    When a parent needs a gradient, the forward pass forms each chunk's
+    share of it (the fused linear cross-entropy of Liger Kernel and Cut
+    Cross-Entropy), and backward only scales by the upstream gradient.
 
     A chunk of at least DECODER_SPLIT_MIN logits is split over
     ``decoder_workers()`` threads in two phases. In the row phase each
-    thread forms the logits, softmax, loss terms, logits gradient and ``h``
+    thread forms the logits, softmax, loss terms, logits gradient and input
     gradient of a slice of the chunk's rows; in the column phase, run only
     for a weight or bias gradient, each thread adds the chunk's share to a
     slice of the classes. Every output element gets the same arithmetic at
     any thread count, so results are bit-identical to the serial op.
 
     Precision: ``float32`` is the LM step's decision under ``float32_step``.
-    When it is set and the call records a gradient, it casts h, the weight
-    and the bias to float32 once and forms the logits, softmax, logits
-    gradient and the products for the ``h`` and weight gradients in float32
-    (Micikevicius et al. 2018). The softmax denominators, the loss and the
-    sums of the weight and bias gradients over chunks are float64, as are
-    the gradients handed to the graph. Every other call, and so every score
-    taken under ``no_grad``, is float64 throughout."""
+    When it is set and the call records a gradient, it casts the decoder's
+    input, the weight and the bias to float32 once and forms the logits,
+    softmax, logits gradient and the products for the input and weight
+    gradients in float32 (Micikevicius et al. 2018). The softmax
+    denominators, the loss, the penalties and the sums of the weight and
+    bias gradients over chunks are float64, as are the gradients handed to
+    the graph. Every other call, and so every score taken under
+    ``no_grad``, is float64 throughout."""
     targets = np.asarray(targets)
-    if (h.data.ndim < 2 or weight.data.ndim != 2 or h.shape[-1] != weight.shape[1]
-            or bias.shape != weight.shape[:1] or targets.shape != h.shape[:-1]):
-        raise ShapeError(f"tied_decoder_ce: incompatible shapes h {h.shape}, weight "
-                         f"{weight.shape}, bias {bias.shape}, targets {targets.shape}")
+    if (raw.data.ndim != 3 or weight.data.ndim != 2 or raw.shape[2] != weight.shape[1]
+            or bias.shape != weight.shape[:1] or targets.shape != raw.shape[:2]
+            or out_mask is not None and np.shape(out_mask) != (raw.shape[0], 1, raw.shape[2])):
+        raise ShapeError(f"lm_loss: incompatible shapes raw {raw.shape}, out_mask "
+                         f"{np.shape(out_mask)}, weight {weight.shape}, bias {bias.shape}, "
+                         f"targets {targets.shape}")
     c, e = weight.shape
     targets = targets.reshape(-1)
     n = len(targets)
     if targets.size and (targets.min() < 0 or targets.max() >= c):
-        raise IndexError(f"tied_decoder_ce: target out of range for {c} classes")
-    h2d, w, bvec = h.data.reshape(n, e), weight.data, bias.data
-    track = _tracked(h, weight, bias)
-    dh = np.empty((n, e)) if track and h.requires_grad else None
+        raise IndexError(f"lm_loss: target out of range for {c} classes")
+    dropped = raw.data if out_mask is None else raw.data * out_mask
+    # the penalties come before the logits buffer, so that their temporaries
+    # do not add to the step's peak memory
+    penalty = None
+    ar_scale = tar_scale = 0.0
+    if alpha or beta:
+        diff = raw.data[:, 1:] - raw.data[:, :-1]
+        ar_scale = alpha * (1.0 / dropped.size)
+        tar_scale = beta * (1.0 / diff.size) if diff.size else 0.0
+        penalty = ar_scale * (dropped * dropped).sum() + tar_scale * (diff * diff).sum()
+        del diff  # backward forms it again rather than hold it between the passes
+    h2d, w, bvec = dropped.reshape(n, e), weight.data, bias.data
+    track = _tracked(raw, weight, bias)
+    dh = np.empty((n, e)) if track and raw.requires_grad else None
     dw = np.zeros((c, e)) if track and weight.requires_grad else None
     db = np.zeros(c) if track and bias.requires_grad else None
     picked = np.empty(n)  # log-probability of each target
@@ -568,17 +551,30 @@ def tied_decoder_ce(h: Tensor, weight: Tensor, bias: Tensor, targets,
         _split(functools.partial(row_phase, lo), m, parts)
         if dw is not None or db is not None:
             _split(functools.partial(column_phase, h2d[lo : lo + m], logits[:m]), c, parts)
-    out_data = -picked.mean()
+    ce = -picked.mean()
 
     def bwd(g):
-        if dh is not None:
-            h.accumulate(g * dh.reshape(h.shape))
         if dw is not None:
             weight.accumulate(g * dw)
         if db is not None:
             bias.accumulate(g * db)
+        if dh is None:
+            return
+        d = g * dh.reshape(raw.shape)
+        ar = 2.0 * g * ar_scale * dropped if ar_scale else None
+        tar = None
+        if tar_scale:
+            d_tar = 2.0 * g * tar_scale * (raw.data[:, 1:] - raw.data[:, :-1])
+            tar = np.zeros_like(raw.data)
+            tar[:, 1:] += d_tar
+            tar[:, :-1] -= d_tar
+        terms = ((ar, tar, d) if out_mask is None
+                 else (tar, (d if ar is None else ar + d) * out_mask))
+        for term in terms:
+            if term is not None:
+                raw.accumulate(term)
 
-    return _make(out_data, (h, weight, bias), bwd)
+    return _make(ce if penalty is None else penalty + ce, (raw, weight, bias), bwd), float(ce)
 
 
 def topo_order(root: Tensor) -> list[Tensor]:

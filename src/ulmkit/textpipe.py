@@ -145,6 +145,16 @@ class NumericalizedCorpus:
                 raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
 
 
+def _csv_rows(reader, path):
+    """The rows of a ``csv.reader`` over ``path``; a line the csv module
+    cannot parse, such as one whose field is past its length limit, is
+    refused as a CorpusFormatError naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # not a ValueError
+        raise CorpusFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_labeled_csv(path) -> list[tuple[str, int]]:
     """Load (text, label) rows from a UTF-8 CSV with header ``text,label``,
     with or without a byte-order mark.
@@ -154,13 +164,13 @@ def load_labeled_csv(path) -> list[tuple[str, int]]:
     records: list[tuple[str, int]] = []
     with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
+        rows = _csv_rows(reader, path)
+        header = next(rows, None)
+        if header is None:
             raise CorpusFormatError(f"{path}: empty file, expected header 'text,label'")
         if [h.strip() for h in header] != ["text", "label"]:
             raise CorpusFormatError(f"{path}: line 1: expected header 'text,label', got {header!r}")
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if len(row) != 2:
                 raise CorpusFormatError(f"{path}: line {line}: expected 2 fields, got {len(row)}")

@@ -304,13 +304,10 @@ def lm_windows_per_epoch(data: np.ndarray, bptt: int) -> int:
 
 
 def lm_loss_terms(model: AwdLstmLM, x: np.ndarray, y: np.ndarray, state, cfg: PhaseConfig):
-    """(training loss, cross-entropy, new state) for one window; in training
-    the loss adds the cross-entropy to the AR/TAR activation penalties."""
-    ce, new_state, raw, dropped = model.forward(x, state, targets=y)
-    # ce last: backward then walks its subgraph in the order it would
-    # alone, so zero penalties leave every gradient bit-identical.
-    loss = T.ar_tar(raw, dropped, ce, cfg.ar_alpha, cfg.tar_beta) if model.training else ce
-    return loss, ce, new_state
+    """(loss, cross-entropy as a float, new state) for one window; in
+    training the loss adds the AR/TAR activation penalties to the
+    cross-entropy."""
+    return model.forward(x, state, y, cfg.ar_alpha, cfg.tar_beta)
 
 
 def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: bool,
@@ -327,7 +324,7 @@ def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: boo
             loss, ce, state = lm_loss_terms(model, x, y, state, cfg)
             if train:
                 step(loss)
-            total_ce += ce.item() * y.size
+            total_ce += ce * y.size
             total_tokens += y.size
             steps += 1
     return total_ce / total_tokens, steps

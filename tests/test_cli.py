@@ -1251,3 +1251,37 @@ def test_readme_cli_table_matches_the_parser():
     assert sorted(name for name, _ in rows) == sorted(COMMANDS)
     for name, flags in rows:
         assert sorted(flags.split()) == sorted(OPTIONS[k].flag for k in COMMANDS[name][2]), name
+
+
+@pytest.mark.parametrize("command", ["eval", "degrade"])
+def test_cli_csv_field_past_the_csv_limit_exits_1(cli_artifacts, tmp_path, capsys, command):
+    # the csv module refuses a field over 131,072 characters
+    _, _, _, lm_ckpt, clf_ckpt = cli_artifacts
+    data = tmp_path / "long.csv"
+    data.write_text(f"text,label\nmaganda,1\n{'a' * 200_000},0\n", encoding="utf-8")
+    argv = {"eval": ["eval", "--checkpoint", str(clf_ckpt)],
+            "degrade": ["degrade", "--checkpoint", str(lm_ckpt),
+                        "--out", str(tmp_path / "report.csv")]}[command]
+    assert main(argv + ["--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: line 3: ") and "field larger than field limit" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune-lm", "finetune-clf", "degrade"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_cli_unwritable_out_exits_2_before_any_work(cli_artifacts, tmp_path, capsys, monkeypatch,
+                                                    command, where):
+    _, corpus, labeled, lm_ckpt, _ = cli_artifacts
+    for owner, name in ((train, "pretrain_lm"), (train, "finetune_lm"),
+                        (train, "finetune_classifier"), (evalbench, "run_degradation_suite")):
+        monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("the work ran"))
+    out = tmp_path / "nodir" / "out" if where == "missing-directory" else tmp_path
+    inputs = {"pretrain": ["--corpus", str(corpus)],
+              "finetune-lm": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)],
+              "finetune-clf": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)],
+              "degrade": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)]}[command]
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}") and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -54,11 +54,12 @@ def test_weight_drop_eval_and_zero_rate_identity():
 
 def lstm_calls(lm, ids):
     """The x_mask and w_mask that each LSTM layer of one training-mode
-    forward of ``lm`` passes to ``T.lstm``, and the output mask."""
+    forward of ``lm`` passes to ``T.lstm``, and the output mask it passes
+    to ``T.lm_loss``."""
     with mock.patch.object(T, "lstm", wraps=T.lstm) as lstm, \
-            mock.patch.object(T, "masked", wraps=T.masked) as masked:
-        lm.train().forward(ids)
-    return [call.args[7:9] for call in lstm.call_args_list], masked.call_args.args[1]
+            mock.patch.object(T, "lm_loss", wraps=T.lm_loss) as lm_loss:
+        lm.train().forward(ids, targets=ids)
+    return [call.args[7:9] for call in lstm.call_args_list], lm_loss.call_args.args[1]
 
 
 def test_variational_dropout_locked_across_time():
@@ -161,7 +162,7 @@ def test_lm_step_matches_the_generic_composition():
             loss = train.lm_loss_terms(lm, x, y, None, cfg)[0]
         else:
             raw, dropped = generic_encode(lm, x, float32=True)
-            ce = T.tied_decoder_ce(dropped, lm.embedding, lm.decoder_bias, y, float32=True)
+            ce, _ = T.lm_loss(dropped, None, lm.embedding, lm.decoder_bias, y, float32=True)
             loss = add(penalties(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce)
         results.append(step_results(lm, loss))
     for name, got, want in zip(["loss"] + [n for n, _ in lm.named_parameters()], *results):

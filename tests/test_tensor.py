@@ -524,21 +524,26 @@ def decoder_ce_reference(h, w, b, targets):
     return -logp[np.arange(len(z)), targets.reshape(-1)].mean()
 
 
+def decoder_ce(h, w, b, targets, float32=False):
+    """The tied decoder's cross-entropy alone: ``lm_loss`` with no output
+    mask and no penalty."""
+    return T.lm_loss(h, None, w, b, targets, float32=float32)[0]
+
+
 def decoder_ce_inputs(rows, feats, classes, seed):
-    """h, weight and bias parameters and targets that include class 0 and
-    the last class; h is (rows, feats) or (1, rows, feats)."""
+    """(1, rows, feats) h, weight and bias parameters and targets that
+    include class 0 and the last class."""
     rng = np.random.default_rng(seed)
-    lead = (rows,) if seed % 2 else (1, rows)
-    h = T.param(rng.normal(size=lead + (feats,)), "h")
+    h = T.param(rng.normal(size=(1, rows, feats)), "h")
     w = T.param(rng.normal(size=(classes, feats)), "w")
     b = T.param(rng.normal(size=classes), "b")
     targets = rng.integers(0, classes, size=rows)
     targets[0], targets[-1] = 0, classes - 1
-    return h, w, b, targets.reshape(lead)
+    return h, w, b, targets.reshape(1, rows)
 
 
 def split_decoder(workers, split_min=0, dw_block=T._DW_BLOCK):
-    """Patch tied_decoder_ce to split a chunk of at least ``split_min``
+    """Patch lm_loss to split a chunk of at least ``split_min``
     logits over ``workers`` threads, in weight-gradient blocks of
     ``dw_block`` classes."""
     return mock.patch.multiple(T, decoder_workers=lambda: workers,
@@ -556,7 +561,7 @@ def test_tied_decoder_ce_finite_differences(rows, feats, classes, seed):
     def build():
         for p in (h, w, b):
             p.zero_grad()
-        return T.tied_decoder_ce(h, w, b, targets)
+        return decoder_ce(h, w, b, targets)
 
     for workers in (1, 3):
         with mock.patch.object(T, "DECODER_CHUNK", 3), split_decoder(workers, dw_block=2):
@@ -566,7 +571,7 @@ def test_tied_decoder_ce_finite_differences(rows, feats, classes, seed):
 
 def test_tied_decoder_ce_matches_log_softmax_reference():
     h, w, b, targets = decoder_ce_inputs(1000, 16, 300, 5)
-    loss = T.tied_decoder_ce(h, w, b, targets)
+    loss = decoder_ce(h, w, b, targets)
     want = decoder_ce_reference(h.data, w.data, b.data, targets)
     assert abs(loss.item() - want) <= 1e-12 * abs(want)
     T.backward(loss)
@@ -582,11 +587,11 @@ def test_tied_decoder_ce_matches_log_softmax_reference():
 
 def test_tied_decoder_ce_under_no_grad_is_a_leaf_with_no_gradient_work():
     h, w, b, targets = decoder_ce_inputs(8, 64, 5000, 1)
-    tracked = T.tied_decoder_ce(h, w, b, targets)
+    tracked = decoder_ce(h, w, b, targets)
     tracemalloc.start()
     try:
         with T.no_grad():
-            loss = T.tied_decoder_ce(h, w, b, targets)
+            loss = decoder_ce(h, w, b, targets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -597,14 +602,14 @@ def test_tied_decoder_ce_under_no_grad_is_a_leaf_with_no_gradient_work():
 
 
 def decoder_ce_results(h, w, b, targets, float32=False):
-    """Loss and gradients of tied_decoder_ce, tracked and under no_grad,
-    both given the precision decision ``float32``."""
+    """Loss and gradients of the decoder's cross-entropy, tracked and
+    under no_grad, both given the precision decision ``float32``."""
     for p in (h, w, b):
         p.zero_grad()
-    loss = T.tied_decoder_ce(h, w, b, targets, float32)
+    loss = decoder_ce(h, w, b, targets, float32)
     T.backward(loss)
     with T.no_grad():
-        untracked = T.tied_decoder_ce(h, w, b, targets, float32).data
+        untracked = decoder_ce(h, w, b, targets, float32).data
     return loss.data, h.grad, w.grad, b.grad, untracked
 
 
@@ -639,7 +644,7 @@ def test_tied_decoder_ce_split_holds_one_chunk_of_logits():
     with split_decoder(2, split_min=T.DECODER_SPLIT_MIN), T.single_blas_thread():
         tracemalloc.start()
         try:
-            T.tied_decoder_ce(h, w, b, targets)
+            decoder_ce(h, w, b, targets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -647,7 +652,7 @@ def test_tied_decoder_ce_split_holds_one_chunk_of_logits():
 
 
 def decoder_chunks(h, w, b, targets, float32=False):
-    """The rows of each chunk one tied_decoder_ce call forms its logits in
+    """The rows of each chunk one lm_loss call forms its logits in
     (its row-phase splits), and the call's loss."""
     rows = []
     real = T._split
@@ -658,7 +663,7 @@ def decoder_chunks(h, w, b, targets, float32=False):
         real(task, n, parts)
 
     with mock.patch.object(T, "_split", spy):
-        loss = T.tied_decoder_ce(h, w, b, targets, float32)
+        loss = decoder_ce(h, w, b, targets, float32)
     return rows, loss
 
 
@@ -687,8 +692,9 @@ def pretrain_decoder_inputs(rows, classes, seed=0):
     """h, weight and bias parameters and targets of an lm-pretrain-10k-like
     decoder call: 64 features, a small tied weight."""
     rng = np.random.default_rng(seed)
-    return (T.param(rng.normal(size=(rows, 64))), T.param(rng.normal(size=(classes, 64)) * 0.1),
-            T.param(rng.normal(size=classes) * 0.1), rng.integers(0, classes, size=rows))
+    return (T.param(rng.normal(size=(1, rows, 64))),
+            T.param(rng.normal(size=(classes, 64)) * 0.1),
+            T.param(rng.normal(size=classes) * 0.1), rng.integers(0, classes, size=(1, rows)))
 
 
 def test_tied_decoder_ce_float32_path_stays_near_the_float64_op():
@@ -725,9 +731,9 @@ def test_tied_decoder_ce_float32_path_is_bit_identical_at_any_worker_count(worke
 
 def test_tied_decoder_ce_float32_decision_is_ignored_under_no_grad():
     h, w, b, targets = pretrain_decoder_inputs(300, 4097, seed=1)
-    tracked = T.tied_decoder_ce(h, w, b, targets, float32=True)
+    tracked = decoder_ce(h, w, b, targets, float32=True)
     with T.no_grad():
-        scored = T.tied_decoder_ce(h, w, b, targets, float32=True)
+        scored = decoder_ce(h, w, b, targets, float32=True)
     want = decoder_ce_reference(h.data, w.data, b.data, targets)
     assert abs(scored.item() - want) <= 1e-12 * abs(want)
     assert tracked.item() != scored.item()  # the tracked call ran in float32
@@ -744,14 +750,14 @@ def test_single_blas_thread_pins_and_restores():
 
 def test_tied_decoder_ce_errors():
     h, w, b, targets = decoder_ce_inputs(4, 3, 5, 1)
-    with pytest.raises(IndexError):
-        T.tied_decoder_ce(h, w, b, np.array([0, 1, 2, 5]))
-    with pytest.raises(T.ShapeError):
-        T.tied_decoder_ce(h, w, b, np.array([0, 1]))
-    with pytest.raises(T.ShapeError):
-        T.tied_decoder_ce(h, T.param(np.zeros((5, 4))), b, targets)
-    with pytest.raises(T.ShapeError):
-        T.tied_decoder_ce(h, w, T.param(np.zeros(4)), targets)
+    with pytest.raises(IndexError, match="lm_loss"):
+        decoder_ce(h, w, b, np.array([[0, 1, 2, 5]]))
+    with pytest.raises(T.ShapeError, match="lm_loss"):
+        decoder_ce(h, w, b, np.array([0, 1]))
+    with pytest.raises(T.ShapeError, match="lm_loss"):
+        decoder_ce(h, T.param(np.zeros((5, 4))), b, targets)
+    with pytest.raises(T.ShapeError, match="lm_loss"):
+        decoder_ce(h, w, T.param(np.zeros(4)), targets)
 
 
 def test_embedding_lookup_grad_accumulates_repeats():
@@ -919,8 +925,9 @@ def test_classifier_head_shape_errors():
 
 
 def penalties(raw, dropped, alpha, beta):
-    """AR plus TAR as a node of their own, as ``ar_tar`` formed them before
-    it took the cross-entropy; the model then added the two with ``add``."""
+    """AR plus TAR as a node of their own, as the model formed them before
+    ``lm_loss`` took the decoder; the model then added the cross-entropy
+    with ``add``."""
     diff = raw.data[:, 1:] - raw.data[:, :-1]
     ar_scale = alpha * (1.0 / dropped.data.size)
     tar_scale = beta * (1.0 / diff.size) if diff.size else 0.0
@@ -948,23 +955,39 @@ def lm_output_inputs():
             T.param(0.1 * rng.normal(size=50), "bias"), rng.integers(0, 50, size=(8, 20)))
 
 
+def chain_results(mask, alpha, beta, float32):
+    """Loss, cross-entropy and the raw, embedding and bias gradients of one
+    backward through ``lm_loss``, and through the three nodes it replaced:
+    the output mask as a ``mul`` node (none without a mask), the decoder
+    (``lm_loss`` with no mask and no penalty), and the penalties added to
+    it. The two walks sum raw's gradient in the same order."""
+    raw, _, emb, bias, targets = lm_output_inputs()
+    results = []
+    for fused in (True, False):
+        for p in (raw, emb, bias):
+            p.zero_grad()
+        if fused:
+            loss, ce = T.lm_loss(raw, mask, emb, bias, targets, alpha, beta, float32)
+        else:
+            dropped = raw if mask is None else mul(raw, T.Tensor(mask))
+            ce_node, ce = T.lm_loss(dropped, None, emb, bias, targets, float32=float32)
+            loss = add(penalties(raw, dropped, alpha, beta), ce_node)
+        T.backward(loss)
+        results.append([loss.data, ce, raw.grad, emb.grad, bias.grad])
+    return results
+
+
 @pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
 def test_masked_matches_mul(float32):
     # the LM's final output at tiny width: the decoder and AR read the
     # dropped value and TAR the raw one, so raw's gradient sums
     # TAR + (AR + decoder) * mask, as it did through the generic mul
-    raw, mask, emb, bias, targets = lm_output_inputs()
-    results = []
-    for fused in (True, False):
-        for p in (raw, emb, bias):
-            p.zero_grad()
-        dropped = T.masked(raw, mask) if fused else mul(raw, T.Tensor(mask))
-        ce = T.tied_decoder_ce(dropped, emb, bias, targets, float32)
-        T.backward(T.ar_tar(raw, dropped, ce, 2.0, 1.0))
-        results.append([dropped.data, ce.data, raw.grad, emb.grad, bias.grad])
-    for name, got, want in zip(("dropped", "ce", "raw", "embedding", "bias"), *results):
+    _, mask, *_ = lm_output_inputs()
+    fused, chain = chain_results(mask, 2.0, 1.0, float32)
+    for name, got, want in zip(("loss", "ce", "raw", "embedding", "bias"), fused, chain):
         assert np.array_equal(got, want), name
-    assert T.masked(raw, None) is raw
+    unmasked = chain_results(None, 2.0, 1.0, float32)[0]
+    assert fused[1] != unmasked[1]  # the decoder read the dropped output
 
 
 @pytest.mark.parametrize("alpha, beta", [(2.0, 1.0), (0.0, 0.0)])
@@ -972,19 +995,26 @@ def test_masked_matches_mul(float32):
 def test_ar_tar_matches_penalties_then_add(float32, alpha, beta):
     # the LM's training loss: (AR + TAR) + ce in one node, against the
     # penalties' own node and a generic add, with the same walk order
-    raw, mask, emb, bias, targets = lm_output_inputs()
-    results = []
-    for fused in (True, False):
-        for p in (raw, emb, bias):
-            p.zero_grad()
-        dropped = T.masked(raw, mask)
-        ce = T.tied_decoder_ce(dropped, emb, bias, targets, float32)
-        loss = (T.ar_tar(raw, dropped, ce, alpha, beta) if fused
-                else add(penalties(raw, dropped, alpha, beta), ce))
-        T.backward(loss)
-        results.append([loss.data, raw.grad, emb.grad, bias.grad])
-    for name, got, want in zip(("loss", "raw", "embedding", "bias"), *results):
+    _, mask, *_ = lm_output_inputs()
+    fused, chain = chain_results(mask, alpha, beta, float32)
+    for name, got, want in zip(("loss", "ce", "raw", "embedding", "bias"), fused, chain):
         assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (2.0, 0.0), (0.0, 1.0), (2.0, 1.0)],
+                         ids=["no-penalty", "AR", "TAR", "AR-TAR"])
+@pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+@pytest.mark.parametrize("float32", [False, True], ids=["float64", "float32"])
+def test_lm_loss_matches_the_three_node_chain(float32, masked, alpha, beta):
+    # bit for bit: raw's gradient is TAR + (AR + decoder) * mask with a
+    # mask, and (AR + TAR) + decoder without one; a penalty at rate 0 adds
+    # nothing, not even a zero
+    _, mask, *_ = lm_output_inputs()
+    fused, chain = chain_results(mask if masked else None, alpha, beta, float32)
+    for name, got, want in zip(("loss", "ce", "raw", "embedding", "bias"), fused, chain):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    if not (alpha or beta):
+        assert fused[0] == fused[1]  # the loss is the cross-entropy alone
 
 
 def test_pooling_length_validation():
@@ -1003,26 +1033,29 @@ def test_pooling_length_validation():
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.sampled_from([0.0, 0.5, 2.0]),
        st.sampled_from([0.0, 1.0, 3.0]), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_ar_tar_finite_differences(bsz, steps, feats, alpha, beta, shared, seed):
-    # shared: no output dropout, so the same tensor is both raw and dropped;
-    # the ce parent reads dropped too, as the decoder does
+def test_ar_tar_finite_differences(bsz, steps, feats, alpha, beta, masked, seed):
+    # masked: an output mask at rate 0.5, which the decoder and AR read and
+    # TAR does not; without it all three read raw itself
     rng = np.random.default_rng(seed)
     raw = T.param(rng.normal(size=(bsz, steps, feats)), "raw")
-    dropped = raw if shared else T.param(rng.normal(size=(bsz, steps, feats)), "dropped")
-    weights = T.Tensor(rng.normal(size=(bsz, steps, feats)))
-    ce = total(mul(dropped, weights))
-    want = alpha * np.mean(dropped.data ** 2)
+    w = T.param(rng.normal(size=(3, feats)), "w")
+    b = T.param(rng.normal(size=3), "b")
+    targets = rng.integers(0, 3, size=(bsz, steps))
+    mask = T.Rng(seed).keep_mask((bsz, 1, feats), 0.5) if masked else None
+    dropped = raw.data if mask is None else raw.data * mask
+    want = alpha * np.mean(dropped ** 2)
     if steps > 1:
         want += beta * np.mean(np.diff(raw.data, axis=1) ** 2)
-    want += ce.item()
-    got = T.ar_tar(raw, dropped, ce, alpha, beta).item()
+    want += decoder_ce_reference(dropped, w.data, b.data, targets)
+    got = T.lm_loss(raw, mask, w, b, targets, alpha, beta)[0].item()
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def build():
-        raw.zero_grad(), dropped.zero_grad()
-        return T.ar_tar(raw, dropped, total(mul(dropped, weights)), alpha, beta)
+        for p in (raw, w, b):
+            p.zero_grad()
+        return T.lm_loss(raw, mask, w, b, targets, alpha, beta)[0]
 
-    check_grad(build, *((raw,) if shared else (raw, dropped)))
+    check_grad(build, raw, w, b)
 
 
 def test_backward_requires_scalar():
@@ -1085,11 +1118,12 @@ def test_no_grad_tracking_when_not_required():
 
 
 def test_shape_errors_report_op():
-    raw, ce = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros(()))
-    with pytest.raises(T.ShapeError, match="ar_tar"):
-        T.ar_tar(raw, T.Tensor(np.zeros((2, 3, 5))), ce, 2.0, 1.0)
-    with pytest.raises(T.ShapeError, match="ar_tar"):  # a per-token loss, not the mean
-        T.ar_tar(raw, raw, T.Tensor(np.zeros((2, 3))), 2.0, 1.0)
+    raw, w, b = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((5, 4))), T.Tensor(np.zeros(5))
+    targets = np.zeros((2, 3), dtype=int)
+    with pytest.raises(T.ShapeError, match="lm_loss"):  # the rows, not the outputs
+        T.lm_loss(T.Tensor(np.zeros((6, 4))), None, w, b, targets.reshape(-1))
+    with pytest.raises(T.ShapeError, match="lm_loss: .* out_mask"):  # not locked across time
+        T.lm_loss(raw, np.ones((2, 3, 4)), w, b, targets)
     _, _, *head, _ = head_inputs(2, 4, 5, seed=0)
     with pytest.raises(T.ShapeError, match="classifier_head: .* out_mask"):  # not locked across time
         T.classifier_head(raw, np.array([3, 1]), *head, out_mask=np.ones((2, 3, 4)))

@@ -129,6 +129,14 @@ def test_load_labeled_csv_errors(tmp_path):
     with pytest.raises(tp.CorpusFormatError, match="empty"):
         tp.load_labeled_csv(empty)
 
+    # the csv module's own error (csv.Error, not a ValueError) at a field
+    # longer than its limit of 131,072 characters
+    long = tmp_path / "f.csv"
+    long.write_text(f"text,label\nx,0\n{'a' * 200_000},1\n", encoding="utf-8")
+    with pytest.raises(tp.CorpusFormatError) as info:
+        tp.load_labeled_csv(long)
+    assert str(info.value).startswith(f"{long}: line 3: field larger than field limit")
+
 
 def test_load_corpus_lines(corpus_path):
     lines = tp.load_corpus_lines(corpus_path)

@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,16 +243,15 @@ def op_nodes(loss) -> int:
 
 def test_lm_loss_graph_size_independent_of_steps():
     # the embedding lookup with its dropout, one fused node per LSTM layer
-    # with its input's and W_hh's masks, the output mask, the tied decoder
-    # with its cross-entropy, and AR/TAR, which adds the cross-entropy to
-    # the penalties, however many steps the window has; and the 11
-    # parameters
+    # with its input's and W_hh's masks, and the LM loss, which applies the
+    # output mask and adds the tied decoder's cross-entropy to the AR/TAR
+    # penalties, however many steps the window has; and the 11 parameters
     model = build_lm(20, "tiny", seed=0).train()
     cfg = train.pretrain_defaults(batch_size=2)
     for steps in (5, 40):
         x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
         loss, _, _ = train.lm_loss_terms(model, x[:, :-1], x[:, 1:], None, cfg)
-        assert op_nodes(loss) == 7 and len(T.topo_order(loss)) == 18, steps
+        assert op_nodes(loss) == 5 and len(T.topo_order(loss)) == 16, steps
 
 
 def test_classifier_loss_graph_size():
@@ -288,7 +288,7 @@ def test_an_optimizer_step_frees_its_graph(kind):
         model = TextClassifier(lm, seed=0).train()
         loss, refs = step_graph(lambda: T.cross_entropy(model.forward(ids, np.array([7, 2, 5])),
                                                         np.array([0, 1, 1])))
-    assert len(refs) == (6 if kind == "lm" else 5)
+    assert len(refs) == (4 if kind == "lm" else 5)
     params = [p for _, p in model.named_parameters()]
     train.optimizer_step(loss, [params], [1e-3], 0.8, {}, weight_decay=0.0)
     assert [ref() for ref in refs] == [None] * len(refs)
@@ -445,10 +445,13 @@ def lm_step(model, ids, targets, min_hidden=T.F32_MIN_HIDDEN):
     model.train().reset_dropout(1.0, 7)
     for _, p in model.named_parameters():
         p.zero_grad()
+    spy = mock.Mock(wraps=T.lm_loss)  # to read the last LSTM layer's outputs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "F32_MIN_HIDDEN", min_hidden)
-        loss, _, raw, _ = model.forward(ids, targets=targets)
+        mp.setattr(T, "lm_loss", spy)
+        loss, _, _ = model.forward(ids, targets=targets)
         T.backward(loss)
+    raw = spy.call_args.args[0]
     return [loss.data, raw.data] + [p.grad for _, p in model.named_parameters()]
 
 

@@ -16,7 +16,10 @@ classifier trained and scored on them at batch 64 (``gen-clf.ckpt``,
 unit dead, so its scores are its output bias alone; ``gen-head-logits.f64``
 therefore holds the raw float64 logits that a fresh seed-5 head on
 ``gen-lm.ckpt``'s encoder gives the generated CSV in eval mode, a head with
-most of its units live, so that a change to scoring moves a digest. Every model trained here is of the ``tiny``
+most of its units live, so that a change to scoring moves a digest.
+``gen-long-logits.f64`` holds that head's logits with each text's tokens
+repeated to 400, the classifier's ``train.MAX_LEN``, so that each batch of 64 is scored in
+about 50 of the encoder's time chunks. Every model trained here is of the ``tiny``
 preset, whose training steps take the float32 path in the LSTM layers and,
 for the language model, the tied decoder; so a change to that path's
 arithmetic moves every trained checkpoint (``lm.ckpt``, ``lm-ft.ckpt``,
@@ -79,9 +82,10 @@ def _digest(path: pathlib.Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def head_logits() -> bytes:
+def head_logits(length: int | None = None) -> bytes:
     """The logits of ``TextClassifier(<gen-lm.ckpt's encoder>, seed=5)`` in
-    eval mode over the generated CSV, in batches of 64 in file order."""
+    eval mode over the generated CSV, in batches of 64 in file order; with
+    ``length``, over each text's tokens repeated to that many."""
     from ulmkit.checkpoint import load_checkpoint
     from ulmkit.model import TextClassifier
     from ulmkit.tensor import no_grad
@@ -92,6 +96,8 @@ def head_logits() -> bytes:
     clf = TextClassifier(ckpt.build_model(), seed=5).eval()
     streams = [numericalize(preprocess(text), ckpt.vocab)
                for text, _ in load_labeled_csv(os.path.join("gen", "labeled.csv"))]
+    if length:
+        streams = [(s * -(-length // len(s)))[:length] for s in streams]
     with no_grad():
         return b"".join(clf.forward(ids, lengths).data.tobytes()
                         for ids, lengths, _ in make_clf_batches(NumericalizedCorpus(streams), 64))
@@ -118,6 +124,7 @@ def run(tree: pathlib.Path, out_dir: pathlib.Path) -> None:
         if stdout_name:
             pathlib.Path(stdout_name).write_text(captured.getvalue(), encoding="utf-8")
     pathlib.Path("gen-head-logits.f64").write_bytes(head_logits())
+    pathlib.Path("gen-long-logits.f64").write_bytes(head_logits(400))
     for path in sorted(out_dir.iterdir()):
         if path.is_file() and path.name not in ("corpus.txt", "labeled.csv"):
             print(f"{_digest(path)}  {path.name}")

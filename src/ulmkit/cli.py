@@ -171,15 +171,19 @@ def _phase_config(res: Resolver, defaults: train.PhaseConfig,
         return replace(defaults, **values)
 
 
-def _out_path(res: Resolver, default: str) -> str:
+def _out_path(res: Resolver, default: str, log: bool = True) -> str:
     """The ``--out`` path, ``default`` if none is given, refused before any
-    work is done when its directory does not exist or it is a directory."""
+    work is done when its directory does not exist or it is a directory, or,
+    with ``log`` (a training subcommand's), when the path of its metrics log
+    ``<out>.log`` is a directory."""
     out = res.get("out") or default
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
         raise UsageError(f"--out {out}: directory {folder} does not exist")
     if os.path.isdir(out):
         raise UsageError(f"--out {out} is a directory")
+    if log and os.path.isdir(out + ".log"):
+        raise UsageError(f"--out {out}: its metrics log {out}.log is a directory")
     return out
 
 
@@ -231,7 +235,7 @@ def cmd_finetune_lm(res: Resolver) -> int:
     cfg = _phase_config(res, train.lm_finetune_defaults())
     lm, vocab, provenance = _load(checkpoint, "lm")
     data_path = _require_file(res.get("data"), "dataset")
-    if data_path.endswith(".csv"):
+    if data_path.lower().endswith(".csv"):
         texts = [t for t, _ in load_labeled_csv(data_path)]
     else:
         texts = load_corpus_lines(data_path)
@@ -278,7 +282,7 @@ def cmd_predict(res: Resolver) -> int:
 
 
 def cmd_degrade(res: Resolver) -> int:
-    out = _out_path(res, "degradation.csv")
+    out = _out_path(res, "degradation.csv", log=False)
     checkpoint = res.get("checkpoint")
     seed = res.get("seed", 0)
     text = res.get("fractions", "1.0,0.5,0.1")

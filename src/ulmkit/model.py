@@ -40,11 +40,11 @@ def draw_mask(p: float, shape, rng: Rng) -> np.ndarray | None:
     return rng.keep_mask(shape, p) if p > 0.0 else None
 
 
-def embedding_dropout(emb: Tensor, ids: np.ndarray, p: float, rng: Rng) -> Tensor:
-    """Look ids up in the embedding with whole vocabulary rows dropped for
-    one batch: one (vocab, 1) keep mask is drawn, and only the rows that ids
-    gather are scaled by it."""
-    return T.embedding_lookup(emb, ids, draw_mask(p, (emb.shape[0], 1), rng))
+def embedding_dropout(emb: Tensor, ids: np.ndarray, row_mask: np.ndarray | None) -> Tensor:
+    """Look ids up in the embedding with whole vocabulary rows dropped: a
+    (vocab, 1) keep mask, drawn once per batch (None: no dropout), scales
+    only the rows that ids gather."""
+    return T.embedding_lookup(emb, ids, row_mask)
 
 
 def layer_sizes(emb_dim: int, hid_dim: int, n_layers: int):
@@ -209,22 +209,45 @@ class AwdLstmLM(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def encode(self, ids: np.ndarray, state=None, float32: bool = False):
-        """Run embedding + LSTM stack; returns (raw final outputs, their
-        dropout keep mask for the reading op to apply, None in eval mode,
-        detached new state). ``float32`` is the step's precision decision."""
-        b, _ = np.shape(ids)
-        if state is None:
-            state = self.init_state(b)
+    def encode(self, ids: np.ndarray, state=None, float32: bool = False, chunked: bool = False):
+        """Run the embedding and the LSTM stack over (batch, steps) ids from
+        ``state`` (zeros where None). ``float32`` is the step's precision
+        decision.
+
+        Every dropout mask of the batch is drawn here, from one stream in
+        this order: the embedding's rows, each layer's input mask and
+        ``W_hh`` weight drop, then the output mask. Returns (chunks, the
+        output's keep mask for the reading op to apply, None in eval mode).
+        ``chunks`` is an iterator of (raw final outputs, detached state
+        after them) per time chunk: the whole window, or, when ``chunked``,
+        each ``T.time_chunks`` chunk in turn, the whole stack run over one
+        chunk before the next, each layer's state carried across. So
+        chunked, only one chunk's arrays are alive at a time, each layer
+        forms a chunk's input projection as the very product that ``lstm``
+        forms over the whole window, and the outputs are bit-identical. A
+        call that records a gradient takes the whole window, which BPTT and
+        the LM's loss read."""
+        ids = np.asarray(ids)
+        b, s = ids.shape
         rng = self.drop_rng
-        x = embedding_dropout(self.embedding, ids, self.rate("p_emb"), rng)
-        new_state = []
-        for i, layer in enumerate(self.layers):
-            x_mask = draw_mask(self.rate("p_hidden" if i else "p_input"), (b, 1, x.shape[2]), rng)
-            w_mask = draw_mask(self.rate("p_weight"), layer.W_hh.shape, rng)
-            x, layer_state = layer.forward(x, state[i], float32, x_mask, w_mask)
-            new_state.append(layer_state)
-        return x, draw_mask(self.rate("p_output"), (b, 1, self.emb_dim), rng), new_state
+        row_mask = draw_mask(self.rate("p_emb"), (self.vocab_size, 1), rng)
+        masks = [(draw_mask(self.rate("p_hidden" if i else "p_input"),
+                            (b, 1, layer.W_ih.shape[0]), rng),
+                  draw_mask(self.rate("p_weight"), layer.W_hh.shape, rng))
+                 for i, layer in enumerate(self.layers)]
+        out_mask = draw_mask(self.rate("p_output"), (b, 1, self.emb_dim), rng)
+
+        def chunks(state):
+            for start, end in T.time_chunks(s, b) if chunked else [(0, s)]:
+                x = embedding_dropout(self.embedding, ids[:, start:end], row_mask)
+                new_state = []
+                for i, (layer, (x_mask, w_mask)) in enumerate(zip(self.layers, masks)):
+                    x, layer_state = layer.forward(x, state[i], float32, x_mask, w_mask)
+                    new_state.append(layer_state)
+                state = new_state
+                yield x, state
+
+        return chunks(self.init_state(b) if state is None else state), out_mask
 
     def forward(self, ids: np.ndarray, state=None, targets=None, alpha=0.0, beta=0.0):
         """With (batch, steps) ``targets``, (loss, cross-entropy as a float,
@@ -238,7 +261,8 @@ class AwdLstmLM(Module):
         decision over the model's hidden width and mode, and passes it to
         every LSTM layer and to the decoder."""
         float32 = targets is not None and T.float32_step(self.hid_dim, self.training)
-        raw, mask, new_state = self.encode(ids, state, float32)
+        chunks, mask = self.encode(ids, state, float32)
+        [(raw, new_state)] = chunks
         if targets is not None:
             if not self.training:
                 alpha = beta = 0.0
@@ -288,15 +312,21 @@ class TextClassifier(Module):
         """Logits (batch, 2) of (batch, steps) ids padded past ``lengths``.
         The head pools the encoder's output with its output mask applied.
         The step takes ``T.float32_step``'s decision over the encoder's width
-        and mode, and passes it to every LSTM layer; the head stays float64."""
+        and mode, and passes it to every LSTM layer; the head stays float64.
+
+        Under ``no_grad`` the encoder runs in time chunks and the head pools
+        each as it comes, so that scoring memory does not grow with the
+        text's length; the logits are those of one whole-window pass."""
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
             raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
         self.encoder.training = self.training  # every rate, the head's too, follows it
         float32 = T.float32_step(self.encoder.hid_dim, self.training)
-        raw, out_mask, _ = self.encoder.encode(ids, float32=float32)
+        chunks, out_mask = self.encoder.encode(ids, float32=float32,
+                                               chunked=not T.grad_enabled())
         mask = draw_mask(self.encoder.rate("p_head"), (len(ids), HEAD_HIDDEN), self._drop_rng)
-        return T.classifier_head(raw, lengths, self.W1, self.b1, self.W2, self.b2, out_mask, mask)
+        return T.classifier_head((raw for raw, _ in chunks), lengths, self.W1, self.b1, self.W2,
+                                 self.b2, out_mask, mask)
 
 
 def build_lm(vocab_size: int, preset: str = "tiny", dropout_multiplier: float = 1.0,

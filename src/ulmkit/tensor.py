@@ -125,6 +125,11 @@ def no_grad():
         _grad_enabled = previous
 
 
+def grad_enabled() -> bool:
+    """False within a ``no_grad`` block."""
+    return _grad_enabled
+
+
 def _tracked(*ts: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in ts)
 
@@ -144,6 +149,21 @@ def _make(data, parents, backward) -> Tensor:
     return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
 
 
+def time_chunks(steps: int, bsz: int):
+    """(start, end) of each run of steps, in order, over which ``lstm`` forms
+    one input projection of a (bsz, steps) window: LSTM_PROJ_ROWS // bsz
+    steps, and at least two rows, with a one-row remainder joined to the
+    chunk before it. numpy hands a one-row product to gemv, whose sums are
+    not those of gemm; so each row of every chunk's product gets the sums of
+    the whole-window product."""
+    per = max(LSTM_PROJ_ROWS // bsz, -(-2 // bsz))
+    start = 0
+    while start < steps:
+        end = start + per if (steps - start - per) * bsz >= 2 else steps
+        yield start, end
+        start = end
+
+
 def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
          b: Tensor, float32: bool = False, x_mask: np.ndarray | None = None,
          w_mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -155,10 +175,10 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     the same masks.
 
     Gates are packed [input, forget, cell, output] along the 4·hidden axis.
-    The input projection is formed at most LSTM_PROJ_ROWS rows (batch ×
-    steps) at a time, just before the recurrence reaches them, and is one
-    matmul for a window no larger than that; no chunk's product has a
-    single row, so every row gets the sums of the whole-window product. The
+    The input projection is formed one ``time_chunks`` chunk, at most
+    LSTM_PROJ_ROWS rows (batch × steps), at a time, just before the
+    recurrence reaches it, and is one matmul for a window no larger than
+    that; every row gets the sums of the whole-window product. The
     recurrence runs in numpy and, when the op records a gradient, keeps each
     step's gates and cell for the hand-written BPTT backward; otherwise it
     keeps only the current step's gates and the last two cells, with the
@@ -199,9 +219,6 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     x2d, wi, wh, bd, h0 = (a.astype(dt, copy=False) for a in
                            (xd.reshape(bsz * steps, n_in), w_ih.data, whd, b.data, h0))
     x3 = x2d.reshape(bsz, steps, n_in)
-    # steps per projection chunk; a one-row batch takes at least two (gemv)
-    per = max(LSTM_PROJ_ROWS // bsz, -(-2 // bsz))
-    end = 0
     kept = steps if track else 1  # steps whose state is kept
     gates = np.empty((kept, bsz, 4 * hs), dt)  # activated: sigmoid i, f, o; tanh g
     cells = np.empty((kept + 1, bsz, hs), dt)  # tracked: cells[0] = c0, cells[t + 1] = c_t
@@ -209,20 +226,19 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     out = np.empty((bsz, steps, hs), dt)
     cells[0] = c0
     h = h0
-    for t in range(steps):
-        if t == end:  # a one-row remainder joins this chunk
-            start, end = t, t + per if (steps - t - per) * bsz >= 2 else steps
-            proj = (x3[:, start:end].reshape(-1, n_in) @ wi).reshape(bsz, end - start, 4 * hs)
-        s, c_prev, c_t = t % kept, cells[t % (kept + 1)], cells[(t + 1) % (kept + 1)]
-        z = proj[:, t - start] + h @ wh + bd
-        with quiet():
-            e = np.exp(-z)
-        np.divide(1.0, 1.0 + e, out=gates[s])
-        i, f, gc, o = (gates[s, :, k * hs : (k + 1) * hs] for k in range(4))
-        np.tanh(z[:, 2 * hs : 3 * hs], out=gc)
-        np.add(f * c_prev, i * gc, out=c_t)
-        np.tanh(c_t, out=tanh_c[s])
-        h = out[:, t] = o * tanh_c[s]
+    for start, end in time_chunks(steps, bsz):
+        proj = (x3[:, start:end].reshape(-1, n_in) @ wi).reshape(bsz, end - start, 4 * hs)
+        for t in range(start, end):
+            s, c_prev, c_t = t % kept, cells[t % (kept + 1)], cells[(t + 1) % (kept + 1)]
+            z = proj[:, t - start] + h @ wh + bd
+            with quiet():
+                e = np.exp(-z)
+            np.divide(1.0, 1.0 + e, out=gates[s])
+            i, f, gc, o = (gates[s, :, k * hs : (k + 1) * hs] for k in range(4))
+            np.tanh(z[:, 2 * hs : 3 * hs], out=gc)
+            np.add(f * c_prev, i * gc, out=c_t)
+            np.tanh(c_t, out=tanh_c[s])
+            h = out[:, t] = o * tanh_c[s]
 
     def bwd(g):
         g = g.astype(dt, copy=False)
@@ -283,35 +299,86 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray, row_scale: np.ndarray | No
     return _make(out_data, (weight,), bwd)
 
 
-def classifier_head(x: Tensor, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+class ConcatPool:
+    """ULMFiT's concat pool of (batch, steps, features) outputs over each
+    sequence's valid steps, the steps past its length being padding, taken
+    in consecutive time chunks by ``add``. It keeps three running values:
+    the output at the last valid step; the max, with the step it came from
+    (the first such step on a tie), for backward; and the mean, as the sum
+    of each step's output times 1 / length, added one step at a time in
+    order from zero, as numpy sums over the step axis. So any chunking gives
+    the bits of one whole-window pool."""
+
+    def __init__(self, lengths: np.ndarray, features: int):
+        b = len(lengths)
+        self.lengths = lengths
+        self.steps = 0
+        self.last = np.zeros((b, features))
+        self.max = np.full((b, features), -np.inf)
+        self.argmax = np.zeros((b, features), dtype=np.intp)
+        self.total = np.zeros((b, features))
+
+    def add(self, x: np.ndarray) -> None:
+        """Pool the next chunk of (batch, k, features) outputs."""
+        t0, lengths = self.steps, self.lengths
+        self.steps += x.shape[1]
+        valid = np.arange(t0, self.steps)[None, :] < lengths[:, None]
+        ends = np.flatnonzero((lengths > t0) & (lengths <= self.steps))
+        self.last[ends] = x[ends, lengths[ends] - 1 - t0]
+        # the running max first, so that a tie keeps the earlier step
+        cand = np.concatenate([self.max[:, None], np.where(valid[:, :, None], x, -np.inf)],
+                              axis=1)
+        best = cand.argmax(axis=1)
+        self.max = np.take_along_axis(cand, best[:, None], axis=1)[:, 0]
+        self.argmax = np.where(best > 0, best - 1 + t0, self.argmax)
+        terms = x * (valid / np.maximum(lengths, 1)[:, None])[:, :, None]  # 1 / length or 0
+        for t in range(x.shape[1]):  # a length below 1 is refused by ``pooled``
+            self.total += terms[:, t]
+
+    def pooled(self) -> np.ndarray:
+        """The (batch, 3·features) pool of every step added: last, max, mean."""
+        if (self.lengths < 1).any() or (self.lengths > self.steps).any():
+            raise ValueError(f"classifier_head: lengths must be in [1, {self.steps}]")
+        return np.concatenate([self.last, self.max, self.total], axis=1)
+
+
+def classifier_head(x, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                     out_mask: np.ndarray | None = None, mask: np.ndarray | None = None) -> Tensor:
     """ULMFiT's classifier head on (batch, steps, features) encoder outputs
     as one graph node. It pools x times its (batch, 1, features) keep
-    ``out_mask`` (the output dropout; x itself where None) over each
-    sequence's valid steps, the steps past its length being padding: the
-    output at the last one, the max and the mean, concatenated to
-    (batch, 3·features). Then relu(pooled @ w1 + b1), times the dropout keep
-    ``mask`` where given, @ w2 + b2. It is float64 throughout."""
+    ``out_mask`` (the output dropout; x itself where None) with a
+    ``ConcatPool`` over each sequence's valid steps, the steps past its
+    length being padding: the output at the last one, the max and the mean,
+    concatenated to (batch, 3·features). Then relu(pooled @ w1 + b1), times
+    the dropout keep ``mask`` where given, @ w2 + b2. It is float64
+    throughout.
+
+    x is one Tensor, or, under ``no_grad`` only, an iterable of Tensors over
+    consecutive time chunks of the window, each pooled as it comes, so that
+    only one chunk need be alive at a time. The logits are bit-identical
+    however x is cut."""
     lengths = np.asarray(lengths)
     hidden = w2.shape[0]
-    if (x.data.ndim != 3 or lengths.shape != x.shape[:1] or w1.shape != (3 * x.shape[2], hidden)
-            or b1.shape != (hidden,) or b2.shape != w2.shape[1:]
-            or out_mask is not None and np.shape(out_mask) != (x.shape[0], 1, x.shape[2])
-            or mask is not None and np.shape(mask) != (x.shape[0], hidden)):
-        raise ShapeError(f"classifier_head: incompatible shapes x {x.shape}, lengths "
-                         f"{lengths.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
-                         f"b2 {b2.shape}, out_mask {np.shape(out_mask)}, mask {np.shape(mask)}")
-    b, s, f = x.shape
-    if (lengths < 1).any() or (lengths > s).any():
-        raise ValueError(f"classifier_head: lengths must be in [1, {s}]")
-    xd = x.data if out_mask is None else x.data * out_mask
-    rows = np.arange(b)
-    valid = np.arange(s)[None, :] < lengths[:, None]
-    argmax = np.where(valid[:, :, None], xd, -np.inf).argmax(axis=1)  # (b, f)
-    w = valid / lengths[:, None]  # mean weights, 0 on padding
-    pooled = np.concatenate([xd[rows, lengths - 1],
-                             np.take_along_axis(xd, argmax[:, None, :], axis=1)[:, 0],
-                             (xd * w[:, :, None]).sum(axis=1)], axis=1)
+    chunks = (x,) if isinstance(x, Tensor) else x
+    pool = None
+    for x in chunks:  # x ends as the last chunk: for a tracked call, the only one
+        if (x.data.ndim != 3 or lengths.shape != x.shape[:1]
+                or w1.shape != (3 * x.shape[2], hidden) or b1.shape != (hidden,)
+                or b2.shape != w2.shape[1:]
+                or out_mask is not None and np.shape(out_mask) != (x.shape[0], 1, x.shape[2])
+                or mask is not None and np.shape(mask) != (x.shape[0], hidden)):
+            raise ShapeError(f"classifier_head: incompatible shapes x {x.shape}, lengths "
+                             f"{lengths.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
+                             f"b2 {b2.shape}, out_mask {np.shape(out_mask)}, "
+                             f"mask {np.shape(mask)}")
+        if pool is None:
+            pool = ConcatPool(lengths, x.shape[2])
+        elif _grad_enabled:
+            raise ValueError("classifier_head: x comes in time chunks only under no_grad")
+        pool.add(x.data if out_mask is None else x.data * out_mask)
+    if pool is None:
+        raise ShapeError("classifier_head: no outputs to pool")
+    pooled = pool.pooled()
     pre = pooled @ w1.data + b1.data
     h = np.maximum(pre, 0.0)
     h = h if mask is None else h * mask
@@ -325,10 +392,13 @@ def classifier_head(x: Tensor, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: 
         d = g @ w2.data.T
         d = (d if mask is None else d * mask) * (pre > 0)
         if x.requires_grad:
+            b, s, f = x.shape
+            rows = np.arange(b)
+            w = (np.arange(s)[None, :] < lengths[:, None]) / lengths[:, None]  # mean weights
             dp = d @ w1.data.T
             dx = np.zeros_like(x.data)
             dx[rows, lengths - 1] += dp[:, :f]
-            dx[rows[:, None], argmax, np.arange(f)] += dp[:, f : 2 * f]
+            dx[rows[:, None], pool.argmax, np.arange(f)] += dp[:, f : 2 * f]
             dx += dp[:, None, 2 * f :] * w[:, :, None]
             x.accumulate(dx if out_mask is None else dx * out_mask)
         if w1.requires_grad:

@@ -1285,3 +1285,41 @@ def test_cli_unwritable_out_exits_2_before_any_work(cli_artifacts, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out}") and ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune-lm", "finetune-clf"])
+def test_cli_metrics_log_path_that_is_a_directory_exits_2_before_any_work(
+        cli_artifacts, tmp_path, capsys, monkeypatch, command):
+    # the metrics log is written after training, next to the checkpoint
+    _, corpus, labeled, lm_ckpt, _ = cli_artifacts
+    for name in ("pretrain_lm", "finetune_lm", "finetune_classifier"):
+        monkeypatch.setattr(train, name, lambda *a, **k: pytest.fail("the work ran"))
+    out = tmp_path / "model.ckpt"
+    (tmp_path / "model.ckpt.log").mkdir()
+    inputs = {"pretrain": ["--corpus", str(corpus)],
+              "finetune-lm": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)],
+              "finetune-clf": ["--checkpoint", str(lm_ckpt), "--data", str(labeled)]}[command]
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: --out {out}: its metrics log {out}.log "
+                                       f"is a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt.log"]
+
+
+def test_cli_finetune_lm_reads_a_csv_whatever_the_case_of_its_suffix(
+        cli_artifacts, tmp_path, monkeypatch):
+    # the texts of a labeled CSV, not its raw lines: no header, comma or label
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    vocabs = {}
+
+    def finetune_lm(lm, vocab, target_vocab, corpus, valid, cfg):
+        vocabs[data.name] = target_vocab.id_to_token
+        raise RuntimeError("stop before training")
+
+    monkeypatch.setattr(train, "finetune_lm", finetune_lm)
+    for name in ("lower.csv", "UPPER.CSV"):
+        data = tmp_path / name
+        data.write_bytes(labeled.read_bytes())
+        assert main(["finetune-lm", "--checkpoint", str(lm_ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "ft.ckpt")]) == 1
+    assert vocabs["UPPER.CSV"] == vocabs["lower.csv"]
+    assert not {"text", "label", ","} & set(vocabs["UPPER.CSV"])

@@ -1,5 +1,6 @@
 """Model tests: dropout sites, LSTM mechanics, tying, freezing, pooling."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_encode_draws_every_mask_from_one_stream_in_order():
 def test_embedding_dropout_whole_rows():
     emb = T.param(np.random.default_rng(0).normal(size=(1000, 6)), "emb")
     ids = np.random.default_rng(1).integers(0, 1000, size=(50, 40))
-    out = embedding_dropout(emb, ids, 0.2, Rng(0))
+    out = embedding_dropout(emb, ids, draw_mask(0.2, (1000, 1), Rng(0)))
     # the same (vocab, 1) mask as one drawn for the whole matrix
     keep = Rng(0).keep_mask((1000, 1), 0.2)[:, 0] > 0
     dropped, kept = ~keep[ids], keep[ids]
@@ -115,7 +116,7 @@ def test_embedding_dropout_whole_rows():
     np.add.at(expect, ids, g * (keep[ids] / (1.0 - 0.2))[..., None])
     np.testing.assert_allclose(emb.grad, expect, rtol=1e-13, atol=1e-13)
     assert (emb.grad[~keep] == 0.0).all()
-    plain = embedding_dropout(emb, ids, 0.0, Rng(0))
+    plain = embedding_dropout(emb, ids, draw_mask(0.0, (1000, 1), Rng(0)))
     assert np.array_equal(plain.data, emb.data[ids])
 
 
@@ -133,7 +134,7 @@ def generic_encode(lm, ids, float32):
         return x if p <= 0.0 else mul(x, Tensor(rng.keep_mask(shape, p)))
 
     b = len(ids)
-    x = embedding_dropout(lm.embedding, ids, lm.rate("p_emb"), rng)
+    x = embedding_dropout(lm.embedding, ids, draw_mask(lm.rate("p_emb"), (lm.vocab_size, 1), rng))
     x = drop(x, "p_input", (b, 1, x.shape[2]))
     for i, (layer, state) in enumerate(zip(lm.layers, lm.init_state(b))):
         w_hh = drop(layer.W_hh, "p_weight", layer.W_hh.shape)
@@ -379,6 +380,67 @@ def test_classifier_forward_shapes_and_errors():
         clf.forward(np.zeros((0, 3), dtype=int), np.array([]))
     with pytest.raises(ValueError):
         clf.forward(ids, np.array([7, 0, 1, 5]))
+
+
+def scoring_model(vocab=40, seed=3):
+    """A tiny-preset classifier in eval mode whose logits depend on its
+    input: wider embedding weights than a fresh LM's."""
+    clf = TextClassifier(build_lm(vocab, "tiny", seed=seed), seed=seed).eval()
+    clf.encoder.embedding.data *= 10.0
+    return clf
+
+
+# at a bound of 8 rows, chunks of 4 steps at batch 2, 8 at batch 1 and 1 at
+# batch 5: texts that end just before, at and just after a chunk's end, a
+# one-step text, and a one-row batch whose last step joins the chunk before
+@pytest.mark.parametrize("lengths", [[3, 9], [4, 5], [8, 1], [9], [17], [1], [7, 2, 1, 3, 6]])
+def test_chunked_scoring_is_bit_identical_to_one_chunk(lengths):
+    clf = scoring_model()
+    lengths = np.array(lengths)
+    ids = np.random.default_rng(len(lengths)).integers(4, 40, size=(len(lengths), lengths.max()))
+    with mock.patch.object(T, "LSTM_PROJ_ROWS", 8):
+        whole = clf.forward(ids, lengths).data  # with gradients on: one chunk
+        with mock.patch.object(T, "lstm", wraps=T.lstm) as lstm, T.no_grad():
+            chunked = clf.forward(ids, lengths).data
+        chunks = list(T.time_chunks(ids.shape[1], len(ids)))
+    assert lstm.call_count == 3 * len(chunks)
+    assert [call.args[0].shape[1] for call in lstm.call_args_list[::3]] == [b - a for a, b in chunks]
+    assert np.array_equal(chunked, whole)
+
+
+def test_tracked_classifier_forward_makes_one_lstm_call_per_layer():
+    clf = scoring_model().train()
+    ids = np.random.default_rng(1).integers(4, 40, size=(2, 30))
+    with mock.patch.object(T, "LSTM_PROJ_ROWS", 8), \
+            mock.patch.object(T, "lstm", wraps=T.lstm) as lstm:
+        T.backward(T.cross_entropy(clf.forward(ids, np.array([30, 12])), np.array([0, 1])))
+    assert lstm.call_count == 3
+    assert all(call.args[0].shape == (2, 30, call.args[3].shape[0]) for call in lstm.call_args_list)
+
+
+def scoring_peak(clf, ids, lengths):
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            clf.forward(ids, lengths)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_peak_does_not_grow_with_text_length():
+    # one B64 eval batch of the tiny preset. A (64, S, 128) layer output is
+    # 6.6 MB at S100 and 26.2 MB at S400, and a whole-window pass held two
+    clf = scoring_model(vocab=300)
+    rng = np.random.default_rng(2)
+    peaks = []
+    for steps in (100, 400):
+        ids = rng.integers(4, 300, size=(64, steps))
+        lengths = np.full(64, steps)
+        peaks.append(scoring_peak(clf, ids, lengths))
+    # the ids are made before tracing starts, and the pooled state's size
+    # does not depend on the length
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
 
 def test_classifier_layer_groups_structure():

@@ -802,6 +802,32 @@ def test_pooling_ops_brute_force():
         assert np.allclose(pooled[b, 2 * f :], valid.mean(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("cuts", [[1], [3], [2, 5], [1, 2, 3, 4, 5, 6]])
+def test_concat_pool_in_time_chunks_is_bit_identical_to_one_chunk(cuts):
+    # small integers, so that the max ties and the step it keeps shows
+    rng = np.random.default_rng(8)
+    x = rng.integers(-2, 3, size=(4, 7, 3)).astype(float)
+    lengths = np.array([7, 3, 1, 5])
+    whole, chunked = T.ConcatPool(lengths, 3), T.ConcatPool(lengths, 3)
+    whole.add(x)
+    for part in np.split(x, cuts, axis=1):
+        chunked.add(part)
+    for name in ("last", "max", "argmax", "total"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+    # the first step of a tie, and numpy's own sum over the steps
+    valid = np.arange(7)[None, :] < lengths[:, None]
+    assert np.array_equal(whole.argmax, np.where(valid[:, :, None], x, -np.inf).argmax(axis=1))
+    assert np.array_equal(whole.total, (x * (valid / lengths[:, None])[:, :, None]).sum(axis=1))
+    # the head over the same chunks, under no_grad only
+    head = identity_head(3)
+    parts = [T.Tensor(p) for p in np.split(x, cuts, axis=1)]
+    with T.no_grad():
+        logits = T.classifier_head(iter(parts), lengths, *head).data
+    assert np.array_equal(logits, T.classifier_head(T.Tensor(x), lengths, *head).data)
+    with pytest.raises(ValueError, match="only under no_grad"):
+        T.classifier_head(parts, lengths, *head)
+
+
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.booleans(),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)

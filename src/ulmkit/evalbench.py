@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .model import TextClassifier
 from .textpipe import NumericalizedCorpus, SettingError
-from .train import (evaluate, finetune_classifier, finetune_lm, per_example_losses,
+from .train import (batchify, evaluate, finetune_classifier, finetune_lm, per_example_losses,
                     require_both_labels)
 
 # Draws subsample_train makes before it gives up on a two-class subsample.
@@ -155,7 +155,8 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     Before the first run it refuses an empty training or test set, a
     training set without both labels, the settings that
     ``check_suite_settings`` refuses, and every fraction that
-    subsample_train would refuse.
+    subsample_train would refuse or that draws, at some repeat, a subsample
+    whose text cannot fill the LM fine-tune's batch (``batchify``).
     """
     for name, corpus in (("training", train_corpus), ("test", test_corpus)):
         if not corpus.streams:
@@ -163,20 +164,26 @@ def run_degradation_suite(pretrained, old_vocab, target_vocab,
     require_both_labels(train_corpus)
     check_suite_settings(fractions, repeats)
     fractions = sorted(set(fractions), reverse=True)
+    subs = {}
     for fraction in fractions:
-        _subsample_size(len(train_corpus.streams), fraction)
+        for rep in range(repeats):
+            sub = subs[fraction, rep] = subsample_train(train_corpus, fraction, base_seed + rep)
+            try:
+                batchify(sub.streams, lm_cfg.batch_size)
+            except ValueError as exc:
+                raise SettingError("fraction", f"must leave the LM fine-tune enough text at "
+                                   f"repeat {rep} ({exc})", fraction) from None
     checksum = corpus_checksum(test_corpus)
     report = DegradationReport(rows=[], test_checksum=checksum)
     for fraction in fractions:
-        accs, losses, n_train = [], [], 0
+        accs, losses = [], []
         for rep in range(repeats):
-            seed = base_seed + rep
+            seed, sub = base_seed + rep, subs[fraction, rep]
+            n_train = len(sub.streams)
             try:
-                sub = subsample_train(train_corpus, fraction, seed)
-                n_train = len(sub.streams)
-                lm_text = NumericalizedCorpus(sub.streams)
-                lm, _ = finetune_lm(pretrained, old_vocab, target_vocab, lm_text,
-                                    None, replace(lm_cfg, seed=seed))
+                lm, _ = finetune_lm(pretrained, old_vocab, target_vocab,
+                                    NumericalizedCorpus(sub.streams), None,
+                                    replace(lm_cfg, seed=seed))
                 clf, _ = finetune_classifier(lm, sub, None, replace(clf_cfg, seed=seed))
                 result = evaluate(clf, test_corpus, clf_cfg.batch_size)
                 if corpus_checksum(test_corpus) != checksum:

@@ -93,17 +93,17 @@ class LstmLayer:
     def parameters(self) -> list[Tensor]:
         return [self.W_ih, self.W_hh, self.b]
 
-    def forward(self, x: Tensor, state, float32: bool = False, x_mask: np.ndarray | None = None,
+    def forward(self, x: Tensor, state, x_mask: np.ndarray | None = None,
                 w_mask: np.ndarray | None = None):
         """Run the layer over (batch, steps, input) from the ``(h, c)``
         arrays in ``state``; returns the outputs and the new state as fresh
         arrays.
 
-        ``float32`` is the step's precision decision, and ``x_mask`` and
-        ``w_mask`` are the input's variational mask and the weight drop on
-        ``W_hh``, fixed for the whole sequence; ``T.lstm`` applies all three.
+        ``x_mask`` and ``w_mask`` are the input's variational mask and the
+        weight drop on ``W_hh``, fixed for the whole sequence; ``T.lstm``
+        applies both.
         """
-        out, h, c = T.lstm(x, *state, self.W_ih, self.W_hh, self.b, float32, x_mask, w_mask)
+        out, h, c = T.lstm(x, *state, self.W_ih, self.W_hh, self.b, x_mask, w_mask)
         return out, (h, c)
 
 
@@ -209,10 +209,10 @@ class AwdLstmLM(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def encode(self, ids: np.ndarray, state=None, float32: bool = False, chunked: bool = False):
+    def encode(self, ids: np.ndarray, state=None, chunked: bool = False):
         """Run the embedding and the LSTM stack over (batch, steps) ids from
-        ``state`` (zeros where None). ``float32`` is the step's precision
-        decision.
+        ``state`` (zeros where None). Each layer's ``T.lstm`` chooses its own
+        precision.
 
         Every dropout mask of the batch is drawn here, from one stream in
         this order: the embedding's rows, each layer's input mask and
@@ -242,7 +242,7 @@ class AwdLstmLM(Module):
                 x = embedding_dropout(self.embedding, ids[:, start:end], row_mask)
                 new_state = []
                 for i, (layer, (x_mask, w_mask)) in enumerate(zip(self.layers, masks)):
-                    x, layer_state = layer.forward(x, state[i], float32, x_mask, w_mask)
+                    x, layer_state = layer.forward(x, state[i], x_mask, w_mask)
                     new_state.append(layer_state)
                 state = new_state
                 yield x, state
@@ -257,17 +257,14 @@ class AwdLstmLM(Module):
         the next-token logits (batch, steps, vocab) and the outputs times
         their dropout mask are plain Tensors outside the graph.
 
-        Precision: with targets, the step takes ``T.float32_step``'s
-        decision over the model's hidden width and mode, and passes it to
-        every LSTM layer and to the decoder."""
-        float32 = targets is not None and T.float32_step(self.hid_dim, self.training)
-        chunks, mask = self.encode(ids, state, float32)
+        Precision: every LSTM layer and, with targets, ``T.lm_loss``'s
+        decoder choose their own; the logits without targets are float64."""
+        chunks, mask = self.encode(ids, state)
         [(raw, new_state)] = chunks
         if targets is not None:
             if not self.training:
                 alpha = beta = 0.0
-            loss, ce = T.lm_loss(raw, mask, self.embedding, self.decoder_bias, targets, alpha,
-                                 beta, float32)
+            loss, ce = T.lm_loss(raw, mask, self.embedding, self.decoder_bias, targets, alpha, beta)
             return loss, ce, new_state
         dropped = raw if mask is None else Tensor(raw.data * mask)
         b, s, e = dropped.shape
@@ -311,8 +308,8 @@ class TextClassifier(Module):
     def forward(self, ids: np.ndarray, lengths) -> Tensor:
         """Logits (batch, 2) of (batch, steps) ids padded past ``lengths``.
         The head pools the encoder's output with its output mask applied.
-        The step takes ``T.float32_step``'s decision over the encoder's width
-        and mode, and passes it to every LSTM layer; the head stays float64.
+        Each LSTM layer chooses its own precision (``T.lstm``); the head
+        stays float64.
 
         Under ``no_grad`` the encoder runs in time chunks and the head pools
         each as it comes, so that scoring memory does not grow with the
@@ -321,9 +318,7 @@ class TextClassifier(Module):
         if ids.ndim != 2 or ids.shape[0] == 0 or ids.shape[1] == 0:
             raise ValueError(f"classifier: expected non-empty (batch, steps) ids, got {ids.shape}")
         self.encoder.training = self.training  # every rate, the head's too, follows it
-        float32 = T.float32_step(self.encoder.hid_dim, self.training)
-        chunks, out_mask = self.encoder.encode(ids, float32=float32,
-                                               chunked=not T.grad_enabled())
+        chunks, out_mask = self.encoder.encode(ids, chunked=not T.grad_enabled())
         mask = draw_mask(self.encoder.rate("p_head"), (len(ids), HEAD_HIDDEN), self._drop_rng)
         return T.classifier_head((raw for raw, _ in chunks), lengths, self.W1, self.b1, self.W2,
                                  self.b2, out_mask, mask)

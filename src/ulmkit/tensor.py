@@ -36,17 +36,18 @@ DECODER_BYTES = DECODER_CHUNK * 10_008 * 4
 # in two as serial at 256 classes (65,536 logits, 1.2 ms), 1.3-1.5x as long
 # at 64 classes and below, and 1.4-1.9x less from 512 classes up.
 DECODER_SPLIT_MIN = 1 << 16
-# A training step of a model whose hidden width (``hid_dim``) is at least
-# this runs in float32 (``float32_step``): every tracked LSTM layer and the
-# tied decoder form their products in float32 (Micikevicius et al. 2018).
+# An op that records a gradient runs in float32 (``_precision``) when the
+# width it reads is at least this: an LSTM layer's hidden size, or the
+# decoder's features, which are the last layer's hidden size. It then forms
+# its products in float32 (Micikevicius et al. 2018).
 # The float64/float32 time ratio of a tracked ``lstm`` forward plus backward
 # at S39 (medians of 7, two runs, 1 BLAS thread on 2 cores) was 0.97-1.00 at
 # B2 H6, 0.97-1.08 at B4 H16-32, 1.33-1.54 at B8 H64 and 1.47-1.96 at B8
 # H128; at B8 H32 it spread from 0.85 to 1.55. The decoder at B16 S70
 # V10,008 E64 took 74-77 ms with its gradients against 129-148 ms in
-# float64. So the tiny and full presets train in float32, and the small
-# models of the finite-difference tests stay float64, as do eval-mode
-# forwards and every untracked call.
+# float64. So every layer and the decoder of the tiny and full presets train
+# in float32, and the small models of the finite-difference tests stay
+# float64, as does every untracked call.
 F32_MIN_HIDDEN = 64
 # Rows (batch x steps) of the LSTM input projection that ``lstm`` forms at a
 # time. 512 is the smallest power of two that leaves the fixture training
@@ -114,9 +115,8 @@ def param(data, name=None) -> Tensor:
 def no_grad():
     """Within this block no op records a graph node: every result is a leaf
     with no parents, and fused ops skip their gradient work. Values are
-    unchanged, except that a training step large enough for float32 when
-    tracked (``float32_step``) is float64 here, in its LSTM layers and its
-    decoder."""
+    unchanged, except that an op wide enough for float32 when tracked
+    (``_precision``) is float64 here."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
@@ -134,13 +134,11 @@ def _tracked(*ts: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in ts)
 
 
-def float32_step(hid_dim: int, training: bool) -> bool:
-    """The one precision rule: True for a step of a model in training mode
-    whose hidden width ``hid_dim`` is at least F32_MIN_HIDDEN. The LM and the
-    classifier pass this decision to each ``lstm`` of the step, and the LM to
-    its ``lm_loss``, whose decoder takes it; each runs in float32 only if it
-    records a gradient itself."""
-    return training and hid_dim >= F32_MIN_HIDDEN
+def _precision(track: bool, width: int):
+    """The one precision rule: float32 for an op that records a gradient
+    (``track``) and reads a ``width`` of at least F32_MIN_HIDDEN, float64
+    otherwise."""
+    return np.float32 if track and width >= F32_MIN_HIDDEN else np.float64
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -164,8 +162,8 @@ def time_chunks(steps: int, bsz: int):
         start = end
 
 
-def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
-         b: Tensor, float32: bool = False, x_mask: np.ndarray | None = None,
+def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor, b: Tensor,
+         x_mask: np.ndarray | None = None,
          w_mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One LSTM layer over (batch, steps, input) as a single graph node.
 
@@ -187,10 +185,10 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
     differentiated). Returns the outputs (batch, steps, hidden) and fresh
     copies of the final hidden and cell state.
 
-    Precision: ``float32`` is the step's decision under ``float32_step``.
-    When it is set and the op records a gradient, the op casts x, the
-    weights, the bias and the state to float32 once and runs the projection,
-    the recurrence, the BPTT loop and the gradient products in float32
+    Precision (``_precision``): when the op records a gradient and its
+    hidden size is at least F32_MIN_HIDDEN, it casts x, the weights, the
+    bias and the state to float32 once and runs the projection, the
+    recurrence, the BPTT loop and the gradient products in float32
     (Micikevicius et al. 2018); the outputs, the state and the gradients it
     hands back are float64, and the bias gradient is summed in float64.
     Otherwise, and so always under ``no_grad`` and for a layer whose inputs
@@ -209,7 +207,7 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, w_ih: Tensor, w_hh: Tensor,
                          f"c0 {np.shape(c0)}, w_ih {w_ih.shape}, w_hh {w_hh.shape}, b {b.shape}, "
                          f"x_mask {np.shape(x_mask)}, w_mask {np.shape(w_mask)}")
     track = _tracked(x, w_ih, w_hh, b)
-    dt = np.float32 if float32 and track else np.float64
+    dt = _precision(track, hs)
     # float32 exp(-z) overflows to inf once z < -88.7, and the sigmoid's
     # 1 / (1 + inf) = 0 is then right: that overflow is not reported
     quiet = (functools.partial(np.errstate, over="ignore") if dt is np.float32
@@ -517,7 +515,7 @@ def _split(task, n: int, parts: int) -> None:
 
 
 def lm_loss(raw: Tensor, out_mask: np.ndarray | None, weight: Tensor, bias: Tensor, targets,
-            alpha: float = 0.0, beta: float = 0.0, float32: bool = False) -> tuple[Tensor, float]:
+            alpha: float = 0.0, beta: float = 0.0) -> tuple[Tensor, float]:
     """The LM's training loss from its last layer's (batch, steps, features)
     outputs ``raw`` as one graph node, and its cross-entropy as a float.
 
@@ -546,11 +544,11 @@ def lm_loss(raw: Tensor, out_mask: np.ndarray | None, weight: Tensor, bias: Tens
     slice of the classes. Every output element gets the same arithmetic at
     any thread count, so results are bit-identical to the serial op.
 
-    Precision: ``float32`` is the LM step's decision under ``float32_step``.
-    When it is set and the call records a gradient, it casts the decoder's
-    input, the weight and the bias to float32 once and forms the logits,
-    softmax, logits gradient and the products for the input and weight
-    gradients in float32 (Micikevicius et al. 2018). The softmax
+    Precision (``_precision``): when the call records a gradient and its
+    features are at least F32_MIN_HIDDEN, it casts the decoder's input, the
+    weight and the bias to float32 once and forms the logits, softmax,
+    logits gradient and the products for the input and weight gradients in
+    float32 (Micikevicius et al. 2018). The softmax
     denominators, the loss, the penalties and the sums of the weight and
     bias gradients over chunks are float64, as are the gradients handed to
     the graph. Every other call, and so every score taken under
@@ -578,14 +576,13 @@ def lm_loss(raw: Tensor, out_mask: np.ndarray | None, weight: Tensor, bias: Tens
         tar_scale = beta * (1.0 / diff.size) if diff.size else 0.0
         penalty = ar_scale * (dropped * dropped).sum() + tar_scale * (diff * diff).sum()
         del diff  # backward forms it again rather than hold it between the passes
-    h2d, w, bvec = dropped.reshape(n, e), weight.data, bias.data
     track = _tracked(raw, weight, bias)
+    h2d, w, bvec = (a.astype(_precision(track, e), copy=False)
+                    for a in (dropped.reshape(n, e), weight.data, bias.data))
     dh = np.empty((n, e)) if track and raw.requires_grad else None
     dw = np.zeros((c, e)) if track and weight.requires_grad else None
     db = np.zeros(c) if track and bias.requires_grad else None
     picked = np.empty(n)  # log-probability of each target
-    if float32 and track:
-        h2d, w, bvec = h2d.astype(np.float32), w.astype(np.float32), bvec.astype(np.float32)
     chunk = max(1, min(DECODER_CHUNK, DECODER_BYTES // (c * w.itemsize)))
     logits = np.empty((min(n, chunk), c), dtype=w.dtype)
     parts = decoder_workers() if logits.size >= DECODER_SPLIT_MIN else 1

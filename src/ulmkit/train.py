@@ -303,13 +303,6 @@ def lm_windows_per_epoch(data: np.ndarray, bptt: int) -> int:
     return len(range(0, data.shape[1] - 1, bptt))
 
 
-def lm_loss_terms(model: AwdLstmLM, x: np.ndarray, y: np.ndarray, state, cfg: PhaseConfig):
-    """(loss, cross-entropy as a float, new state) for one window; in
-    training the loss adds the AR/TAR activation penalties to the
-    cross-entropy."""
-    return model.forward(x, state, y, cfg.ar_alpha, cfg.tar_beta)
-
-
 def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: bool,
              step=None) -> tuple[float, int]:
     """One pass over the token ribbon; returns (mean token loss, windows run).
@@ -321,7 +314,7 @@ def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: boo
     total_ce, total_tokens, steps = 0.0, 0, 0
     with contextlib.nullcontext() if train else T.no_grad():
         for x, y in _lm_windows(data, cfg.bptt_len):
-            loss, ce, state = lm_loss_terms(model, x, y, state, cfg)
+            loss, ce, state = model.forward(x, state, y, cfg.ar_alpha, cfg.tar_beta)
             if train:
                 step(loss)
             total_ce += ce * y.size

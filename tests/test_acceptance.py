@@ -43,7 +43,7 @@ def test_gradient_correctness():
     cfg = train.pretrain_defaults(epochs=1, batch_size=2, ar_alpha=2.0, tar_beta=1.0)
 
     def loss_value():
-        loss, _, _ = train.lm_loss_terms(model, x, y, model.init_state(2), cfg)
+        loss, _, _ = model.forward(x, model.init_state(2), y, cfg.ar_alpha, cfg.tar_beta)
         return loss
 
     loss = loss_value()

@@ -990,6 +990,23 @@ def test_cli_degrade_checks_every_fraction_before_the_first_run(
     assert runs == [] and list(tmp_path.iterdir()) == []
 
 
+def test_cli_degrade_refuses_a_fraction_too_small_for_the_lm_batch_before_the_first_run(
+        cli_artifacts, labeled_path, tmp_path, capsys, monkeypatch):
+    # 0.04 of the fixture's 60 examples is 2 texts of 14 tokens, which
+    # cannot fill two steps of the LM fine-tune's batch of 16 rows
+    _, _, _, lm_ckpt, _ = cli_artifacts
+    for owner in (train, evalbench):
+        monkeypatch.setattr(owner, "finetune_lm", lambda *args: pytest.fail("a run started"))
+    rc = main(["degrade", "--checkpoint", str(lm_ckpt), "--data", str(labeled_path),
+               "--test", str(labeled_path), "--out", str(tmp_path / "report.csv"),
+               "--fractions", "1.0,0.04", "--repeats", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --fractions 1.0,0.04: fraction must leave the LM fine-tune enough text at "
+        "repeat 0 (corpus too small: 14 tokens cannot fill batch_size 16), got 0.04\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("rows, test_rows, message", [
     ([], None, "run_degradation_suite: empty training set"),
     (None, [], "run_degradation_suite: empty test set"),

@@ -235,9 +235,11 @@ def test_top_losses_validation():
         evalbench.top_losses(clf, NumericalizedCorpus([[2]]), k=1)
 
 
-def test_scoring_exact_on_saturated_logits():
+def test_scoring_exact_on_saturated_logits(monkeypatch):
     # head weights scaled so that every logit gap is in the thousands, far
-    # past where exp underflows and a clamped -log(p) would read 690.7755
+    # past where exp underflows and a clamped -log(p) would read 690.7755;
+    # the reference forward records a graph, and stays float64 as scoring is
+    monkeypatch.setattr(T, "F32_MIN_HIDDEN", np.inf)
     corpus = labeled_corpus(n=10)
     clf = train.TextClassifier(build_lm(20, "tiny", dropout_multiplier=0.0, seed=1), seed=1)
     clf.W2.data *= 1e7
@@ -278,8 +280,10 @@ def test_scoring_records_no_graph_node(monkeypatch):
         T._tracked(*parents)) or real(data, parents, bwd))
     stats = evalbench.per_example_losses(clf, corpus)
     assert tracked and not any(tracked)
-    # the same numbers, bit for bit, as scoring with the graph recorded
+    # the same numbers, bit for bit, as scoring with the graph recorded in
+    # float64
     monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+    monkeypatch.setattr(T, "F32_MIN_HIDDEN", np.inf)
     tracked.clear()
     assert evalbench.per_example_losses(clf, corpus) == stats
     assert any(tracked)

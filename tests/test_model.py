@@ -60,7 +60,7 @@ def lstm_calls(lm, ids):
     with mock.patch.object(T, "lstm", wraps=T.lstm) as lstm, \
             mock.patch.object(T, "lm_loss", wraps=T.lm_loss) as lm_loss:
         lm.train().forward(ids, targets=ids)
-    return [call.args[7:9] for call in lstm.call_args_list], lm_loss.call_args.args[1]
+    return [call.args[6:8] for call in lstm.call_args_list], lm_loss.call_args.args[1]
 
 
 def test_variational_dropout_locked_across_time():
@@ -123,7 +123,7 @@ def test_embedding_dropout_whole_rows():
 # -- one training step against the generic composition ----------------------
 
 
-def generic_encode(lm, ids, float32):
+def generic_encode(lm, ids):
     """The raw and dropped final outputs of a training forward, as the model
     composed them from generic ops: each mask was its own ``mul`` node, drawn
     in the same order."""
@@ -138,7 +138,7 @@ def generic_encode(lm, ids, float32):
     x = drop(x, "p_input", (b, 1, x.shape[2]))
     for i, (layer, state) in enumerate(zip(lm.layers, lm.init_state(b))):
         w_hh = drop(layer.W_hh, "p_weight", layer.W_hh.shape)
-        raw, _, _ = T.lstm(x, *state, layer.W_ih, w_hh, layer.b, float32)
+        raw, _, _ = T.lstm(x, *state, layer.W_ih, w_hh, layer.b)
         x = raw if i == lm.n_layers - 1 else drop(raw, "p_hidden", (b, 1, raw.shape[2]))
     return raw, drop(raw, "p_output", (b, 1, raw.shape[2]))
 
@@ -160,10 +160,10 @@ def test_lm_step_matches_the_generic_composition():
             p.zero_grad()
         lm.reset_dropout(1.0, 5)
         if fused:
-            loss = train.lm_loss_terms(lm, x, y, None, cfg)[0]
+            loss = lm.forward(x, None, y, cfg.ar_alpha, cfg.tar_beta)[0]
         else:
-            raw, dropped = generic_encode(lm, x, float32=True)
-            ce, _ = T.lm_loss(dropped, None, lm.embedding, lm.decoder_bias, y, float32=True)
+            raw, dropped = generic_encode(lm, x)
+            ce, _ = T.lm_loss(dropped, None, lm.embedding, lm.decoder_bias, y)
             loss = add(penalties(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce)
         results.append(step_results(lm, loss))
     for name, got, want in zip(["loss"] + [n for n, _ in lm.named_parameters()], *results):
@@ -184,7 +184,7 @@ def test_classifier_step_matches_the_generic_composition():
         if fused:
             logits = clf.forward(ids, lengths)
         else:
-            _, dropped = generic_encode(clf.encoder, ids, float32=True)
+            _, dropped = generic_encode(clf.encoder, ids)
             mask = clf._drop_rng.keep_mask((5, HEAD_HIDDEN), clf.encoder.rate("p_head"))
             logits = generic_head(pool(dropped, lengths), clf.W1, clf.b1, clf.W2, clf.b2, mask)
         loss = T.cross_entropy(logits, labels)
@@ -399,7 +399,9 @@ def test_chunked_scoring_is_bit_identical_to_one_chunk(lengths):
     lengths = np.array(lengths)
     ids = np.random.default_rng(len(lengths)).integers(4, 40, size=(len(lengths), lengths.max()))
     with mock.patch.object(T, "LSTM_PROJ_ROWS", 8):
-        whole = clf.forward(ids, lengths).data  # with gradients on: one chunk
+        # with gradients on: one chunk, kept float64 as scoring is
+        with mock.patch.object(T, "F32_MIN_HIDDEN", np.inf):
+            whole = clf.forward(ids, lengths).data
         with mock.patch.object(T, "lstm", wraps=T.lstm) as lstm, T.no_grad():
             chunked = clf.forward(ids, lengths).data
         chunks = list(T.time_chunks(ids.shape[1], len(ids)))

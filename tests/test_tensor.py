@@ -1,12 +1,13 @@
 """Autodiff engine tests: finite-difference oracles and graph mechanics."""
 
+import contextlib
 import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulmkit import tensor as T
@@ -33,13 +34,21 @@ def rel_err(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-12)
 
 
-def check_grad(build, *params, tol=1e-6):
-    """build() -> scalar loss Tensor over the given param Tensors."""
+def precision(float32):
+    """F32_MIN_HIDDEN patched so that an op that records a gradient runs in
+    float32 (0) or in float64 (``np.inf``) at any width."""
+    return mock.patch.object(T, "F32_MIN_HIDDEN", 0 if float32 else np.inf)
+
+
+def check_grad(build, *params, tol=1e-6, value=None):
+    """build() -> scalar loss Tensor over the given param Tensors; the
+    central differences are taken of ``value()``, by default of build()'s
+    loss itself."""
     loss = build()
     T.backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     for p, g in zip(params, analytic):
-        fd = finite_diff(lambda: build().data, p.data)
+        fd = finite_diff(value or (lambda: build().data), p.data)
         assert rel_err(g, fd) < tol, f"grad mismatch for {p.name or p.shape}"
 
 
@@ -309,12 +318,13 @@ def test_lstm_masks_match_mul_then_lstm(which, float32):
     for fused in (True, False):
         for p in (x, w_ih, w_hh, b):
             p.zero_grad()
-        if fused:
-            out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b, float32, x_mask, w_mask)
-        else:
-            xm = x if x_mask is None else mul(x, T.Tensor(x_mask))
-            wm = w_hh if w_mask is None else mul(w_hh, T.Tensor(w_mask))
-            out, h, c = T.lstm(xm, h0, c0, w_ih, wm, b, float32)
+        with precision(float32):
+            if fused:
+                out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b, x_mask, w_mask)
+            else:
+                xm = x if x_mask is None else mul(x, T.Tensor(x_mask))
+                wm = w_hh if w_mask is None else mul(w_hh, T.Tensor(w_mask))
+                out, h, c = T.lstm(xm, h0, c0, w_ih, wm, b)
         T.backward(total(mul(out, weights)))
         results.append([out.data, h, c, x.grad, w_ih.grad, w_hh.grad, b.grad])
     for name, got, want in zip(("out", "h", "c", "dx", "dW_ih", "dW_hh", "db"), *results):
@@ -347,7 +357,7 @@ def test_lstm_finite_differences(bsz, steps, n_in, hs, masked, seed):
     def build():
         for p in (x, w_ih, w_hh, b):
             p.zero_grad()
-        out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b, False, *masks)
+        out, _, _ = T.lstm(x, h0, c0, w_ih, w_hh, b, *masks)
         return total(mul(out, weights))
 
     check_grad(build, x, w_ih, w_hh, b)
@@ -400,11 +410,12 @@ def test_lstm_under_no_grad_keeps_no_per_step_state():
 
 def lstm_results(inputs, float32):
     """out, h, c and the gradients of x, W_ih, W_hh and b of one tracked
-    lstm call, under a fixed upstream gradient."""
+    lstm call at ``precision(float32)``, under a fixed upstream gradient."""
     x, h0, c0, w_ih, w_hh, b = inputs
     for p in (x, w_ih, w_hh, b):
         p.zero_grad()
-    out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b, float32)
+    with precision(float32):
+        out, h, c = T.lstm(x, h0, c0, w_ih, w_hh, b)
     T.backward(total(mul(out, T.Tensor(np.random.default_rng(1).normal(size=out.shape)))))
     return [out.data, h, c, x.grad, w_ih.grad, w_hh.grad, b.grad]
 
@@ -435,9 +446,10 @@ def test_lstm_float32_sigmoid_saturates_without_a_warning():
 
 def test_lstm_float32_decision_is_ignored_under_no_grad():
     x, h0, c0, w_ih, w_hh, b = lstm_inputs(16, 20, 64, 128, seed=5)
-    want = T.lstm(x, h0, c0, w_ih, w_hh, b)
-    with T.no_grad():
-        got = T.lstm(x, h0, c0, w_ih, w_hh, b, float32=True)
+    with precision(False):
+        want = T.lstm(x, h0, c0, w_ih, w_hh, b)
+    with precision(True), T.no_grad():
+        got = T.lstm(x, h0, c0, w_ih, w_hh, b)
     for a, e in zip((got[0].data, *got[1:]), (want[0].data, *want[1:])):
         assert np.array_equal(a, e)
 
@@ -526,8 +538,9 @@ def decoder_ce_reference(h, w, b, targets):
 
 def decoder_ce(h, w, b, targets, float32=False):
     """The tied decoder's cross-entropy alone: ``lm_loss`` with no output
-    mask and no penalty."""
-    return T.lm_loss(h, None, w, b, targets, float32=float32)[0]
+    mask and no penalty, at ``precision(float32)``."""
+    with precision(float32):
+        return T.lm_loss(h, None, w, b, targets)[0]
 
 
 def decoder_ce_inputs(rows, feats, classes, seed):
@@ -554,6 +567,7 @@ def split_decoder(workers, split_min=0, dw_block=T._DW_BLOCK):
 # split over more threads than the two-row slices a chunk of 3 allows
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 7])
 @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 2**32 - 1))
+@example(feats=1, classes=2, seed=202332)  # h = 5.7e-05 at one row
 @settings(max_examples=8, deadline=None)
 def test_tied_decoder_ce_finite_differences(rows, feats, classes, seed):
     h, w, b, targets = decoder_ce_inputs(rows, feats, classes, seed)
@@ -563,10 +577,16 @@ def test_tied_decoder_ce_finite_differences(rows, feats, classes, seed):
             p.zero_grad()
         return decoder_ce(h, w, b, targets)
 
+    def exact():
+        # the reference loss in extended precision: where h is tiny, the
+        # weight moves the loss so little over a step that float64 round-off
+        # in the loss is about 1e-6 of the change
+        return decoder_ce_reference(*(p.data.astype(np.longdouble) for p in (h, w, b)), targets)
+
     for workers in (1, 3):
         with mock.patch.object(T, "DECODER_CHUNK", 3), split_decoder(workers, dw_block=2):
             assert abs(build().item() - decoder_ce_reference(h.data, w.data, b.data, targets)) < 1e-12
-            check_grad(build, h, w, b)
+            check_grad(build, h, w, b, value=exact)
 
 
 def test_tied_decoder_ce_matches_log_softmax_reference():
@@ -603,7 +623,7 @@ def test_tied_decoder_ce_under_no_grad_is_a_leaf_with_no_gradient_work():
 
 def decoder_ce_results(h, w, b, targets, float32=False):
     """Loss and gradients of the decoder's cross-entropy, tracked and
-    under no_grad, both given the precision decision ``float32``."""
+    under no_grad, both at ``precision(float32)``."""
     for p in (h, w, b):
         p.zero_grad()
     loss = decoder_ce(h, w, b, targets, float32)
@@ -737,6 +757,41 @@ def test_tied_decoder_ce_float32_decision_is_ignored_under_no_grad():
     want = decoder_ce_reference(h.data, w.data, b.data, targets)
     assert abs(scored.item() - want) <= 1e-12 * abs(want)
     assert tracked.item() != scored.item()  # the tracked call ran in float32
+
+
+# -- the precision rule at each op ---------------------------------------------
+
+
+def rule_call(op, width, mode):
+    """The outputs of one call of ``op``, "lstm" or "lm_loss", whose width,
+    the hidden size or the decoder's features, is ``width``: tracked, under
+    no_grad, or with every input frozen."""
+    if op == "lstm":
+        x, h0, c0, *weights = lstm_inputs(2, 3, 8, width, seed=width)
+        inputs, call = (x, *weights), lambda: T.lstm(x, h0, c0, *weights)
+    else:
+        h, w, b, targets = decoder_ce_inputs(6, width, 50, seed=width)
+        inputs, call = (h, w, b), lambda: T.lm_loss(h, None, w, b, targets)
+    for t in inputs:
+        t.requires_grad = mode != "frozen"
+    with T.no_grad() if mode == "no_grad" else contextlib.nullcontext():
+        return [a.data if isinstance(a, T.Tensor) else a for a in call()]
+
+
+@pytest.mark.parametrize("mode", ["tracked", "no_grad", "frozen"])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("op", ["lstm", "lm_loss"])
+def test_an_op_runs_in_float32_exactly_when_it_records_a_gradient_at_the_threshold(
+        op, offset, mode):
+    width = T.F32_MIN_HIDDEN + offset
+    with precision(True):
+        mixed = rule_call(op, width, "tracked")
+    with precision(False):
+        exact = rule_call(op, width, "tracked")
+    assert not all(np.array_equal(a, b) for a, b in zip(mixed, exact))
+    float32 = mode == "tracked" and width >= T.F32_MIN_HIDDEN
+    for got, want in zip(rule_call(op, width, mode), mixed if float32 else exact):
+        assert np.array_equal(got, want)
 
 
 def test_single_blas_thread_pins_and_restores():
@@ -983,7 +1038,8 @@ def lm_output_inputs():
 
 def chain_results(mask, alpha, beta, float32):
     """Loss, cross-entropy and the raw, embedding and bias gradients of one
-    backward through ``lm_loss``, and through the three nodes it replaced:
+    backward at ``precision(float32)`` through ``lm_loss``, and through the
+    three nodes it replaced:
     the output mask as a ``mul`` node (none without a mask), the decoder
     (``lm_loss`` with no mask and no penalty), and the penalties added to
     it. The two walks sum raw's gradient in the same order."""
@@ -992,12 +1048,13 @@ def chain_results(mask, alpha, beta, float32):
     for fused in (True, False):
         for p in (raw, emb, bias):
             p.zero_grad()
-        if fused:
-            loss, ce = T.lm_loss(raw, mask, emb, bias, targets, alpha, beta, float32)
-        else:
-            dropped = raw if mask is None else mul(raw, T.Tensor(mask))
-            ce_node, ce = T.lm_loss(dropped, None, emb, bias, targets, float32=float32)
-            loss = add(penalties(raw, dropped, alpha, beta), ce_node)
+        with precision(float32):
+            if fused:
+                loss, ce = T.lm_loss(raw, mask, emb, bias, targets, alpha, beta)
+            else:
+                dropped = raw if mask is None else mul(raw, T.Tensor(mask))
+                ce_node, ce = T.lm_loss(dropped, None, emb, bias, targets)
+                loss = add(penalties(raw, dropped, alpha, beta), ce_node)
         T.backward(loss)
         results.append([loss.data, ce, raw.grad, emb.grad, bias.grad])
     return results

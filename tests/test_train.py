@@ -250,7 +250,7 @@ def test_lm_loss_graph_size_independent_of_steps():
     cfg = train.pretrain_defaults(batch_size=2)
     for steps in (5, 40):
         x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
-        loss, _, _ = train.lm_loss_terms(model, x[:, :-1], x[:, 1:], None, cfg)
+        loss, _, _ = model.forward(x[:, :-1], None, x[:, 1:], cfg.ar_alpha, cfg.tar_beta)
         assert op_nodes(loss) == 5 and len(T.topo_order(loss)) == 16, steps
 
 
@@ -282,8 +282,8 @@ def test_an_optimizer_step_frees_its_graph(kind):
     if kind == "lm":
         model = lm.train()
         cfg = train.pretrain_defaults(batch_size=3)
-        loss, refs = step_graph(lambda: train.lm_loss_terms(model, ids[:, :-1], ids[:, 1:],
-                                                            None, cfg)[0])
+        loss, refs = step_graph(lambda: model.forward(ids[:, :-1], None, ids[:, 1:],
+                                                      cfg.ar_alpha, cfg.tar_beta)[0])
     else:
         model = TextClassifier(lm, seed=0).train()
         loss, refs = step_graph(lambda: T.cross_entropy(model.forward(ids, np.array([7, 2, 5])),
@@ -538,6 +538,35 @@ def test_tiny_classifier_step_stays_near_the_float64_step():
         assert rel_err(got, want) <= 1e-5, name
 
 
+def clf_layer_outputs(stage, min_hidden):
+    """Each LSTM layer's outputs in one training-mode forward of a fresh
+    tiny classifier with its groups below ``stage`` frozen, at a patched
+    F32_MIN_HIDDEN."""
+    ids, lengths, _ = clf_inputs(300, rows=4, steps=9)
+    clf = TextClassifier(build_lm(300, "tiny", seed=0), seed=0)
+    clf.freeze_to(stage)
+    outs, real = [], T.lstm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "F32_MIN_HIDDEN", min_hidden)
+        mp.setattr(T, "lstm", lambda *args: outs.append(real(*args)) or outs[-1])
+        clf.train().forward(ids, lengths)
+    return [out.data for out, _, _ in outs]
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
+def test_a_classifier_stage_runs_only_its_unfrozen_lstm_layers_in_float32(stage):
+    # group i holds LSTM layer i (group 0 the embedding too) and group 3 the
+    # head, so at stage 3 the whole encoder is frozen. A layer records a
+    # gradient exactly when its group is unfrozen, as every group below it
+    # then is frozen; only such a layer takes the float32 path
+    got = clf_layer_outputs(stage, T.F32_MIN_HIDDEN)
+    mixed, exact = clf_layer_outputs(stage, 0), clf_layer_outputs(stage, np.inf)
+    assert len(got) == 3
+    for i, (out, m, e) in enumerate(zip(got, mixed, exact)):
+        assert np.array_equal(out, m if i >= stage else e), i
+        assert np.array_equal(m, e) == (i < stage), i
+
+
 def test_lm_validation_above_the_float32_threshold_is_float64():
     lm = build_lm(10_008, "tiny", seed=0)
     data = np.random.default_rng(1).integers(0, 10_008, size=(16, 141))
@@ -681,8 +710,10 @@ def test_evaluate_deterministic():
     assert 0.0 <= a.accuracy <= 1.0
 
 
-def test_per_example_losses_in_corpus_order():
-    # shuffled lengths, so that the length-sorted batches mix the corpus order
+def test_per_example_losses_in_corpus_order(monkeypatch):
+    # shuffled lengths, so that the length-sorted batches mix the corpus order;
+    # the reference forwards record a graph, and stay float64 as scoring is
+    monkeypatch.setattr(T, "F32_MIN_HIDDEN", np.inf)
     rng = np.random.default_rng(2)
     streams = [[2] + rng.integers(7, 14, size=n).tolist() for n in rng.permutation(13)]
     labels = [i % 2 for i in range(len(streams))]

@@ -44,6 +44,8 @@ import pathlib
 import shutil
 import sys
 
+import numpy as np
+
 # (argv, the file its standard output is kept in, or None)
 PIPELINE = [
     (["pretrain", "--corpus", "corpus.txt", "--seed", "0", "--epochs", "2",
@@ -84,8 +86,9 @@ def _digest(path: pathlib.Path) -> str:
 
 def head_logits(length: int | None = None) -> bytes:
     """The logits of ``TextClassifier(<gen-lm.ckpt's encoder>, seed=5)`` in
-    eval mode over the generated CSV, in batches of 64 in file order; with
-    ``length``, over each text's tokens repeated to that many."""
+    eval mode over the generated CSV, in batches of 64 in file order, which
+    is the order it hands ``make_clf_batches``; with ``length``, over each
+    text's tokens repeated to that many."""
     from ulmkit.checkpoint import load_checkpoint
     from ulmkit.model import TextClassifier
     from ulmkit.tensor import no_grad
@@ -98,9 +101,9 @@ def head_logits(length: int | None = None) -> bytes:
                for text, _ in load_labeled_csv(os.path.join("gen", "labeled.csv"))]
     if length:
         streams = [(s * -(-length // len(s)))[:length] for s in streams]
+    batches = make_clf_batches(NumericalizedCorpus(streams), 64, np.arange(len(streams)))
     with no_grad():
-        return b"".join(clf.forward(ids, lengths).data.tobytes()
-                        for ids, lengths, _ in make_clf_batches(NumericalizedCorpus(streams), 64))
+        return b"".join(clf.forward(ids, lengths).data.tobytes() for ids, lengths, _ in batches)
 
 
 def run(tree: pathlib.Path, out_dir: pathlib.Path) -> None:

@@ -23,7 +23,7 @@ from .model import PRESETS
 from .tensor import single_blas_thread
 from .textpipe import (MAX_VOCAB, NumericalizedCorpus, SettingError, Vocabulary, build_vocab,
                        load_corpus_lines, load_labeled_csv, numericalize, preprocess,
-                       split_corpus)
+                       split_corpus, utf8_only)
 
 
 class UsageError(ValueError):
@@ -76,7 +76,7 @@ def read_config_file(path: str, keys) -> dict[str, str]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as f:
+    with utf8_only(path, UsageError), open(path, encoding="utf-8-sig") as f:
         for i, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):

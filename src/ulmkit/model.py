@@ -32,6 +32,9 @@ N_CLASSES = 2
 # its one dropout multiplier.
 DROPOUT_RATES = {"p_emb": 0.02, "p_input": 0.25, "p_hidden": 0.15, "p_weight": 0.2,
                  "p_output": 0.1, "p_head": 0.1}
+# The AR and TAR coefficients of the LM's training loss (Merity et al. 2017).
+AR_ALPHA = 2.0
+TAR_BETA = 1.0
 
 
 def draw_mask(p: float, shape, rng: Rng) -> np.ndarray | None:
@@ -249,10 +252,10 @@ class AwdLstmLM(Module):
 
         return chunks(self.init_state(b) if state is None else state), out_mask
 
-    def forward(self, ids: np.ndarray, state=None, targets=None, alpha=0.0, beta=0.0):
+    def forward(self, ids: np.ndarray, state=None, targets=None):
         """With (batch, steps) ``targets``, (loss, cross-entropy as a float,
         carried state), the loss one ``T.lm_loss`` node, with the AR and TAR
-        penalties at ``alpha`` and ``beta`` in training mode only. Without,
+        penalties at AR_ALPHA and TAR_BETA in training mode only. Without,
         (logits, carried state, raw final-layer outputs, dropped outputs):
         the next-token logits (batch, steps, vocab) and the outputs times
         their dropout mask are plain Tensors outside the graph.
@@ -262,8 +265,7 @@ class AwdLstmLM(Module):
         chunks, mask = self.encode(ids, state)
         [(raw, new_state)] = chunks
         if targets is not None:
-            if not self.training:
-                alpha = beta = 0.0
+            alpha, beta = (AR_ALPHA, TAR_BETA) if self.training else (0.0, 0.0)
             loss, ce = T.lm_loss(raw, mask, self.embedding, self.decoder_bias, targets, alpha, beta)
             return loss, ce, new_state
         dropped = raw if mask is None else Tensor(raw.data * mask)

@@ -340,24 +340,24 @@ class ConcatPool:
         return np.concatenate([self.last, self.max, self.total], axis=1)
 
 
-def classifier_head(x, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+def classifier_head(chunks, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                     out_mask: np.ndarray | None = None, mask: np.ndarray | None = None) -> Tensor:
     """ULMFiT's classifier head on (batch, steps, features) encoder outputs
-    as one graph node. It pools x times its (batch, 1, features) keep
-    ``out_mask`` (the output dropout; x itself where None) with a
+    as one graph node. ``chunks`` is an iterable of Tensors over consecutive
+    time chunks of the window, each pooled as it comes, so that only one
+    chunk need be alive at a time; a call that records a gradient passes
+    one, the whole window. The logits are bit-identical however the window
+    is cut.
+
+    It pools the outputs times their (batch, 1, features) keep ``out_mask``
+    (the output dropout; the outputs themselves where None) with a
     ``ConcatPool`` over each sequence's valid steps, the steps past its
     length being padding: the output at the last one, the max and the mean,
     concatenated to (batch, 3·features). Then relu(pooled @ w1 + b1), times
     the dropout keep ``mask`` where given, @ w2 + b2. It is float64
-    throughout.
-
-    x is one Tensor, or, under ``no_grad`` only, an iterable of Tensors over
-    consecutive time chunks of the window, each pooled as it comes, so that
-    only one chunk need be alive at a time. The logits are bit-identical
-    however x is cut."""
+    throughout."""
     lengths = np.asarray(lengths)
     hidden = w2.shape[0]
-    chunks = (x,) if isinstance(x, Tensor) else x
     pool = None
     for x in chunks:  # x ends as the last chunk: for a tracked call, the only one
         if (x.data.ndim != 3 or lengths.shape != x.shape[:1]
@@ -372,7 +372,7 @@ def classifier_head(x, lengths, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         if pool is None:
             pool = ConcatPool(lengths, x.shape[2])
         elif _grad_enabled:
-            raise ValueError("classifier_head: x comes in time chunks only under no_grad")
+            raise ValueError("classifier_head: more than one chunk only under no_grad")
         pool.add(x.data if out_mask is None else x.data * out_mask)
     if pool is None:
         raise ShapeError("classifier_head: no outputs to pool")

@@ -9,6 +9,7 @@ markers, then whitespace/punctuation splitting.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import re
@@ -49,6 +50,22 @@ class SettingError(ValueError):
 
 class CorpusFormatError(ValueError):
     """Raised when an input file violates its documented format."""
+
+
+@contextlib.contextmanager
+def utf8_only(path, error=CorpusFormatError):
+    """Turn a UnicodeDecodeError from reading the file at ``path`` into
+    ``error`` naming the path and its first line that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            for n, line in enumerate(f, 1):
+                try:
+                    line.decode("utf-8-sig" if n == 1 else "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"{path}: line {n}: {exc}") from None
+        raise
 
 
 def _expand_char_repeats(text: str) -> str:
@@ -162,7 +179,7 @@ def load_labeled_csv(path) -> list[tuple[str, int]]:
     Labels must be 0 or 1; any malformed row is reported with its line number.
     """
     records: list[tuple[str, int]] = []
-    with open(path, encoding="utf-8-sig", newline="") as f:
+    with utf8_only(path), open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         rows = _csv_rows(reader, path)
         header = next(rows, None)
@@ -184,7 +201,7 @@ def load_labeled_csv(path) -> list[tuple[str, int]]:
 def load_corpus_lines(path) -> list[str]:
     """Load an unlabeled corpus: UTF-8 plain text, with or without a
     byte-order mark, one document per line."""
-    with open(path, encoding="utf-8-sig") as f:
+    with utf8_only(path), open(path, encoding="utf-8-sig") as f:
         return [line.rstrip("\n") for line in f if line.strip()]
 
 

@@ -168,8 +168,9 @@ def optimizer_step(loss: Tensor, groups, lrs, momentum: float, state: dict,
 
 @dataclass
 class PhaseConfig:
-    """The hyperparameters one transfer-learning phase takes; the recipe's
-    fixed settings are the module constants above."""
+    """The hyperparameters one transfer-learning phase takes, each the value
+    of a subcommand's option; the recipe's fixed settings are the module
+    constants above, and the LM's AR and TAR coefficients are ``model``'s."""
 
     phase: str
     epochs: int
@@ -180,8 +181,6 @@ class PhaseConfig:
     weight_decay: float = 0.0
     seed: int = 0
     preset: str = "tiny"
-    ar_alpha: float = 2.0
-    tar_beta: float = 1.0
     # LM fine-tune only: last-group warm stage before training all layers
     stage1_lr: float = 4e-2
     stage1_epochs: ClassVar[int] = 1
@@ -196,7 +195,9 @@ class PhaseConfig:
         checks += [("weight_decay", "must be >= 0", self.weight_decay >= 0),
                    ("dropout_multiplier", f"must be in [0, {limit:g})",
                     0 <= self.dropout_multiplier < limit)]
-        # NaN fails every comparison, so it is refused too
+        # NaN fails every comparison, so it is refused too; inf passes them
+        checks += [(name, "must be finite", math.isfinite(getattr(self, name)))
+                   for name in ("lr", "stage1_lr", "weight_decay")]
         for name, rule, ok in checks:
             if not ok:
                 raise SettingError(name, rule, getattr(self, name))
@@ -314,7 +315,7 @@ def lm_epoch(model: AwdLstmLM, data: np.ndarray, cfg: PhaseConfig, *, train: boo
     total_ce, total_tokens, steps = 0.0, 0, 0
     with contextlib.nullcontext() if train else T.no_grad():
         for x, y in _lm_windows(data, cfg.bptt_len):
-            loss, ce, state = model.forward(x, state, y, cfg.ar_alpha, cfg.tar_beta)
+            loss, ce, state = model.forward(x, state, y)
             if train:
                 step(loss)
             total_ce += ce * y.size
@@ -412,24 +413,19 @@ def finetune_lm(pretrained: AwdLstmLM, old_vocab: Vocabulary, new_vocab: Vocabul
 # classifier training
 
 
-def make_clf_batches(corpus: NumericalizedCorpus, batch_size: int,
-                     order: np.ndarray | None = None):
-    """(ids, lengths, labels) per batch of ``batch_size`` examples, taken in
-    ``order`` (corpus order by default): each input is cut to its first
+def make_clf_batches(corpus: NumericalizedCorpus, batch_size: int, order: np.ndarray):
+    """Yield (ids, lengths, labels) per batch of ``batch_size`` examples,
+    taken in ``order``, one batch at a time: each input is cut to its first
     MAX_LEN tokens and padded to the batch's longest."""
-    n = len(corpus.streams)
-    idx = order if order is not None else np.arange(n)
-    batches = []
-    for lo in range(0, n, batch_size):
-        chunk = idx[lo : lo + batch_size]
+    for lo in range(0, len(order), batch_size):
+        chunk = order[lo : lo + batch_size]
         seqs = [corpus.streams[i][:MAX_LEN] for i in chunk]
         lengths = np.array([max(len(s), 1) for s in seqs])
         ids = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
         for r, s in enumerate(seqs):
             ids[r, : len(s)] = s
         labels = np.array([corpus.labels[i] for i in chunk]) if corpus.labels is not None else None
-        batches.append((ids, lengths, labels))
-    return batches
+        yield ids, lengths, labels
 
 
 @dataclass

@@ -40,10 +40,9 @@ def test_gradient_correctness():
     rng = np.random.default_rng(0)
     x = rng.integers(0, 11, size=(2, 5))
     y = rng.integers(0, 11, size=(2, 5))
-    cfg = train.pretrain_defaults(epochs=1, batch_size=2, ar_alpha=2.0, tar_beta=1.0)
 
     def loss_value():
-        loss, _, _ = model.forward(x, model.init_state(2), y, cfg.ar_alpha, cfg.tar_beta)
+        loss, _, _ = model.forward(x, model.init_state(2), y)
         return loss
 
     loss = loss_value()
@@ -101,11 +100,13 @@ def fixture_streams(corpus_path):
     return [tp.numericalize(toks, vocab) for toks in token_lists], vocab
 
 
-def test_lm_overfit_oracle(corpus_path):
+def test_lm_overfit_oracle(corpus_path, monkeypatch):
     t0 = time.perf_counter()
+    monkeypatch.setattr("ulmkit.model.AR_ALPHA", 0.0)
+    monkeypatch.setattr("ulmkit.model.TAR_BETA", 0.0)
     streams, vocab = fixture_streams(corpus_path)
     cfg = train.pretrain_defaults(epochs=30, batch_size=4, bptt_len=35, seed=1, lr=1e-2,
-                                  dropout_multiplier=0.0, ar_alpha=0.0, tar_beta=0.0)
+                                  dropout_multiplier=0.0)
     _, metrics = train.pretrain_lm(NumericalizedCorpus(streams), None, len(vocab), cfg)
     ppl = math.exp(metrics[-1].train_loss)
     elapsed = time.perf_counter() - t0
@@ -184,16 +185,16 @@ def two_dialect_data():
     return vocab, vocab_t, pre_c, tr_c, te_c
 
 
-def test_transfer_benefit():
+def test_transfer_benefit(monkeypatch):
+    monkeypatch.setattr("ulmkit.model.AR_ALPHA", 0.0)
+    monkeypatch.setattr("ulmkit.model.TAR_BETA", 0.0)
     vocab, vocab_t, pre_c, tr_c, te_c = two_dialect_data()
     pcfg = train.pretrain_defaults(epochs=40, batch_size=4, bptt_len=30, seed=0,
-                                   dropout_multiplier=0.0, lr=1e-2,
-                                   ar_alpha=0.0, tar_beta=0.0)
+                                   dropout_multiplier=0.0, lr=1e-2)
     lm, _ = train.pretrain_lm(pre_c, None, len(vocab.id_to_token), pcfg)
 
     lm_cfg = train.lm_finetune_defaults(epochs=1, batch_size=2, bptt_len=20,
-                                        dropout_multiplier=0.1, lr=4e-4, stage1_lr=4e-3,
-                                        ar_alpha=0.0, tar_beta=0.0)
+                                        dropout_multiplier=0.1, lr=4e-4, stage1_lr=4e-3)
     clf_cfg = train.clf_finetune_defaults(epochs=12, batch_size=2, dropout_multiplier=0.1)
 
     wins = 0
@@ -309,7 +310,8 @@ def test_freezing_and_tying():
         before = checksums(frozen)
         trainable = [p for g in clf.trainable_groups() for p in g]
         clf.train()
-        for ids, lengths, labels in train.make_clf_batches(corpus, cfg.batch_size):
+        for ids, lengths, labels in train.make_clf_batches(corpus, cfg.batch_size,
+                                                           np.arange(len(corpus.streams))):
             loss = T.cross_entropy(clf.forward(ids, lengths), labels)
             for p in trainable:
                 p.zero_grad()

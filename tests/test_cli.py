@@ -1066,6 +1066,42 @@ def test_cli_refuses_settings_before_loading_the_checkpoint(
     assert loads == [] and reads == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["pretrain", "--lr", "inf"], "", "--lr inf: lr must be finite, got inf"),
+    (["pretrain", "--weight-decay", "inf"], "",
+     "--weight-decay inf: weight_decay must be finite, got inf"),
+    (["finetune-lm", "--stage1-lr", "inf"], "",
+     "--stage1-lr inf: stage1_lr must be finite, got inf"),
+    (["degrade", "--lm-lr", "inf"], "", "--lm-lr inf: lr must be finite, got inf"),
+    (["finetune-clf"], "lr=inf\n", "--lr inf: lr must be finite, got inf"),
+], ids=["pretrain-lr", "pretrain-weight-decay", "finetune-lm-stage1-lr", "degrade-lm-lr",
+        "config-file-lr"])
+def test_cli_refuses_an_infinite_rate_or_weight_decay_before_any_work(
+        cli_artifacts, tmp_path, capsys, monkeypatch, argv, config, message):
+    # inf passes every range check, and would train until the loss is nan
+    _, corpus, labeled, lm_ckpt, _ = cli_artifacts
+
+    def refused(name):
+        return lambda *args, **kwargs: pytest.fail(f"{name} called")
+
+    for owner, name in [(cli, "load_checkpoint"), (cli, "load_corpus_lines"),
+                        (cli, "load_labeled_csv"), (train, "pretrain_lm"),
+                        (train, "finetune_lm"), (train, "finetune_classifier"),
+                        (evalbench, "run_degradation_suite")]:
+        monkeypatch.setattr(owner, name, refused(name))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = (["--corpus", str(corpus)] if argv[0] == "pretrain"
+              else ["--checkpoint", str(lm_ckpt), "--data", str(labeled)])
+    rc = main(argv + inputs + ["--config", str(cfg), "--out", str(out / "x")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 def test_cli_finetune_clf_refuses_an_empty_validation_file(cli_artifacts, tmp_path, capsys,
                                                            monkeypatch):
     _, _, labeled, lm_ckpt, _ = cli_artifacts
@@ -1081,6 +1117,20 @@ def test_cli_finetune_clf_refuses_an_empty_validation_file(cli_artifacts, tmp_pa
     assert rc == 1
     assert capsys.readouterr().err == "error: finetune_classifier: empty validation set\n"
     assert steps == [] and list(out.iterdir()) == []
+
+
+def test_cli_finetune_clf_names_a_validation_file_that_is_not_utf8(cli_artifacts, tmp_path,
+                                                                   capsys, monkeypatch):
+    _, _, labeled, lm_ckpt, _ = cli_artifacts
+    valid = tmp_path / "valid.csv"
+    valid.write_bytes(b"text,label\ncaf\xe9,1\n")  # Latin-1
+    monkeypatch.setattr(train, "finetune_classifier", lambda *args: pytest.fail("trained"))
+    rc = main(["finetune-clf", "--checkpoint", str(lm_ckpt), "--data", str(labeled),
+               "--valid", str(valid), "--out", str(tmp_path / "clf.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {valid}: line 2: 'utf-8' codec can't decode "
+                                       "byte 0xe9 in position 3: invalid continuation byte\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["valid.csv"]
 
 
 @pytest.mark.parametrize("command, tokens, batch", [("finetune-lm", 46, 40), ("pretrain", 31, 64)])
@@ -1162,6 +1212,18 @@ def test_cli_config_file_may_start_with_a_byte_order_mark(cli_artifacts, tmp_pat
     assert ck.load_checkpoint(out).config.get("seed") == 3
 
 
+def test_cli_config_file_that_is_not_utf8_exits_2_naming_file_and_line(cli_artifacts, tmp_path,
+                                                                       capsys):
+    _, corpus, _, _, _ = cli_artifacts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=1\n# caf\xe9\nepochs=1\n")  # Latin-1
+    assert main(["pretrain", "--config", str(cfg), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "lm.ckpt")]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: line 2: 'utf-8' codec can't decode "
+                                       "byte 0xe9 in position 5: invalid continuation byte\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("pretrain", "epochs=abc", "epochs: invalid int value 'abc'"),
     ("pretrain", "preset=huge", "preset: 'huge' is not one of full, tiny"),
@@ -1239,6 +1301,13 @@ def test_cli_each_subcommand_declares_exactly_the_options_it_reads(
     for argv in runs:
         assert main(argv) == 0, argv
     assert read == declared_options()
+
+
+def test_every_phase_setting_is_an_option_of_some_subcommand():
+    # a recipe constant belongs in the code, not in a field only tests set
+    taken = {key for _, _, keys in COMMANDS.values() for key in keys}
+    fields = [f.name for f in dataclasses.fields(train.PhaseConfig) if f.name != "phase"]
+    assert [name for name in fields if name not in taken] == []
 
 
 def test_cli_rejects_options_a_subcommand_does_not_read(cli_artifacts, tmp_path, capsys):

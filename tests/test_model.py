@@ -10,9 +10,11 @@ from test_tensor import add, generic_head, identity_head, mul, penalties, pool
 from ulmkit import tensor as T
 from ulmkit import train
 from ulmkit.model import (
+    AR_ALPHA,
     DROPOUT_RATES,
     HEAD_HIDDEN,
     PRESETS,
+    TAR_BETA,
     AwdLstmLM,
     LstmLayer,
     TextClassifier,
@@ -153,18 +155,17 @@ def test_lm_step_matches_the_generic_composition():
     lm = build_lm(40, "tiny", seed=3).train()
     ids = np.random.default_rng(3).integers(0, 40, size=(4, 9))
     x, y = ids[:, :-1], ids[:, 1:]
-    cfg = train.pretrain_defaults()
     results = []
     for fused in (True, False):
         for _, p in lm.named_parameters():
             p.zero_grad()
         lm.reset_dropout(1.0, 5)
         if fused:
-            loss = lm.forward(x, None, y, cfg.ar_alpha, cfg.tar_beta)[0]
+            loss = lm.forward(x, None, y)[0]
         else:
             raw, dropped = generic_encode(lm, x)
             ce, _ = T.lm_loss(dropped, None, lm.embedding, lm.decoder_bias, y)
-            loss = add(penalties(raw, dropped, cfg.ar_alpha, cfg.tar_beta), ce)
+            loss = add(penalties(raw, dropped, AR_ALPHA, TAR_BETA), ce)
         results.append(step_results(lm, loss))
     for name, got, want in zip(["loss"] + [n for n, _ in lm.named_parameters()], *results):
         assert np.array_equal(got, want), name
@@ -363,7 +364,7 @@ def test_concat_pool_brute_force():
     rng = np.random.default_rng(4)
     hidden = Tensor(rng.normal(size=(2, 6, 3)))
     lengths = np.array([6, 3])
-    pooled = T.classifier_head(hidden, lengths, *identity_head(3)).data  # logits = the pool
+    pooled = T.classifier_head([hidden], lengths, *identity_head(3)).data  # logits = the pool
     assert pooled.shape == (2, 9)
     for b in range(2):
         valid = hidden.data[b, : lengths[b]]

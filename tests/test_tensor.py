@@ -847,7 +847,7 @@ def test_pooling_ops_brute_force():
     rng = np.random.default_rng(9)
     x = T.Tensor(rng.normal(size=(3, 5, 2)))
     lengths = [5, 2, 4]
-    pooled = T.classifier_head(x, np.array(lengths), *identity_head(2)).data
+    pooled = T.classifier_head([x], np.array(lengths), *identity_head(2)).data
     f = 2
     assert pooled.shape == (3, 3 * f)
     for b, n in enumerate(lengths):
@@ -878,7 +878,7 @@ def test_concat_pool_in_time_chunks_is_bit_identical_to_one_chunk(cuts):
     parts = [T.Tensor(p) for p in np.split(x, cuts, axis=1)]
     with T.no_grad():
         logits = T.classifier_head(iter(parts), lengths, *head).data
-    assert np.array_equal(logits, T.classifier_head(T.Tensor(x), lengths, *head).data)
+    assert np.array_equal(logits, T.classifier_head([T.Tensor(x)], lengths, *head).data)
     with pytest.raises(ValueError, match="only under no_grad"):
         T.classifier_head(parts, lengths, *head)
 
@@ -897,7 +897,7 @@ def test_concat_pool_finite_differences(bsz, steps, feats, masked, seed):
 
     def build():
         x.zero_grad()
-        return total(mul(T.classifier_head(x, lengths, *identity_head(feats), out_mask=mask),
+        return total(mul(T.classifier_head([x], lengths, *identity_head(feats), out_mask=mask),
                          weights))
 
     check_grad(build, x)
@@ -917,14 +917,14 @@ def test_concat_pool_mask_matches_mul_then_pool():
     for fused in (True, False):
         for p in (x, *head):
             p.zero_grad()
-        logits = (T.classifier_head(x, lengths, *head, out_mask=mask) if fused
-                  else T.classifier_head(mul(x, T.Tensor(mask)), lengths, *head))
+        logits = (T.classifier_head([x], lengths, *head, out_mask=mask) if fused
+                  else T.classifier_head([mul(x, T.Tensor(mask))], lengths, *head))
         T.backward(T.cross_entropy(logits, labels))
         results.append([logits.data, x.grad] + [p.grad for p in head])
     for name, got, want in zip(("logits", "x", "W1", "b1", "W2", "b2"), *results):
         assert np.array_equal(got, want), name
     # a mask applied
-    assert not np.array_equal(results[0][0], T.classifier_head(x, lengths, *head).data)
+    assert not np.array_equal(results[0][0], T.classifier_head([x], lengths, *head).data)
 
 
 def head_inputs(rows, feats, hidden, seed):
@@ -965,7 +965,7 @@ def test_classifier_head_matches_the_generic_chain(masked, frozen):
     for fused in (True, False):
         for p in params:
             p.zero_grad()
-        logits = (T.classifier_head(x, lengths, *weights, mask=mask) if fused
+        logits = (T.classifier_head([x], lengths, *weights, mask=mask) if fused
                   else generic_head(pool(x, lengths), *weights, mask))
         T.backward(T.cross_entropy(logits, labels))
         results.append([logits.data] + [p.grad for p in params])
@@ -987,7 +987,7 @@ def test_classifier_head_finite_differences(masked, frozen):
     def build():
         for p in params:
             p.zero_grad()
-        return T.cross_entropy(T.classifier_head(x, lengths, *weights, mask=mask), labels)
+        return T.cross_entropy(T.classifier_head([x], lengths, *weights, mask=mask), labels)
 
     check_grad(build, *(p for p in params if p.requires_grad))
     assert all(p.grad is None for p in params if not p.requires_grad)
@@ -996,13 +996,13 @@ def test_classifier_head_finite_differences(masked, frozen):
 def test_classifier_head_shape_errors():
     x, lengths, w1, b1, w2, b2, mask = head_inputs(3, 4, 5, seed=0)
     with pytest.raises(T.ShapeError, match="classifier_head"):
-        T.classifier_head(x, lengths, w2, b1, w2, b2)
+        T.classifier_head([x], lengths, w2, b1, w2, b2)
     with pytest.raises(T.ShapeError, match="classifier_head"):
-        T.classifier_head(x, lengths, w1, b2, w2, b2)
+        T.classifier_head([x], lengths, w1, b2, w2, b2)
     with pytest.raises(T.ShapeError, match="classifier_head"):  # pooled, not the outputs
-        T.classifier_head(T.Tensor(np.zeros((3, 12))), lengths, w1, b1, w2, b2)
+        T.classifier_head([T.Tensor(np.zeros((3, 12)))], lengths, w1, b1, w2, b2)
     with pytest.raises(T.ShapeError, match="mask"):
-        T.classifier_head(x, lengths, w1, b1, w2, b2, mask=mask[:2])
+        T.classifier_head([x], lengths, w1, b1, w2, b2, mask=mask[:2])
 
 
 def penalties(raw, dropped, alpha, beta):
@@ -1104,13 +1104,13 @@ def test_pooling_length_validation():
     x = T.Tensor(np.zeros((2, 4, 3)))
     _, _, *head, _ = head_inputs(2, 3, 5, seed=0)
     with pytest.raises(ValueError, match=r"classifier_head: lengths must be in \[1, 4\]"):
-        T.classifier_head(x, np.array([0, 4]), *head)
+        T.classifier_head([x], np.array([0, 4]), *head)
     with pytest.raises(ValueError, match="classifier_head"):
-        T.classifier_head(x, np.array([1, 5]), *head)
+        T.classifier_head([x], np.array([1, 5]), *head)
     with pytest.raises(T.ShapeError, match="classifier_head"):
-        T.classifier_head(x, np.array([1, 1, 1]), *head)
+        T.classifier_head([x], np.array([1, 1, 1]), *head)
     with pytest.raises(T.ShapeError, match="classifier_head"):
-        T.classifier_head(T.Tensor(np.zeros((2, 4))), np.array([1, 1]), *head)
+        T.classifier_head([T.Tensor(np.zeros((2, 4)))], np.array([1, 1]), *head)
 
 
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.sampled_from([0.0, 0.5, 2.0]),
@@ -1209,7 +1209,7 @@ def test_shape_errors_report_op():
         T.lm_loss(raw, np.ones((2, 3, 4)), w, b, targets)
     _, _, *head, _ = head_inputs(2, 4, 5, seed=0)
     with pytest.raises(T.ShapeError, match="classifier_head: .* out_mask"):  # not locked across time
-        T.classifier_head(raw, np.array([3, 1]), *head, out_mask=np.ones((2, 3, 4)))
+        T.classifier_head([raw], np.array([3, 1]), *head, out_mask=np.ones((2, 3, 4)))
 
 
 @pytest.mark.parametrize("g", [np.ones(3), np.ones((1, 3)), np.ones(()), np.ones((2, 3, 1))])

@@ -162,6 +162,22 @@ def test_a_byte_order_mark_reads_as_none(name, tmp_path):
     assert tp.preprocess(text) == ["xxbos", "xxmaj", "hello", "world"]
 
 
+# "café" saved as Latin-1, where é is the lone byte 0xe9
+@pytest.mark.parametrize("name, body, line", [
+    ("corpus.txt", b"Hello world\ncaf\xe9\n", 2),
+    ("corpus.txt", b"\xef\xbb\xbfcaf\xe9\n", 1),  # the byte-order mark is not counted
+    ("labeled.csv", b"text,label\nHello world,1\ncaf\xe9,0\n", 3),
+], ids=["corpus", "corpus-with-bom", "csv"])
+def test_a_file_that_is_not_utf8_is_named_with_its_first_bad_line(tmp_path, name, body, line):
+    load = tp.load_labeled_csv if name.endswith(".csv") else tp.load_corpus_lines
+    path = tmp_path / name
+    path.write_bytes(body)
+    with pytest.raises(tp.CorpusFormatError) as info:
+        load(path)
+    assert str(info.value) == (f"{path}: line {line}: 'utf-8' codec can't decode byte 0xe9 "
+                               "in position 3: invalid continuation byte")
+
+
 def test_split_corpus_exact_sizes_and_partition():
     records = list(range(100))
     train, valid = tp.split_corpus(records, 0.1, seed=3)

@@ -247,10 +247,9 @@ def test_lm_loss_graph_size_independent_of_steps():
     # output mask and adds the tied decoder's cross-entropy to the AR/TAR
     # penalties, however many steps the window has; and the 11 parameters
     model = build_lm(20, "tiny", seed=0).train()
-    cfg = train.pretrain_defaults(batch_size=2)
     for steps in (5, 40):
         x = np.random.default_rng(steps).integers(0, 20, size=(2, steps + 1))
-        loss, _, _ = model.forward(x[:, :-1], None, x[:, 1:], cfg.ar_alpha, cfg.tar_beta)
+        loss, _, _ = model.forward(x[:, :-1], None, x[:, 1:])
         assert op_nodes(loss) == 5 and len(T.topo_order(loss)) == 16, steps
 
 
@@ -281,9 +280,7 @@ def test_an_optimizer_step_frees_its_graph(kind):
     ids = np.random.default_rng(0).integers(0, 20, size=(3, 7))
     if kind == "lm":
         model = lm.train()
-        cfg = train.pretrain_defaults(batch_size=3)
-        loss, refs = step_graph(lambda: model.forward(ids[:, :-1], None, ids[:, 1:],
-                                                      cfg.ar_alpha, cfg.tar_beta)[0])
+        loss, refs = step_graph(lambda: model.forward(ids[:, :-1], None, ids[:, 1:])[0])
     else:
         model = TextClassifier(lm, seed=0).train()
         loss, refs = step_graph(lambda: T.cross_entropy(model.forward(ids, np.array([7, 2, 5])),
@@ -655,7 +652,7 @@ def test_finetune_classifier_head_stage_freezes_encoder():
     n_groups = len(clf.layer_groups())
     clf.freeze_to(n_groups - 1)
     clf.train()
-    batches = train.make_clf_batches(corpus, 4)
+    batches = train.make_clf_batches(corpus, 4, np.arange(len(corpus.streams)))
     for ids, lengths, labels in batches:
         loss = T.cross_entropy(clf.forward(ids, lengths), labels)
         for p in clf.head_parameters():
@@ -688,7 +685,7 @@ def test_finetune_classifier_requires_both_labels():
 
 def test_make_clf_batches_padding():
     corpus = NumericalizedCorpus([[2, 7, 8], [2, 9]], [0, 1])
-    (ids, lengths, labels), = train.make_clf_batches(corpus, 4)
+    (ids, lengths, labels), = train.make_clf_batches(corpus, 4, np.arange(2))
     assert ids.shape == (2, 3)
     assert ids[1, 2] == 1  # PAD_ID
     assert lengths.tolist() == [3, 2]
@@ -697,7 +694,7 @@ def test_make_clf_batches_padding():
 
 def test_make_clf_batches_caps_length():
     corpus = NumericalizedCorpus([list(range(2, 500))], [0])
-    (ids, lengths, _), = train.make_clf_batches(corpus, 1)
+    (ids, lengths, _), = train.make_clf_batches(corpus, 1, np.arange(1))
     assert ids.shape == (1, 400) and lengths[0] == 400
 
 
